@@ -66,10 +66,6 @@ from .flows import (
 from .mcg import (
     TwistWord,
     apply_word,
-    dehn_alpha,
-    dehn_alpha_inverse,
-    dehn_beta,
-    dehn_beta_inverse,
     homology_action,
     is_hyperbolic,
     random_word,
@@ -110,4 +106,4 @@ from .traces import (
     is_generic,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -61,6 +61,8 @@ _CENTRAL_LABEL_TOL = 1e-4
 
 
 def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError("seed must be nonnegative")
     return np.random.Generator(np.random.PCG64(seed))
 
 
@@ -134,6 +136,8 @@ def cmd_sample(args) -> int:
     """Emit `count` character rows: Haar pairs, or fiber-walk samples."""
     if args.count < 0:
         raise ConfigError("count must be nonnegative")
+    if args.walk_steps < 0:
+        raise ConfigError("walk steps must be nonnegative")
     started = _timestamp()
     rng = _rng(args.seed)
     spec = _c_spec_from_args(args)
@@ -174,6 +178,8 @@ def cmd_orbit(args) -> int:
     """Emit a trajectory of cumulative random twist words on one fiber."""
     if args.n < 1:
         raise ConfigError("N must be at least 1")
+    if args.word_length < 0:
+        raise ConfigError("word length must be nonnegative")
     started = _timestamp()
     spec = _c_spec_from_args(args)
     if spec is None:
@@ -210,8 +216,8 @@ def cmd_orbit(args) -> int:
 def parse_config_file(path: str) -> ExperimentConfig:
     """Parse the flat key=value experiment config format.
 
-    One pair per line, "#" starts a comment, unknown keys are errors, and
-    kind and seed are mandatory.
+    One pair per line, "#" starts a comment, unknown or repeated keys are
+    errors, and kind and seed are mandatory.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
@@ -227,6 +233,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
         key = key.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in data:
+            raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
         data[key] = value.strip()
 
     for required in ("kind", "seed"):

@@ -98,6 +98,8 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.n < 1:
             raise ConfigError("N must be at least 1")
         if self.trials < 1:
@@ -544,6 +546,8 @@ def resolve_c_spec(spec: str) -> tuple[str, tuple[float, ...]]:
                 values = tuple(float(v) for v in body.split(","))
             except ValueError as exc:
                 raise ConfigError(f"could not parse c_spec numbers in {spec!r}") from exc
+            if not all(np.isfinite(values)):
+                raise ConfigError(f"c_spec numbers must be finite, got {spec!r}")
             kind = prefix[:-1]
             if kind == "trace" and len(values) != 2:
                 raise ConfigError("c_spec trace= needs exactly two numbers: re,im")

@@ -186,17 +186,16 @@ def flow_walk_stack(
         part_im = rng.integers(2, size=n).astype(bool)
         t = rng.uniform(-max_time, max_time, size=n)
 
-        ab = a @ b
-        abinv = a @ dagger(b)
-        x = np.empty_like(a)
         m_alpha = curve == 0
         m_beta = curve == 1
         m_ab = curve == 2
         m_abinv = curve == 3
+        ab = a[m_ab] @ b[m_ab]
+        x = np.empty_like(a)
         x[m_alpha] = a[m_alpha]
         x[m_beta] = b[m_beta]
-        x[m_ab] = ab[m_ab]
-        x[m_abinv] = abinv[m_abinv]
+        x[m_ab] = ab
+        x[m_abinv] = a[m_abinv] @ dagger(b[m_abinv])
 
         x = np.where(part_im[:, None, None], -1j * x, x)
         f = (x - dagger(x)) / 2
@@ -204,7 +203,7 @@ def flow_walk_stack(
         z = exp_algebra(t[:, None, None] * f)
 
         # Order matters: the alpha_beta update of a reads the pre-step b.
-        a[m_ab] = ab[m_ab] @ dagger(z[m_ab]) @ dagger(b[m_ab])
+        a[m_ab] = ab @ dagger(z[m_ab]) @ dagger(b[m_ab])
         b[m_ab] = b[m_ab] @ z[m_ab]
         b[m_alpha] = b[m_alpha] @ z[m_alpha]
         a[m_beta] = a[m_beta] @ z[m_beta]

@@ -79,24 +79,6 @@ class TwistWord:
         return cls(tuple(text.strip()))
 
 
-def dehn_alpha(p: RepPoint) -> RepPoint:
-    """(a, b) -> (a, b a); fixes the fiber exactly."""
-    return RepPoint(a=p.a, b=p.b @ p.a, c=p.c)
-
-
-def dehn_alpha_inverse(p: RepPoint) -> RepPoint:
-    return RepPoint(a=p.a, b=p.b @ dagger(p.a), c=p.c)
-
-
-def dehn_beta(p: RepPoint) -> RepPoint:
-    """(a, b) -> (a b, b); fixes the fiber exactly."""
-    return RepPoint(a=p.a @ p.b, b=p.b, c=p.c)
-
-
-def dehn_beta_inverse(p: RepPoint) -> RepPoint:
-    return RepPoint(a=p.a @ dagger(p.b), b=p.b, c=p.c)
-
-
 def apply_word(word: TwistWord, p: RepPoint) -> RepPoint:
     """Apply the word's letters left to right, renormalizing on cadence."""
     a, b = p.a, p.b

@@ -45,6 +45,23 @@ RENORM_CADENCE = 64
 # Inputs farther than this from the unitary group are refused by renormalize.
 RENORM_GUARD = 0.1
 
+# renormalize replaces the SVD by one Newton-Schulz step when the stack's
+# Gram defect is at most this; the step's error, (3/8) d^2 < 4e-17, is
+# then below roundoff.
+NEWTON_SCHULZ_DEFECT = 1e-8
+
+# Below this c1 = tr(Q^2)/2 exp_algebra sums its Taylor series: there the
+# closed form's f2 carries an error of about eps/c1, while _EXP_TAYLOR_TERMS
+# terms already reach roundoff (eigenvalues of Q are at most 2 sqrt(c1/3)).
+EXP_TAYLOR_C1 = 1e-3
+_EXP_TAYLOR_TERMS = 8
+
+# sin(w)/w switches to its series below this w; the truncation error of the
+# four-term series there is at most w^8/9! = 1.1e-16.
+_SINC_SERIES_W = 0.05
+
+_SQRT3 = float(np.sqrt(3.0))
+
 IDENTITY = np.eye(3, dtype=complex)
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -105,14 +122,97 @@ def assert_algebra_element(x: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
 def exp_algebra(x: np.ndarray) -> np.ndarray:
     """Exponential of a traceless anti-Hermitian matrix, landing in SU(3).
 
-    Computed spectrally: -i x is Hermitian, so its eigendecomposition gives
-    exp(x) = V diag(exp(i w)) dagger(V) exactly up to roundoff, with no
-    series truncation.  Accepts stacks.
+    Closed form by the Cayley-Hamilton theorem (Morningstar and Peardon,
+    "Analytic smearing of SU(3) link variables", Phys. Rev. D 69 (2004)
+    054501, hep-lat/0311018).  With Q = -i x Hermitian and traceless,
+    Q^3 = c1 Q + c0 Id for c0 = det Q and c1 = tr(Q^2)/2, so
+    exp(x) = f0 Id + f1 Q + f2 Q^2 exactly.  The f_j are trigonometric in
+    the eigenvalue parameters (u, w) of Q, found from c0 and c1 without an
+    eigensolver.  Three cases keep them accurate:
+
+    - c0 < 0 uses the symmetry Q -> -Q (u -> -u), so the divisor
+      9u^2 - w^2 stays at least 2 c1;
+    - near w = 0 (two equal eigenvalues) sin(w)/w is summed as a series;
+    - for c1 < EXP_TAYLOR_C1 (near x = 0), where the divided form loses
+      about eps/c1 in f2, the f_j come from the exponential's Taylor
+      series reduced by Q^3 = c1 Q + c0 Id instead.
+
+    The result is a polynomial in x, so it commutes with x by
+    construction.  Raises InvalidAlgebraError for inputs off the algebra.
+    Accepts stacks.
     """
     x = np.asarray(x, dtype=complex)
     assert_algebra_element(x)
-    w, v = np.linalg.eigh(-1j * x)
-    return (v * np.exp(1j * w)[..., None, :]) @ dagger(v)
+    shape = x.shape
+    x = x.reshape(-1, 3, 3)
+    x2 = x @ x
+    # With Q = -i x: tr(Q^2) = -tr(x^2) and det Q = tr(Q^3)/3 = i tr(x^3)/3.
+    c1 = -0.5 * trace(x2).real
+    c0 = np.einsum("nij,nji->n", x, x2).imag / -3.0
+    f0, f1, f2 = _exp_coefficients(c0, c1)
+    # exp(x) = f0 Id + f1 Q + f2 Q^2 with Q = -i x and Q^2 = -x^2.
+    out = x2 * -f2[:, None, None]
+    out -= x * (1j * f1)[:, None, None]
+    out.reshape(-1, 9)[:, ::4] += f0[:, None]  # the diagonal
+    return out.reshape(shape)
+
+
+def _exp_coefficients(c0: np.ndarray, c1: np.ndarray):
+    """The f_j of exp(i Q) = f0 + f1 Q + f2 Q^2 from c0 = det Q, c1 = tr(Q^2)/2."""
+    taylor = c1 < EXP_TAYLOR_C1
+    any_taylor = bool(taylor.any())
+    if any_taylor:
+        # Placeholder values keep the closed form finite on the rows that
+        # the series overwrites below.
+        small_c0, small_c1 = c0[taylor], c1[taylor]
+        c1 = np.where(taylor, 1.0, c1)
+    # Trigonometric eigenvalue parameters: the eigenvalues of Q are 2u and
+    # -u +- w.  Taking theta from |c0| keeps theta/3 in [0, pi/6]; the sign
+    # of c0 then goes to u, because Q -> -Q maps (u, w) to (-u, w).
+    sqrt_c1 = np.sqrt(c1)
+    # |c0| over its largest value 2 (c1/3)^(3/2).
+    ratio = np.abs(c0) * (1.5 * _SQRT3) / (c1 * sqrt_c1)
+    theta = np.arccos(np.minimum(ratio, 1.0)) / 3.0
+    u = np.copysign(sqrt_c1 * np.cos(theta) / _SQRT3, c0)
+    w = sqrt_c1 * np.sin(theta)
+    xi0 = np.sin(w)
+    big = w >= _SINC_SERIES_W
+    np.divide(xi0, w, out=xi0, where=big)
+    if not big.all():
+        w2 = w[~big] ** 2
+        xi0[~big] = 1.0 - w2 / 6.0 * (1.0 - w2 / 20.0 * (1.0 - w2 / 42.0))
+    u2 = u * u
+    w2 = w * w
+    e2 = np.exp(2j * u)
+    em = np.exp(-1j * u)
+    em_cos = em * np.cos(w)
+    em_xi = em * xi0
+    inv = 1.0 / (9.0 * u2 - w2)
+    f0 = ((u2 - w2) * e2 + 8.0 * u2 * em_cos + 2j * u * (3.0 * u2 + w2) * em_xi) * inv
+    f1 = (2.0 * u * (e2 - em_cos) + 1j * (3.0 * u2 - w2) * em_xi) * inv
+    f2 = (e2 - em_cos - 3j * u * em_xi) * inv
+    if any_taylor:
+        f0[taylor], f1[taylor], f2[taylor] = _exp_taylor(small_c0, small_c1)
+    return f0, f1, f2
+
+
+def _exp_taylor(c0: np.ndarray, c1: np.ndarray):
+    """The f_j of exp(i Q) summed as a series, for small c1.
+
+    Writes Q^k = a_k + b_k Q + c_k Q^2 and steps k with Q^3 = c1 Q + c0 Id.
+    """
+    a = np.ones(c0.shape, dtype=complex)
+    b = np.zeros_like(a)
+    c = np.zeros_like(a)
+    f0, f1, f2 = a.copy(), b.copy(), c.copy()
+    term = 1.0 + 0j
+    for k in range(1, _EXP_TAYLOR_TERMS + 1):
+        a, b, c = c * c0, a + c * c1, b
+        term *= 1j / k
+        f0 += term * a
+        f1 += term * b
+        f2 += term * c
+    return f0, f1, f2
 
 
 def adjoint_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -308,21 +408,48 @@ def random_torus_element(frame: TorusFrame, rng: np.random.Generator) -> np.ndar
 def renormalize(u: np.ndarray) -> np.ndarray:
     """Project near-unitary matrices back onto SU(3); accepts stacks.
 
-    Polar projection by SVD, then the determinant phase is divided out of
-    the first column.  Idempotent to roundoff.  Raises DriftExplosionError
-    when any input is farther than RENORM_GUARD from the unitary group.
+    The unitary factor of the polar decomposition, then the determinant
+    phase divided out of the first column.  Idempotent to roundoff.
+
+    When the stack's Gram defect max |u^H u - Id| is at most
+    NEWTON_SCHULZ_DEFECT, one Newton-Schulz step u (3 Id - u^H u) / 2
+    gives the polar factor (Higham, "Functions of Matrices", SIAM 2008,
+    ch. 8): for Gram defect d it is off by about (3/8) d^2, below
+    roundoff there.  The orbit engines drift by about 1e-14 between
+    renormalizations, so this is their path.  Any larger defect takes the
+    polar factor from the SVD, which is also where RENORM_GUARD applies:
+    DriftExplosionError is raised when a singular value of any input is
+    farther than RENORM_GUARD from 1.
     """
     u = np.asarray(u, dtype=complex)
     if u.size == 0:
         return u.copy()
-    w, s, vh = np.linalg.svd(u)
-    worst = np.abs(s - 1.0).max()
-    if worst > RENORM_GUARD:
-        raise DriftExplosionError(
-            f"singular values deviate from 1 by {worst:.3e}, beyond the"
-            f" guard {RENORM_GUARD}; an orbit engine upstream is broken"
-        )
-    q = w @ vh
-    det = np.linalg.det(q)
+    gram = dagger(u) @ u
+    if np.abs(gram - IDENTITY).max() <= NEWTON_SCHULZ_DEFECT:
+        q = u @ (1.5 * IDENTITY - 0.5 * gram)
+    else:
+        w, s, vh = np.linalg.svd(u)
+        worst = np.abs(s - 1.0).max()
+        if worst > RENORM_GUARD:
+            raise DriftExplosionError(
+                f"singular values deviate from 1 by {worst:.3e}, beyond the"
+                f" guard {RENORM_GUARD}; an orbit engine upstream is broken"
+            )
+        q = w @ vh
+    det = _det3(q)
     q[..., :, 0] /= det[..., None] if q.ndim > 2 else det
     return q
+
+
+def _det3(m: np.ndarray) -> np.ndarray:
+    """Determinant of 3x3 matrices by cofactor expansion; accepts stacks.
+
+    Elementwise over the stack, where np.linalg.det runs one LU
+    factorization per matrix and is about 10x slower on wide stacks.
+    """
+    # m.T reverses every axis, so the unpacked entries are those of the
+    # transposed matrices (same determinant) with the batch axes reversed,
+    # which the final .T restores.  On a single matrix they are scalars,
+    # which keeps the call cheap there.
+    (a, b, c), (d, e, f), (g, h, i) = m.T
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T

@@ -231,3 +231,50 @@ def test_parse_config_file_bad_int(tmp_path):
     cfg.write_text("kind = x\nseed = seven\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         parse_config_file(str(cfg))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--count", "2", "--seed", "-1"],
+        ["orbit", "--n", "2", "--seed", "-1", "--angles", "0.1,0.3"],
+    ],
+)
+def test_negative_seed_is_a_config_error(argv, capsys):
+    assert main(argv) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_file(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("kind = submersion_census\nseed = -3\nN = 4\n", encoding="utf-8")
+    assert main(["experiment", str(cfg)]) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,label", [("--angles", "nan,0.3"), ("--angles", "0.1,inf"), ("--trace", "nan,0")])
+def test_non_finite_fiber_label_is_a_config_error(flag, label, capsys):
+    assert main(["orbit", "--n", "2", "--seed", "1", flag, label]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert main(["sample", "--count", "2", "--seed", "1", flag, label]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_negative_word_length_is_a_config_error(capsys):
+    argv = ["orbit", "--n", "2", "--seed", "1", "--angles", "0.1,0.3", "--word-length", "-5"]
+    assert main(argv) == 2
+    assert "word length" in capsys.readouterr().err
+
+
+def test_negative_walk_steps_is_a_config_error(capsys):
+    argv = ["sample", "--count", "2", "--seed", "1", "--angles", "0.1,0.3", "--walk-steps", "-5"]
+    assert main(argv) == 2
+    assert "walk steps" in capsys.readouterr().err
+
+
+def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("kind = submersion_census\nseed = 1\nN = 4\nseed = 2\n", encoding="utf-8")
+    assert main(["experiment", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "repeated config key 'seed'" in err and ":4:" in err
