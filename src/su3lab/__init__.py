@@ -37,15 +37,12 @@ from .fiber import (
     A0,
     B0,
     FIBER_TOL,
-    CentralizerBasis,
     RepPoint,
     abelian_point,
     base_point,
     central_fiber_point,
-    centralizer_algebra,
     centralizer_intersection,
     commutator,
-    d_kappa,
     d_kappa_matrix,
     d_kappa_rank,
     fiber_residual,
@@ -56,7 +53,6 @@ from .flows import (
     TWIST_TIME_BOUND,
     FlowStep,
     Observable,
-    coset_sample,
     curve_holonomy,
     one_param,
     random_flow_walk,
@@ -75,7 +71,6 @@ from .su3 import (
     IDENTITY,
     OMEGA,
     TorusFrame,
-    adjoint_action,
     adjoint_matrix,
     algebra_coords,
     algebra_from_coords,
@@ -90,7 +85,6 @@ from .su3 import (
     random_algebra,
     regularity_gap,
     renormalize,
-    torus_element,
     torus_frame,
     unitarity_defect,
 )

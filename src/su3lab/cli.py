@@ -30,9 +30,8 @@ import numpy as np
 from . import __version__
 from .errors import CentralFiberError, ConfigError, Su3LabError
 from .experiments import (
-    REAL_COLUMN_NAMES,
+    CENTRAL_LABEL_TOL,
     ExperimentConfig,
-    _character_reals,
     matrix_from_c_spec,
     run_experiment,
 )
@@ -40,7 +39,7 @@ from .fiber import base_point, commutator, fiber_residual, is_central
 from .flows import flow_walk_stack
 from .mcg import apply_word, random_word
 from .su3 import haar_random
-from .traces import character_values
+from .traces import REAL_COLUMN_NAMES, character_reals, character_values
 
 _CONFIG_KEYS = (
     "kind",
@@ -53,11 +52,6 @@ _CONFIG_KEYS = (
     "tol",
     "out",
 )
-
-# A trace label on a triple characteristic root resolves with about
-# cube-root-of-eps clustering error (1e-5), so the centrality test for
-# labels must sit above that floor; the central fibers are 5.2 apart.
-_CENTRAL_LABEL_TOL = 1e-4
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -124,7 +118,7 @@ def _print_manifest(command: str, args, started: str, resolved: dict) -> None:
 
 
 def _character_csv_rows(index, a, b, c) -> list[list[str]]:
-    reals = _character_reals(character_values(a, b))
+    reals = character_reals(character_values(a, b))
     residual = np.atleast_1d(fiber_residual(a, b, c))
     return [
         [str(int(i))] + [_format(v) for v in row] + [_format(r)]
@@ -186,7 +180,7 @@ def cmd_orbit(args) -> int:
         raise ConfigError("orbit needs a fiber label: --trace or --angles")
     rng = _rng(args.seed)
     fiber = matrix_from_c_spec(spec)
-    if is_central(fiber, tol=_CENTRAL_LABEL_TOL):
+    if is_central(fiber, tol=CENTRAL_LABEL_TOL):
         raise CentralFiberError(
             "the fiber label is central, so every row would carry the same"
             " character; run the central_fiber_rigidity experiment instead"

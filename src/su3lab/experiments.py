@@ -63,9 +63,11 @@ from .mcg import (
 from .su3 import IDENTITY, OMEGA, circle_distance, dagger, haar_random, torus_frame
 from .traces import (
     CHARACTER_NAMES,
+    REAL_COLUMN_NAMES,
     char_poly_roots,
     character,
     character_distance,
+    character_reals,
     character_values,
     is_generic,
 )
@@ -138,19 +140,6 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     fx = np.searchsorted(x, grid, side="right") / x.size
     fy = np.searchsorted(y, grid, side="right") / y.size
     return float(np.abs(fx - fy).max())
-
-
-def _character_reals(values: np.ndarray) -> np.ndarray:
-    """(n, 9) complex character values to (n, 18) reals in schema order."""
-    out = np.empty(values.shape[:-1] + (18,), dtype=float)
-    out[..., 0::2] = values.real
-    out[..., 1::2] = values.imag
-    return out
-
-
-REAL_COLUMN_NAMES = tuple(
-    f"{part}_{name}" for name in CHARACTER_NAMES for part in ("re", "im")
-)
 
 
 def coset_twist_orbit(
@@ -249,7 +238,7 @@ def mcg_orbit_distribution(
             np.broadcast_to(start.b, (n, 3, 3)),
         )
         residual_worst = max(residual_worst, float(fiber_residual(a, b, start.c).max()))
-        ensembles.append(_character_reals(character_values(a, b)))
+        ensembles.append(character_reals(character_values(a, b)))
     ens_one, ens_two, ens_null = ensembles
 
     ks_pair = [ks_statistic(ens_one[:, j], ens_two[:, j]) for j in range(18)]
@@ -496,7 +485,7 @@ def submersion_census(
     centralizer-intersection criterion pointwise.
     """
     c = np.asarray(c, dtype=complex)
-    if is_central(c):
+    if is_central(c, tol=CENTRAL_LABEL_TOL):
         raise CentralFiberError(
             "the fiber label is central; use central_fiber_rigidity for the"
             " omega Id fibers or abelian_point for commuting pairs"
@@ -557,6 +546,12 @@ def resolve_c_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     raise ConfigError(
         f"c_spec must start with 'trace=' or 'angles=', got {spec!r}"
     )
+
+
+# A trace label on a triple characteristic root resolves with about
+# cube-root-of-eps clustering error (1e-5), so the centrality test for
+# labels must sit above that floor; the central fibers are 5.2 apart.
+CENTRAL_LABEL_TOL = 1e-4
 
 
 def matrix_from_c_spec(spec: str) -> np.ndarray:

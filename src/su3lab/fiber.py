@@ -27,7 +27,6 @@ from .su3 import (
     IDENTITY,
     OMEGA,
     adjoint_matrix,
-    algebra_from_coords,
     assert_special_unitary,
     dagger,
     renormalize,
@@ -122,10 +121,6 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([block_x, block_y], axis=-1)
 
 
-def d_kappa(p: RepPoint) -> np.ndarray:
-    return d_kappa_matrix(p.a, p.b)
-
-
 def d_kappa_rank(m: np.ndarray, rel_tol: float = RANK_TOL) -> int | np.ndarray:
     """Numerical rank of differential matrices by singular value threshold.
 
@@ -138,29 +133,6 @@ def d_kappa_rank(m: np.ndarray, rel_tol: float = RANK_TOL) -> int | np.ndarray:
     top = np.maximum(s[..., 0], 1.0)
     rank = np.sum(s > rel_tol * top[..., None], axis=-1)
     return int(rank) if rank.ndim == 0 else rank
-
-
-@dataclass(frozen=True)
-class CentralizerBasis:
-    """Orthonormal basis (under the negated pairing) of the fixed space of
-    Ad(element) on the algebra.  Size 2 for regular elements, 4 with one
-    repeated eigenvalue, 8 for central elements."""
-
-    element: np.ndarray
-    basis: np.ndarray  # (dim, 3, 3) stack of algebra elements
-
-    @property
-    def dimension(self) -> int:
-        return self.basis.shape[0]
-
-
-def centralizer_algebra(g: np.ndarray) -> CentralizerBasis:
-    """Fixed space of Ad(g), via the nullspace of Ad(g) - I on the algebra."""
-    g = np.asarray(g, dtype=complex)
-    s, vh = np.linalg.svd(adjoint_matrix(g) - _EYE8)[1:]
-    dim = int(np.sum(s <= NULLSPACE_TOL))
-    coords = vh[8 - dim:] if dim else np.zeros((0, 8))
-    return CentralizerBasis(element=g, basis=algebra_from_coords(coords))
 
 
 def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:

@@ -78,10 +78,10 @@ def trace(m: np.ndarray) -> np.ndarray:
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of u dagger(u) from Id, plus the
-    determinant's distance from 1, maximized over any batch."""
+    determinant's distance from 1, maximized over any batch (0 when empty)."""
     u = np.asarray(u, dtype=complex)
-    gram = np.abs(u @ dagger(u) - IDENTITY).max()
-    det = np.abs(np.linalg.det(u) - 1.0).max()
+    gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
+    det = np.abs(np.linalg.det(u) - 1.0).max(initial=0.0)
     return float(max(gram, det))
 
 
@@ -99,10 +99,11 @@ def assert_special_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
 
 
 def algebra_defect(x: np.ndarray) -> float:
-    """Largest deviation from being traceless anti-Hermitian, over any batch."""
+    """Largest deviation from being traceless anti-Hermitian, over any batch
+    (0 when empty)."""
     x = np.asarray(x, dtype=complex)
-    herm = np.abs(x + dagger(x)).max()
-    tr = np.abs(trace(x)).max()
+    herm = np.abs(x + dagger(x)).max(initial=0.0)
+    tr = np.abs(trace(x)).max(initial=0.0)
     return float(max(herm, tr))
 
 
@@ -215,11 +216,6 @@ def _exp_taylor(c0: np.ndarray, c1: np.ndarray):
     return f0, f1, f2
 
 
-def adjoint_action(g: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Conjugation g x g^-1 of an algebra element by a group element."""
-    return g @ x @ dagger(g)
-
-
 def inner_product(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
     """The invariant pairing Tr(x y); real on the algebra.
 
@@ -323,15 +319,19 @@ def eigenvalue_angles(u: np.ndarray) -> np.ndarray:
     return np.sort(np.mod(np.angle(lam) / (2 * np.pi), 1.0), axis=-1)
 
 
-def regularity_gap(u: np.ndarray) -> np.ndarray:
-    """Minimal pairwise circle distance of the eigenvalue angles."""
-    ang = eigenvalue_angles(u)
+def angle_gap(angles: np.ndarray) -> np.ndarray:
+    """Minimal pairwise circle distance within angle triples (last axis)."""
     gaps = [
-        circle_distance(ang[..., i], ang[..., j])
+        circle_distance(angles[..., i], angles[..., j])
         for i in range(3)
         for j in range(i + 1, 3)
     ]
     return np.min(np.stack(gaps, axis=-1), axis=-1)
+
+
+def regularity_gap(u: np.ndarray) -> np.ndarray:
+    """Minimal pairwise circle distance of the eigenvalue angles."""
+    return angle_gap(eigenvalue_angles(u))
 
 
 def is_regular(u: np.ndarray, gap: float = REGULARITY_GAP) -> bool | np.ndarray:
@@ -362,8 +362,8 @@ class TorusFrame:
 
     The element is eigenvectors @ diag(exp(2 pi i angles)) @ dagger(eigenvectors);
     group elements commuting with it are exactly the ones diagonal in this
-    frame, so the frame is how the maximal torus through the element is
-    sampled.
+    frame, so powers of the element and products with it can be iterated
+    exactly on the angles in this frame.
     """
 
     base: np.ndarray
@@ -380,29 +380,12 @@ def torus_frame(a: np.ndarray) -> TorusFrame:
     a = np.asarray(a, dtype=complex)
     assert_special_unitary(a)
     angles, vectors = unitary_eigensystem(a)
-    gap = min(
-        circle_distance(angles[i], angles[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
+    gap = angle_gap(angles)
     if gap < REGULARITY_GAP:
         raise NonRegularElementError(
             f"eigenvalue-angle gap {gap:.3e} is below the regularity threshold"
         )
     return TorusFrame(base=a, eigenvectors=vectors, angles=angles)
-
-
-def torus_element(frame: TorusFrame, t1: float, t2: float) -> np.ndarray:
-    """The torus element with angles (t1, t2, -t1-t2) in the given frame."""
-    phases = np.exp(2j * np.pi * np.array([t1, t2, -t1 - t2]))
-    v = frame.eigenvectors
-    return (v * phases) @ dagger(v)
-
-
-def random_torus_element(frame: TorusFrame, rng: np.random.Generator) -> np.ndarray:
-    """Uniform sample from the maximal torus of the frame's base element."""
-    t1, t2 = rng.random(2)
-    return torus_element(frame, t1, t2)
 
 
 def renormalize(u: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import TraceDomainError
 from .fiber import RepPoint
-from .su3 import REGULARITY_GAP, circle_distance, dagger, eigenvalue_angles, trace
+from .su3 import REGULARITY_GAP, angle_gap, dagger, eigenvalue_angles, trace
 
 # Character coordinate order; fixed, because it is also the CSV schema.
 # "inv_" names the trace of the inverse holonomy, which for special unitary
@@ -38,6 +38,11 @@ CHARACTER_NAMES = (
     "tr_inv_b",
     "tr_inv_ab",
     "tr_inv_ab_inv",
+)
+
+# The 18 real columns of character_reals, re/im interleaved.
+REAL_COLUMN_NAMES = tuple(
+    f"{part}_{name}" for name in CHARACTER_NAMES for part in ("re", "im")
 )
 
 DELTA_BOUNDARY_TOL = 1e-9
@@ -111,15 +116,9 @@ def is_generic(u: np.ndarray, height: int = 20, tol: float = 1e-9) -> bool | np.
     Accepts stacks.
     """
     angles = eigenvalue_angles(u)
-    gaps = np.stack(
-        [
-            circle_distance(angles[..., i], angles[..., j])
-            for i in range(3)
-            for j in range(i + 1, 3)
-        ],
-        axis=-1,
-    ).min(axis=-1)
-    out = (gaps >= REGULARITY_GAP) & ~angles_have_relation(angles, height, tol)
+    out = (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(
+        angles, height, tol
+    )
     return bool(out) if np.ndim(out) == 0 else out
 
 
@@ -152,6 +151,15 @@ def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
+def character_reals(values: np.ndarray) -> np.ndarray:
+    """(..., 9) complex character values to (..., 18) reals, in
+    REAL_COLUMN_NAMES order."""
+    out = np.empty(values.shape[:-1] + (18,), dtype=float)
+    out[..., 0::2] = values.real
+    out[..., 1::2] = values.imag
+    return out
+
+
 @dataclass(frozen=True)
 class Character:
     """The nine trace coordinates of a pair, in CHARACTER_NAMES order.
@@ -176,14 +184,6 @@ class Character:
             raise ValueError(
                 f"inverse traces fail conjugate pairing by {mismatch:.3e}"
             )
-
-    def as_reals(self) -> list[float]:
-        """The 18 real coordinates, re/im interleaved in schema order."""
-        out = []
-        for z in self.values:
-            out.append(float(np.real(z)))
-            out.append(float(np.imag(z)))
-        return out
 
 
 def character(p: RepPoint) -> Character:

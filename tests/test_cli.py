@@ -58,10 +58,12 @@ def test_sample_fiber_mode(tmp_path):
 
 def test_sample_count_zero_emits_header_only(tmp_path):
     out = tmp_path / "empty.csv"
-    assert main(["sample", "--count", "0", "--seed", "1", "--out", str(out)]) == 0
-    rows = read_csv(out)
-    assert len(rows) == 1
-    assert rows[0][0] == "sample_index"
+    for label in ([], ["--angles", "0.1,0.3"]):
+        argv = ["sample", "--count", "0", "--seed", "1", *label, "--out", str(out)]
+        assert main(argv) == 0
+        rows = read_csv(out)
+        assert len(rows) == 1
+        assert rows[0][0] == "sample_index"
 
 
 def test_sample_deterministic(tmp_path):
@@ -108,6 +110,18 @@ def test_orbit_rejects_central_label(capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "central" in err
+
+
+@pytest.mark.parametrize("c_spec", ["trace=3,0", "trace=-1.5,2.598076211353316"])
+def test_census_rejects_central_trace_label(tmp_path, capsys, c_spec):
+    # Triple characteristic roots resolve about 1e-5 off the central element.
+    cfg = tmp_path / "central.cfg"
+    cfg.write_text(
+        f"kind = submersion_census\nseed = 3\nN = 4\nc_spec = {c_spec}\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 2
+    assert "central" in capsys.readouterr().err
 
 
 def test_sample_rejects_out_of_domain_trace(capsys):

@@ -11,7 +11,6 @@ from su3lab.flows import (
     TWIST_TIME_BOUND,
     FlowStep,
     Observable,
-    coset_sample,
     curve_holonomy,
     flow_walk_stack,
     one_param,
@@ -130,15 +129,6 @@ def test_flow_commutes_with_conjugation(rng):
     qc = twist_flow(conj, step)
     assert np.abs(qc.a - g @ q.a @ dagger(g)).max() < 1e-11
     assert np.abs(qc.b - g @ q.b @ dagger(g)).max() < 1e-11
-
-
-def test_coset_sample_stays_on_fiber(rng):
-    p = haar_point(rng)
-    for which in ("H", "Hprime"):
-        q = coset_sample(p, which, rng)
-        assert q.residual() < 1e-11
-    with pytest.raises(ValueError):
-        coset_sample(p, "X", rng)
 
 
 def test_random_flow_walk_stays_on_fiber(rng):

@@ -20,6 +20,7 @@ from conftest import make_rng
 from oracle_kernels import exp_algebra_eigh, renormalize_svd
 from su3lab import flows, mcg
 from su3lab.errors import DriftExplosionError
+from su3lab.fiber import RepPoint
 from su3lab.su3 import (
     EXP_TAYLOR_C1,
     IDENTITY,
@@ -225,3 +226,26 @@ def test_word_engine_matches_reference_kernels(haar_pairs, monkeypatch):
     slow = mcg.apply_word_stack(indices, a, b)
     assert np.abs(fast[0] - slow[0]).max() <= ENGINE_TOL
     assert np.abs(fast[1] - slow[1]).max() <= ENGINE_TOL
+
+
+def test_engines_leave_their_inputs_unchanged():
+    rng = make_rng(13)
+    a, b = haar_random(rng, size=16), haar_random(rng, size=16)
+    indices = mcg.random_word_indices(16, 16, rng)
+    p = RepPoint.from_pair(a[0], b[0])
+    # Read-only inputs, as the experiments pass them: any write raises.
+    frozen = RepPoint(
+        a=np.broadcast_to(p.a, (3, 3)), b=np.broadcast_to(p.b, (3, 3)), c=p.c
+    )
+    inputs = [a, b, p.a, p.b]
+    saved = [m.copy() for m in inputs]
+    broadcast = np.broadcast_to(a[0], a.shape), np.broadcast_to(b[0], b.shape)
+    for x, y in ((a, b), broadcast):
+        flows.flow_walk_stack(x, y, 8, rng)
+        mcg.apply_word_stack(indices, x, y)
+    for q in (p, frozen):
+        for curve in flows.CURVES:
+            for part in flows.PARTS:
+                flows.twist_flow(q, flows.FlowStep(flows.Observable(curve, part), 0.7))
+    for m, m0 in zip(inputs, saved):
+        assert np.array_equal(m, m0)

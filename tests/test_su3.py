@@ -15,7 +15,6 @@ from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
     OMEGA,
-    adjoint_action,
     adjoint_matrix,
     algebra_coords,
     algebra_defect,
@@ -31,7 +30,6 @@ from su3lab.su3 import (
     random_algebra,
     regularity_gap,
     renormalize,
-    torus_element,
     torus_frame,
     unitarity_defect,
     unitary_eigensystem,
@@ -126,7 +124,7 @@ def test_adjoint_matrix_is_orthogonal_and_represents(rng):
     m = adjoint_matrix(g)
     assert np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(8)).max() < 1e-12
     x = random_algebra(rng, size=50)
-    lhs = algebra_coords(adjoint_action(g, x))
+    lhs = algebra_coords(g @ x @ dagger(g))
     rhs = np.einsum("nij,nj->ni", m, algebra_coords(x))
     assert np.abs(lhs - rhs).max() < 1e-12
 
@@ -153,7 +151,11 @@ def test_unitary_eigensystem_reconstructs(rng):
 def test_torus_frame_and_element(rng):
     u = haar_random(rng)
     frame = torus_frame(u)
-    t = torus_element(frame, 0.3, -0.8)
+    v = frame.eigenvectors
+    lam = np.exp(2j * np.pi * frame.angles)
+    assert np.abs((v * lam) @ dagger(v) - u).max() < 1e-12
+    # An element diagonal in the frame lies on u's maximal torus.
+    t = (v * np.exp(2j * np.pi * np.array([0.3, -0.8, 0.5]))) @ dagger(v)
     assert is_special_unitary(t)
     assert np.abs(t @ u - u @ t).max() < 1e-12
 
@@ -181,6 +183,14 @@ def test_renormalize_restores_and_guards(rng):
 def test_renormalize_empty_stack():
     out = renormalize(np.empty((0, 3, 3), dtype=complex))
     assert out.shape == (0, 3, 3)
+
+
+def test_exp_algebra_empty_stack():
+    for shape in ((0, 3, 3), (2, 0, 3, 3)):
+        x = np.empty(shape, dtype=complex)
+        assert algebra_defect(x) == 0.0
+        assert exp_algebra(x).shape == shape
+        assert unitarity_defect(exp_algebra(x)) == 0.0
 
 
 def test_assert_special_unitary_message():

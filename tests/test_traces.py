@@ -15,6 +15,7 @@ from su3lab.traces import (
     char_poly_roots,
     character,
     character_distance,
+    character_reals,
     character_values,
     delta_defect,
     is_generic,
@@ -125,8 +126,8 @@ def test_character_validation():
 def test_character_as_reals_order(rng):
     p = RepPoint.from_pair(haar_random(rng), haar_random(rng))
     ch = character(p)
-    reals = ch.as_reals()
-    assert len(reals) == 18
+    reals = character_reals(np.array(ch.values))
+    assert reals.shape == (18,)
     for k, z in enumerate(ch.values):
         assert reals[2 * k] == pytest.approx(z.real)
         assert reals[2 * k + 1] == pytest.approx(z.imag)
