@@ -20,9 +20,12 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import sys
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
@@ -30,7 +33,6 @@ import numpy as np
 from . import __version__
 from .errors import CentralFiberError, ConfigError, Su3LabError
 from .experiments import (
-    CENTRAL_LABEL_TOL,
     ExperimentConfig,
     matrix_from_c_spec,
     run_experiment,
@@ -41,18 +43,6 @@ from .mcg import apply_word, random_word
 from .su3 import haar_random
 from .traces import REAL_COLUMN_NAMES, character_reals, character_values
 
-_CONFIG_KEYS = (
-    "kind",
-    "c_spec",
-    "N",
-    "word_length",
-    "trials",
-    "seed",
-    "height",
-    "tol",
-    "out",
-)
-
 
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
@@ -62,20 +52,6 @@ def _rng(seed: int) -> np.random.Generator:
 
 def _format(value: float) -> str:
     return format(float(value), ".17g")
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {key: _jsonable(v) for key, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    return value
 
 
 def _timestamp() -> str:
@@ -91,17 +67,13 @@ def _c_spec_from_args(args) -> str | None:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path is None:
-        _emit_csv(sys.stdout, header, rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        _emit_csv(handle, header, rows)
-
-
-def _emit_csv(handle, header: list[str], rows: list[list[str]]) -> None:
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    out = contextlib.nullcontext(sys.stdout)
+    if path is not None:
+        out = open(path, "w", encoding="utf-8", newline="")
+    with out as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _print_manifest(command: str, args, started: str, resolved: dict) -> None:
@@ -114,7 +86,7 @@ def _print_manifest(command: str, args, started: str, resolved: dict) -> None:
         "out": args.out,
         "config": resolved,
     }
-    print(json.dumps(_jsonable(manifest), sort_keys=True))
+    print(json.dumps(manifest, sort_keys=True))
 
 
 def _character_csv_rows(index, a, b, c) -> list[list[str]]:
@@ -180,7 +152,7 @@ def cmd_orbit(args) -> int:
         raise ConfigError("orbit needs a fiber label: --trace or --angles")
     rng = _rng(args.seed)
     fiber = matrix_from_c_spec(spec)
-    if is_central(fiber, tol=CENTRAL_LABEL_TOL):
+    if is_central(fiber):
         raise CentralFiberError(
             "the fiber label is central, so every row would carry the same"
             " character; run the central_fiber_rigidity experiment instead"
@@ -211,10 +183,16 @@ def parse_config_file(path: str) -> ExperimentConfig:
     """Parse the flat key=value experiment config format.
 
     One pair per line, "#" starts a comment, unknown or repeated keys are
-    errors, and kind and seed are mandatory.
+    errors.  The keys, their types and defaults, and which are mandatory
+    (kind and seed) are those of the ExperimentConfig fields.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.readlines()
+    # The file keys are the field names, except that the field n is spelled N.
+    fields = {
+        "N" if f.name == "n" else f.name: f for f in dataclasses.fields(ExperimentConfig)
+    }
+    types = typing.get_type_hints(ExperimentConfig)
 
     data: dict[str, str] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -225,40 +203,27 @@ def parse_config_file(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = line.split("=", 1)
         key = key.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in fields:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in data:
             raise ConfigError(f"{path}:{lineno}: repeated config key {key!r}")
         data[key] = value.strip()
 
-    for required in ("kind", "seed"):
-        if required not in data:
-            raise ConfigError(f"{path}: missing config key {required!r}")
-
-    def as_int(key: str, default: int) -> int:
+    values = {}
+    for key, f in fields.items():
         if key not in data:
-            return default
-        try:
-            return int(data[key])
-        except ValueError as exc:
-            raise ConfigError(f"{path}: config key {key!r} must be an integer") from exc
-
-    try:
-        tol = float(data["tol"]) if "tol" in data else 1e-9
-    except ValueError as exc:
-        raise ConfigError(f"{path}: config key 'tol' must be a number") from exc
-
-    return ExperimentConfig(
-        kind=data["kind"],
-        seed=as_int("seed", 0),
-        c_spec=data.get("c_spec"),
-        n=as_int("N", 10_000),
-        word_length=as_int("word_length", 200),
-        trials=as_int("trials", 1),
-        height=as_int("height", 20),
-        tol=tol,
-        out=data.get("out"),
-    )
+            if f.default is dataclasses.MISSING:
+                raise ConfigError(f"{path}: missing config key {key!r}")
+        elif types[f.name] in (int, float):
+            try:
+                values[f.name] = types[f.name](data[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"{path}: config key {key!r} is not a valid {types[f.name].__name__}"
+                ) from exc
+        else:
+            values[f.name] = data[key]
+    return ExperimentConfig(**values)
 
 
 def cmd_experiment(args) -> int:
@@ -275,7 +240,10 @@ def cmd_experiment(args) -> int:
             "out": config.out,
         }
     )
-    text = json.dumps(_jsonable(report.to_json_dict()), sort_keys=True, indent=2) + "\n"
+    # Reports may hold numpy scalars; .item() gives the Python value.
+    text = json.dumps(
+        report.to_json_dict(), sort_keys=True, indent=2, default=lambda v: v.item()
+    ) + "\n"
     sys.stdout.write(text)
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8", newline="") as handle:
@@ -340,10 +308,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"su3lab: config error: {exc}", file=sys.stderr)
         return 2
-    except Su3LabError as exc:
-        print(f"su3lab: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (Su3LabError, OSError) as exc:
         print(f"su3lab: {exc}", file=sys.stderr)
         return 2
 

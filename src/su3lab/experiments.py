@@ -72,9 +72,15 @@ from .traces import (
     is_generic,
 )
 
-# Flow-walk length used to manufacture starting points for the two-start
-# comparison; recorded in every report that uses it.
+# Flow-walk lengths that manufacture the two-start comparison's starting
+# points and each submersion_census sample; recorded in their reports.
 START_WALK_STEPS = 256
+CENSUS_WALK_STEPS = 128
+
+# Pass limits: mcg_orbit_distribution's KS distances, abelian_hyperbolic_test's gap.
+KS_MAX = 0.05
+NULL_KS_MAX = 0.02
+GAP_MAX = 0.01
 
 # Grid modulus for the exact abelian orbit when the starting angles are not
 # recognizably rational: a Mersenne prime small enough that the int64 state
@@ -211,8 +217,6 @@ def mcg_orbit_distribution(
     word_length: int,
     n: int,
     rng: np.random.Generator,
-    ks_max: float = 0.05,
-    null_ks_max: float = 0.02,
 ) -> ExperimentReport:
     """Two-start character ensemble comparison under random twist words.
 
@@ -227,6 +231,11 @@ def mcg_orbit_distribution(
     """
     if float(np.abs(start_one.c - start_two.c).max()) > FIBER_TOL:
         raise FiberMismatchError("the two starts lie on different fibers")
+    if is_central(start_one.c):
+        raise CentralFiberError(
+            "the starts lie on a central fiber; central_fiber_rigidity covers the"
+            " omega Id fibers and abelian_hyperbolic_test commuting pairs"
+        )
 
     ensembles = []
     residual_worst = 0.0
@@ -275,10 +284,10 @@ def mcg_orbit_distribution(
         "all_on_fiber": residual_worst <= FIBER_TOL,
         "sampler": "independent random twist words per sample",
     }
-    thresholds = {"ks_max": ks_max, "null_ks_max": null_ks_max}
+    thresholds = {"ks_max": KS_MAX, "null_ks_max": NULL_KS_MAX}
     passed = (
-        stats["max_ks"] <= ks_max
-        and stats["max_null_ks"] <= null_ks_max
+        stats["max_ks"] <= KS_MAX
+        and stats["max_null_ks"] <= NULL_KS_MAX
         and stats["all_on_fiber"]
     )
     return ExperimentReport(
@@ -311,7 +320,6 @@ def abelian_hyperbolic_test(
     word: TwistWord,
     n: int,
     rng: np.random.Generator,
-    gap_max: float = 0.01,
 ) -> ExperimentReport:
     """Orbit of a hyperbolic twist word on commuting diagonal pairs.
 
@@ -400,8 +408,8 @@ def abelian_hyperbolic_test(
         "haar_samples": n,
         "sampler": "exact integer orbit vs Monte Carlo torus average",
     }
-    thresholds = {"max_gap": gap_max}
-    passed = stats["periodic"] or stats["max_gap"] <= gap_max
+    thresholds = {"max_gap": GAP_MAX}
+    passed = stats["periodic"] or stats["max_gap"] <= GAP_MAX
     return ExperimentReport(
         kind="abelian_hyperbolic_test", stats=stats, thresholds=thresholds, passed=passed
     )
@@ -459,10 +467,10 @@ def central_fiber_rigidity() -> ExperimentReport:
         "max_word_character_distance_max": 1e-9,
     }
     passed = (
-        kappa_residual <= 1e-14
-        and order == 27
-        and cube_residual <= 1e-13
-        and worst <= 1e-9
+        kappa_residual <= thresholds["kappa_residual_max"]
+        and order == thresholds["group_order"]
+        and cube_residual <= thresholds["cube_residual_max"]
+        and worst <= thresholds["max_word_character_distance_max"]
     )
     return ExperimentReport(
         kind="central_fiber_rigidity", stats=stats, thresholds=thresholds, passed=passed
@@ -473,7 +481,6 @@ def submersion_census(
     c: np.ndarray,
     samples: int,
     rng: np.random.Generator,
-    walk_steps: int = 128,
     height: int = 20,
     tol: float = 1e-9,
 ) -> ExperimentReport:
@@ -485,7 +492,7 @@ def submersion_census(
     centralizer-intersection criterion pointwise.
     """
     c = np.asarray(c, dtype=complex)
-    if is_central(c, tol=CENTRAL_LABEL_TOL):
+    if is_central(c):
         raise CentralFiberError(
             "the fiber label is central; use central_fiber_rigidity for the"
             " omega Id fibers or abelian_point for commuting pairs"
@@ -494,7 +501,7 @@ def submersion_census(
     a, b = flow_walk_stack(
         np.broadcast_to(p0.a, (samples, 3, 3)),
         np.broadcast_to(p0.b, (samples, 3, 3)),
-        walk_steps,
+        CENSUS_WALK_STEPS,
         rng,
     )
     residuals = fiber_residual(a, b, c)
@@ -504,7 +511,7 @@ def submersion_census(
 
     stats = {
         "samples": int(samples),
-        "walk_steps": int(walk_steps),
+        "walk_steps": CENSUS_WALK_STEPS,
         "rank8_fraction": float(np.mean(ranks == 8)),
         "generic_b_fraction": float(np.mean(is_generic(b, height, tol))),
         "rank_matches_intersection": bool(np.all((ranks == 8) == (inters == 0))),
@@ -515,7 +522,7 @@ def submersion_census(
     }
     thresholds = {"rank8_fraction_min": 0.99}
     passed = (
-        stats["rank8_fraction"] >= 0.99
+        stats["rank8_fraction"] >= thresholds["rank8_fraction_min"]
         and stats["rank_matches_intersection"]
         and base_rank == 8
         and stats["all_on_fiber"]
@@ -546,12 +553,6 @@ def resolve_c_spec(spec: str) -> tuple[str, tuple[float, ...]]:
     raise ConfigError(
         f"c_spec must start with 'trace=' or 'angles=', got {spec!r}"
     )
-
-
-# A trace label on a triple characteristic root resolves with about
-# cube-root-of-eps clustering error (1e-5), so the centrality test for
-# labels must sit above that floor; the central fibers are 5.2 apart.
-CENTRAL_LABEL_TOL = 1e-4
 
 
 def matrix_from_c_spec(spec: str) -> np.ndarray:
@@ -586,33 +587,35 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     seeds = np.random.SeedSequence(config.seed).spawn(config.trials)
     reports = [_run_single(config, np.random.Generator(np.random.PCG64(s))) for s in seeds]
 
-    manifest = {
-        "kind": config.kind,
-        "seed": int(config.seed),
-        "trials": int(config.trials),
-        "config": {
-            "c_spec": config.c_spec,
-            "N": int(config.n),
-            "word_length": int(config.word_length),
-            "height": int(config.height),
-            "tol": float(config.tol),
-        },
-    }
-    if config.trials == 1:
-        report = reports[0]
-        report.manifest.update(manifest)
-        return report
-    stats = {
-        "trials": [r.stats for r in reports],
-        "trials_passed": sum(1 for r in reports if r.passed),
-    }
-    return ExperimentReport(
-        kind=config.kind,
-        stats=stats,
-        thresholds=reports[0].thresholds,
-        passed=all(r.passed for r in reports),
-        manifest=manifest,
+    report = reports[0]
+    if config.trials > 1:
+        stats = {
+            "trials": [r.stats for r in reports],
+            "trials_passed": sum(1 for r in reports if r.passed),
+        }
+        report = ExperimentReport(
+            kind=config.kind,
+            stats=stats,
+            thresholds=report.thresholds,
+            passed=all(r.passed for r in reports),
+            # Trial manifest keys come from the config: equal in every trial.
+            manifest=dict(report.manifest),
+        )
+    report.manifest.update(
+        {
+            "kind": config.kind,
+            "seed": int(config.seed),
+            "trials": int(config.trials),
+            "config": {
+                "c_spec": config.c_spec,
+                "N": int(config.n),
+                "word_length": int(config.word_length),
+                "height": int(config.height),
+                "tol": float(config.tol),
+            },
+        }
     )
+    return report
 
 
 def _run_single(config: ExperimentConfig, rng: np.random.Generator) -> ExperimentReport:

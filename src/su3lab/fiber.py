@@ -35,6 +35,11 @@ from .su3 import (
 
 FIBER_TOL = 1e-9
 
+# A trace label on a triple characteristic root resolves with about
+# cube-root-of-eps clustering error (1e-5), so the centrality test for
+# labels must sit above that floor; the central fibers are 5.2 apart.
+CENTRAL_LABEL_TOL = 1e-4
+
 # Rank decisions on the 8x16 differential: singular values below this
 # fraction of the largest one count as zero.
 RANK_TOL = 1e-8
@@ -121,7 +126,7 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([block_x, block_y], axis=-1)
 
 
-def d_kappa_rank(m: np.ndarray, rel_tol: float = RANK_TOL) -> int | np.ndarray:
+def d_kappa_rank(m: np.ndarray) -> int | np.ndarray:
     """Numerical rank of differential matrices by singular value threshold.
 
     The threshold is anchored at unit scale as well as at the largest
@@ -131,7 +136,7 @@ def d_kappa_rank(m: np.ndarray, rel_tol: float = RANK_TOL) -> int | np.ndarray:
     """
     s = np.linalg.svd(m, compute_uv=False)
     top = np.maximum(s[..., 0], 1.0)
-    rank = np.sum(s > rel_tol * top[..., None], axis=-1)
+    rank = np.sum(s > RANK_TOL * top[..., None], axis=-1)
     return int(rank) if rank.ndim == 0 else rank
 
 
@@ -199,8 +204,9 @@ def abelian_point(angles_a: tuple[float, float], angles_b: tuple[float, float]) 
     return RepPoint(a=diag(*angles_a), b=diag(*angles_b), c=IDENTITY.copy())
 
 
-def is_central(u: np.ndarray, tol: float = FIBER_TOL) -> bool:
-    """Whether a single group element is a cube root of unity times Id."""
+def is_central(u: np.ndarray) -> bool:
+    """Whether one group element is omega^k Id, within CENTRAL_LABEL_TOL."""
     u = np.asarray(u, dtype=complex)
     d = u[0, 0]
-    return bool(np.abs(u - d * IDENTITY).max() <= tol and abs(d**3 - 1.0) <= tol)
+    off = max(np.abs(u - d * IDENTITY).max(), abs(d**3 - 1.0))
+    return bool(off <= CENTRAL_LABEL_TOL)

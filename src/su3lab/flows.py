@@ -89,10 +89,10 @@ def variation(x: np.ndarray, part: str = "re") -> np.ndarray:
     return f - (trace(f) / 3)[..., None, None] * IDENTITY
 
 
-def one_param(x: np.ndarray, t: float, part: str = "re") -> np.ndarray:
-    """zeta_t(x) = exp(t F(x)); commutes with x.  Accepts stacks."""
+def one_param(x: np.ndarray, t: float) -> np.ndarray:
+    """zeta_t(x) = exp(t variation(x)); commutes with x.  Accepts stacks."""
     t = np.asarray(t, dtype=float)
-    return exp_algebra(t[..., None, None] * variation(x, part))
+    return exp_algebra(t[..., None, None] * variation(x))
 
 
 def curve_holonomy(a: np.ndarray, b: np.ndarray, curve: str) -> np.ndarray:
@@ -178,12 +178,11 @@ def flow_walk_stack(
     b: np.ndarray,
     steps: int,
     rng: np.random.Generator,
-    max_time: float = TWIST_TIME_BOUND,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random twist-flow walk driving stacked pairs in lockstep.
 
     Each step, every row draws its own curve (uniform over the four
-    flowable ones), trace part, and time uniform in [-max_time, max_time].
+    flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
     Renormalizes both stacks every RENORM_CADENCE steps.  Returns the
     updated stacks; inputs are not modified.
     """
@@ -193,7 +192,7 @@ def flow_walk_stack(
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
         part_im = rng.integers(2, size=n).astype(bool)
-        t = rng.uniform(-max_time, max_time, size=n)
+        t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
         # Holding z until the next step stops glibc from trimming the heap
         # when the step's temporaries are freed: at 1000 rows that cost
         # about 200 page faults per step, some 10 % of the walk.
@@ -208,12 +207,11 @@ def random_flow_walk(
     p: RepPoint,
     steps: int,
     rng: np.random.Generator,
-    max_time: float = TWIST_TIME_BOUND,
 ) -> RepPoint:
     """Compose `steps` random twist flows starting at p.
 
     The walk stays on p's fiber; the returned point re-validates the
     residual bound on construction.
     """
-    a, b = flow_walk_stack(p.a[None], p.b[None], steps, rng, max_time)
+    a, b = flow_walk_stack(p.a[None], p.b[None], steps, rng)
     return RepPoint(a=a[0], b=b[0], c=p.c)

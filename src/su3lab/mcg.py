@@ -36,9 +36,9 @@ from .su3 import dagger, renormalize
 WORD_RENORM_CADENCE = 8
 
 LETTERS = ("a", "A", "b", "B")
-INVERSE_LETTER = {"a": "A", "A": "a", "b": "B", "B": "b"}
 
-# Letter indices for the batched engines; INVERSE_INDEX mirrors INVERSE_LETTER.
+# Letter indices for the batched engines: LETTERS[INVERSE_INDEX[i]] is the
+# inverse of LETTERS[i].
 INVERSE_INDEX = np.array([1, 0, 3, 2])
 
 # ALLOWED_NEXT[i] lists the three letter indices that may follow letter i

@@ -85,16 +85,16 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(max(gram, det))
 
 
-def is_special_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> bool:
-    return unitarity_defect(u) <= tol
+def is_special_unitary(u: np.ndarray) -> bool:
+    return unitarity_defect(u) <= UNITARITY_TOL
 
 
-def assert_special_unitary(u: np.ndarray, tol: float = UNITARITY_TOL) -> None:
+def assert_special_unitary(u: np.ndarray) -> None:
     defect = unitarity_defect(u)
-    if defect > tol:
+    if defect > UNITARITY_TOL:
         raise InvalidGroupElementError(
             f"matrix is {defect:.3e} away from the special unitary group"
-            f" (tolerance {tol:.1e})"
+            f" (tolerance {UNITARITY_TOL:.1e})"
         )
 
 
@@ -107,16 +107,12 @@ def algebra_defect(x: np.ndarray) -> float:
     return float(max(herm, tr))
 
 
-def is_algebra_element(x: np.ndarray, tol: float = ALGEBRA_TOL) -> bool:
-    return algebra_defect(x) <= tol
-
-
-def assert_algebra_element(x: np.ndarray, tol: float = ALGEBRA_TOL) -> None:
+def assert_algebra_element(x: np.ndarray) -> None:
     defect = algebra_defect(x)
-    if defect > tol:
+    if defect > ALGEBRA_TOL:
         raise InvalidAlgebraError(
             f"matrix is {defect:.3e} away from the traceless anti-Hermitian"
-            f" algebra (tolerance {tol:.1e})"
+            f" algebra (tolerance {ALGEBRA_TOL:.1e})"
         )
 
 
@@ -278,10 +274,10 @@ def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
 
 
-def random_algebra(rng: np.random.Generator, scale: float = 1.0, size: int | None = None) -> np.ndarray:
-    """Gaussian random algebra element(s) with the given coordinate scale."""
+def random_algebra(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Gaussian random algebra element(s) with standard normal coordinates."""
     shape = (8,) if size is None else (size, 8)
-    return algebra_from_coords(scale * rng.standard_normal(shape))
+    return algebra_from_coords(rng.standard_normal(shape))
 
 
 def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -334,8 +330,8 @@ def regularity_gap(u: np.ndarray) -> np.ndarray:
     return angle_gap(eigenvalue_angles(u))
 
 
-def is_regular(u: np.ndarray, gap: float = REGULARITY_GAP) -> bool | np.ndarray:
-    out = regularity_gap(u) >= gap
+def is_regular(u: np.ndarray) -> bool | np.ndarray:
+    out = regularity_gap(u) >= REGULARITY_GAP
     return bool(out) if np.ndim(out) == 0 else out
 
 
@@ -366,7 +362,6 @@ class TorusFrame:
     exactly on the angles in this frame.
     """
 
-    base: np.ndarray
     eigenvectors: np.ndarray
     angles: np.ndarray
 
@@ -385,7 +380,7 @@ def torus_frame(a: np.ndarray) -> TorusFrame:
         raise NonRegularElementError(
             f"eigenvalue-angle gap {gap:.3e} is below the regularity threshold"
         )
-    return TorusFrame(base=a, eigenvectors=vectors, angles=angles)
+    return TorusFrame(eigenvectors=vectors, angles=angles)
 
 
 def renormalize(u: np.ndarray) -> np.ndarray:

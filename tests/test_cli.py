@@ -7,7 +7,7 @@ import pytest
 
 from su3lab.cli import main, parse_config_file
 from su3lab.errors import ConfigError
-from su3lab.experiments import REAL_COLUMN_NAMES
+from su3lab.experiments import REAL_COLUMN_NAMES, ExperimentConfig
 
 EXPECTED_COLUMNS = 1 + 18 + 1
 
@@ -112,12 +112,15 @@ def test_orbit_rejects_central_label(capsys):
     assert "central" in err
 
 
-@pytest.mark.parametrize("c_spec", ["trace=3,0", "trace=-1.5,2.598076211353316"])
-def test_census_rejects_central_trace_label(tmp_path, capsys, c_spec):
+@pytest.mark.parametrize("kind", ["submersion_census", "mcg_orbit_distribution"])
+@pytest.mark.parametrize(
+    "c_spec", ["trace=3,0", "trace=-1.5,2.598076211353316", "angles=0,0"]
+)
+def test_census_rejects_central_trace_label(tmp_path, capsys, c_spec, kind):
     # Triple characteristic roots resolve about 1e-5 off the central element.
     cfg = tmp_path / "central.cfg"
     cfg.write_text(
-        f"kind = submersion_census\nseed = 3\nN = 4\nc_spec = {c_spec}\n",
+        f"kind = {kind}\nseed = 3\nN = 4\nword_length = 8\nc_spec = {c_spec}\n",
         encoding="utf-8",
     )
     assert main(["experiment", str(cfg)]) == 2
@@ -238,6 +241,16 @@ def test_parse_config_file_full(tmp_path):
     assert config.height == 30
     assert config.tol == 1e-8
     assert config.c_spec == "angles=0.1,0.2"
+
+
+def test_parse_config_file_defaults_and_key_spelling(tmp_path):
+    cfg = tmp_path / "minimal.cfg"
+    cfg.write_text("kind = submersion_census\nseed = 4\n", encoding="utf-8")
+    assert parse_config_file(str(cfg)) == ExperimentConfig(kind="submersion_census", seed=4)
+    # The file spells the sample count N; the field name n is not a key.
+    cfg.write_text("kind = submersion_census\nseed = 4\nn = 8\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="'n'"):
+        parse_config_file(str(cfg))
 
 
 def test_parse_config_file_bad_int(tmp_path):

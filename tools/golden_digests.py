@@ -1,0 +1,142 @@
+"""SHA-256 digests of su3lab's seeded outputs, for byte-identity checks.
+
+    python3 tools/golden_digests.py --seeds 7,11,29
+
+Prints a sorted `name sha256` table, one line per output, and then the
+SHA-256 of that table.  Per seed it covers four CLI runs (CSV bytes of
+`sample` on Haar pairs, `sample --angles 0.123,0.456`, `sample --trace
+0.5,0.1 --walk-steps 200` and `orbit --angles 0.123,0.456`, CLI defaults
+otherwise), the JSON report of each experiment kind without its
+manifest (run through `su3lab experiment`), `flow_walk_stack` on 1000 Haar
+pairs for 256 steps, and `twist_flow` on 400 Haar points along all
+eight curve/part pairs.
+
+The script imports su3lab from the `src` directory beside it and calls
+only the public API with positional arguments, so a copy of it run in
+another checkout digests that checkout's code; two checkouts print the
+same table exactly when these outputs are byte-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from su3lab import cli, flows, su3  # noqa: E402
+from su3lab.fiber import RepPoint  # noqa: E402
+
+CLI_RUNS = {
+    "sample_haar": ["sample"],
+    "sample_angles": ["sample", "--angles", "0.123,0.456"],
+    "sample_trace": ["sample", "--trace", "0.5,0.1", "--walk-steps", "200"],
+    "orbit_angles": ["orbit", "--angles", "0.123,0.456"],
+}
+
+# kind, then the config lines after `seed`.
+EXPERIMENTS = {
+    "central_fiber_rigidity": [],
+    "coset_twist_orbit": ["N = 2000", "c_spec = angles=0.123,0.456"],
+    "abelian_hyperbolic_test": [
+        "N = 2000",
+        f"c_spec = angles={np.sqrt(2) - 1},{np.sqrt(3) - 1}",
+    ],
+    "submersion_census": ["N = 64", "trials = 2", "c_spec = angles=0.123,0.456"],
+    "mcg_orbit_distribution": ["N = 200", "word_length = 40", "c_spec = angles=0.123,0.456"],
+}
+
+FLOW_PAIRS, FLOW_STEPS = 1000, 256
+TWIST_POINTS = 400
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    """Run the CLI in-process; return its exit code and standard output."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def cli_digests(seed: int, tmp: Path) -> dict[str, str]:
+    out = {}
+    for name, argv in CLI_RUNS.items():
+        path = tmp / f"{name}.csv"
+        code, _ = _run_cli([*argv, "--seed", str(seed), "--out", str(path)])
+        if code != 0:
+            raise SystemExit(f"{name} at seed {seed} exited {code}")
+        out[name] = _sha(path.read_bytes())
+    return out
+
+
+def experiment_digests(seed: int, tmp: Path) -> dict[str, str]:
+    out = {}
+    for kind, lines in EXPERIMENTS.items():
+        path = tmp / f"{kind}.cfg"
+        path.write_text("\n".join([f"kind = {kind}", f"seed = {seed}", *lines]) + "\n")
+        _, text = _run_cli(["experiment", str(path)])
+        report = json.loads(text)
+        report.pop("manifest")
+        out[f"experiment_{kind}"] = _sha(json.dumps(report, sort_keys=True, indent=2).encode())
+    return out
+
+
+def engine_digests(seed: int) -> dict[str, str]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = su3.haar_random(rng, FLOW_PAIRS)
+    b = su3.haar_random(rng, FLOW_PAIRS)
+    fa, fb = flows.flow_walk_stack(a, b, FLOW_STEPS, rng)
+
+    h = hashlib.sha256()
+    for _ in range(TWIST_POINTS):
+        p = RepPoint.from_pair(su3.haar_random(rng), su3.haar_random(rng))
+        for curve in flows.CURVES:
+            for part in flows.PARTS:
+                step = flows.FlowStep(flows.Observable(curve, part), rng.uniform(-3.0, 3.0))
+                q = flows.twist_flow(p, step)
+                h.update(q.a.tobytes())
+                h.update(q.b.tobytes())
+    return {
+        "flow_walk_stack": _sha(fa.tobytes() + fb.tobytes()),
+        "twist_flow": h.hexdigest(),
+    }
+
+
+def table(seeds: list[int]) -> list[str]:
+    rows = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            digests = {
+                **cli_digests(seed, Path(tmp)),
+                **experiment_digests(seed, Path(tmp)),
+                **engine_digests(seed),
+            }
+            rows += [f"seed{seed}/{name} {d}" for name, d in digests.items()]
+    return sorted(rows)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seeds", default="7,11,29", help="comma-separated seeds")
+    args = parser.parse_args(argv)
+    rows = table([int(s) for s in args.seeds.split(",")])
+    text = "".join(row + "\n" for row in rows)
+    sys.stdout.write(text)
+    print(f"table {_sha(text.encode())}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
