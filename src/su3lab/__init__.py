@@ -51,8 +51,6 @@ from .fiber import (
 from .flows import (
     CURVES,
     TWIST_TIME_BOUND,
-    FlowStep,
-    Observable,
     curve_holonomy,
     one_param,
     random_flow_walk,
@@ -70,7 +68,6 @@ from .su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
     OMEGA,
-    TorusFrame,
     adjoint_matrix,
     algebra_coords,
     algebra_from_coords,
@@ -90,11 +87,8 @@ from .su3 import (
 )
 from .traces import (
     CHARACTER_NAMES,
-    Character,
     angles_have_relation,
     char_poly_roots,
-    character,
-    character_distance,
     character_values,
     delta_defect,
     is_generic,

@@ -63,10 +63,10 @@ from .mcg import (
 from .su3 import IDENTITY, OMEGA, circle_distance, dagger, haar_random, torus_frame
 from .traces import (
     CHARACTER_NAMES,
+    GENERICITY_HEIGHT,
+    GENERICITY_TOL,
     REAL_COLUMN_NAMES,
     char_poly_roots,
-    character,
-    character_distance,
     character_reals,
     character_values,
     is_generic,
@@ -101,8 +101,6 @@ class ExperimentConfig:
     n: int = 10_000
     word_length: int = 200
     trials: int = 1
-    height: int = 20
-    tol: float = 1e-9
     out: str | None = None
 
     def __post_init__(self):
@@ -148,9 +146,7 @@ def ks_statistic(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.abs(fx - fy).max())
 
 
-def coset_twist_orbit(
-    p: RepPoint, n: int, height: int = 20, tol: float = 1e-9
-) -> ExperimentReport:
+def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
     """Orbit statistics of (a, b a^k) for k < n, driven spectrally.
 
     In the eigenframe of the regular anchor a, Tr(b a^k) is a sum of three
@@ -161,10 +157,8 @@ def coset_twist_orbit(
     |W_n| <= (1/n) sum_i |b_ii| min(n, 2 / |1 - lambda_i|)
     that the average must respect regardless of genericity.
     """
-    frame = torus_frame(p.a)  # NonRegularElementError for degenerate anchors
-    theta = frame.angles
-    generic = bool(is_generic(p.a, height, tol))
-    v = frame.eigenvectors
+    theta, v = torus_frame(p.a)  # NonRegularElementError for degenerate anchors
+    generic = bool(is_generic(p.a))
     d = np.diagonal(dagger(v) @ p.b @ v)
 
     k = np.arange(int(n))
@@ -261,7 +255,7 @@ def mcg_orbit_distribution(
     comm = 2 * CHARACTER_NAMES.index("tr_comm")
     distributed = [j for j in range(18) if j not in (comm, comm + 1)]
 
-    base_vals = np.array(character(start_one).values)
+    base_vals = character_values(start_one.a, start_one.b)
     spread = float(
         np.abs(
             (ens_one[:, 0::2] + 1j * ens_one[:, 1::2]) - base_vals
@@ -445,11 +439,12 @@ def central_fiber_rigidity() -> ExperimentReport:
                     grew = True
     order = len(elements)
 
-    base = character(p)
+    base = character_values(a0, b0)
     worst = 0.0
     for letters in itertools.product("aAbB", repeat=4):
         moved = apply_word(TwistWord(letters), p)
-        worst = max(worst, character_distance(base, character(moved)))
+        moved_values = character_values(moved.a, moved.b)
+        worst = max(worst, float(np.abs(moved_values - base).max()))
 
     stats = {
         "kappa_residual": kappa_residual,
@@ -481,8 +476,6 @@ def submersion_census(
     c: np.ndarray,
     samples: int,
     rng: np.random.Generator,
-    height: int = 20,
-    tol: float = 1e-9,
 ) -> ExperimentReport:
     """Rank census of the commutator differential over one non-central fiber.
 
@@ -513,7 +506,7 @@ def submersion_census(
         "samples": int(samples),
         "walk_steps": CENSUS_WALK_STEPS,
         "rank8_fraction": float(np.mean(ranks == 8)),
-        "generic_b_fraction": float(np.mean(is_generic(b, height, tol))),
+        "generic_b_fraction": float(np.mean(is_generic(b))),
         "rank_matches_intersection": bool(np.all((ranks == 8) == (inters == 0))),
         "base_point_rank": base_rank,
         "max_fiber_residual": float(residuals.max()),
@@ -568,7 +561,10 @@ def matrix_from_c_spec(spec: str) -> np.ndarray:
     else:
         if len(values) != 2:
             raise ConfigError("matrix labels need exactly two angles")
-        angles = np.array([values[0], values[1], -values[0] - values[1]])
+        third = -values[0] - values[1]
+        if not np.isfinite(third):
+            raise ConfigError(f"the third angle -t1 - t2 of {spec!r} is not finite")
+        angles = np.array([values[0], values[1], third])
     return np.diag(np.exp(2j * np.pi * angles))
 
 
@@ -610,8 +606,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 "c_spec": config.c_spec,
                 "N": int(config.n),
                 "word_length": int(config.word_length),
-                "height": int(config.height),
-                "tol": float(config.tol),
+                "height": GENERICITY_HEIGHT,
+                "tol": GENERICITY_TOL,
             },
         }
     )
@@ -627,7 +623,7 @@ def _run_single(config: ExperimentConfig, rng: np.random.Generator) -> Experimen
             )
         anchor = matrix_from_c_spec(config.c_spec)
         p = RepPoint.from_pair(anchor, haar_random(rng))
-        report = coset_twist_orbit(p, config.n, config.height, config.tol)
+        report = coset_twist_orbit(p, config.n)
         report.manifest["anchor"] = config.c_spec
         report.manifest["b_sampler"] = "haar"
         return report
@@ -660,8 +656,6 @@ def _run_single(config: ExperimentConfig, rng: np.random.Generator) -> Experimen
 
     if kind == "submersion_census":
         c = matrix_from_c_spec(config.c_spec) if config.c_spec else haar_random(rng)
-        return submersion_census(
-            c, config.n, rng, height=config.height, tol=config.tol
-        )
+        return submersion_census(c, config.n, rng)
 
     raise ConfigError(f"unknown experiment kind {kind!r}")

@@ -22,8 +22,6 @@ flow raises TrivialFlowError instead of silently doing nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TrivialFlowError
@@ -46,45 +44,15 @@ PARTS = ("re", "im")
 TWIST_TIME_BOUND = 2 * np.pi
 
 
-@dataclass(frozen=True)
-class Observable:
-    """A choice of curve and of the real or imaginary trace part."""
+def variation(x: np.ndarray) -> np.ndarray:
+    """The algebra-valued gradient of Re Tr at x.
 
-    curve: str
-    part: str = "re"
-
-    def __post_init__(self):
-        if self.curve not in CURVES + (BOUNDARY,):
-            raise ValueError(f"unknown curve {self.curve!r}")
-        if self.part not in PARTS:
-            raise ValueError(f"unknown part {self.part!r}")
-
-
-@dataclass(frozen=True)
-class FlowStep:
-    """An observable together with a flow time."""
-
-    observable: Observable
-    time: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.time):
-            raise ValueError("flow time must be finite")
-
-
-def variation(x: np.ndarray, part: str = "re") -> np.ndarray:
-    """The algebra-valued gradient of the chosen trace part at x.
-
-    Traceless anti-Hermitian component of x (of -i x for part "im"); the
-    unique algebra element representing the directional derivative of the
-    trace observable against the invariant pairing.  Commutes with x when x
-    is unitary.  Accepts stacks.
+    Traceless anti-Hermitian component of x; the unique algebra element
+    representing the directional derivative of the trace observable against
+    the invariant pairing.  The gradient of Im Tr at x is variation(-1j * x).
+    Commutes with x when x is unitary.  Accepts stacks.
     """
     x = np.asarray(x, dtype=complex)
-    if part == "im":
-        x = -1j * x
-    elif part != "re":
-        raise ValueError(f"unknown part {part!r}")
     f = (x - dagger(x)) / 2
     return f - (trace(f) / 3)[..., None, None] * IDENTITY
 
@@ -110,14 +78,20 @@ def curve_holonomy(a: np.ndarray, b: np.ndarray, curve: str) -> np.ndarray:
     raise ValueError(f"unknown curve {curve!r}")
 
 
-def twist_flow(p: RepPoint, step: FlowStep) -> RepPoint:
-    """Flow the pair along the step's observable for the step's time.
+def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
+    """Flow the pair for time t along the real or imaginary part ("re" or
+    "im") of the named curve's trace.
 
     Returns a new point on the same fiber.  The flowed curve's own trace is
     conserved exactly by construction for alpha_beta and alpha_beta_inv and
     trivially for alpha and beta (their holonomy matrix is unchanged).
     """
-    curve = step.observable.curve
+    if curve not in CURVES + (BOUNDARY,):
+        raise ValueError(f"unknown curve {curve!r}")
+    if part not in PARTS:
+        raise ValueError(f"unknown part {part!r}")
+    if not np.isfinite(t):
+        raise ValueError("flow time must be finite")
     if curve == BOUNDARY:
         raise TrivialFlowError(
             "the boundary trace is constant on each fiber; its flow fixes"
@@ -130,8 +104,8 @@ def twist_flow(p: RepPoint, step: FlowStep) -> RepPoint:
         a,
         b,
         np.array([CURVES.index(curve)]),
-        np.array([step.observable.part == "im"]),
-        np.array([step.time]),
+        np.array([part == "im"]),
+        np.array([t]),
     )
     return RepPoint(a=a[0], b=b[0], c=p.c)
 

@@ -19,8 +19,6 @@ this to drive thousands of trajectories in lockstep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
@@ -352,25 +350,15 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles[order], z[:, order]
 
 
-@dataclass(frozen=True)
-class TorusFrame:
-    """Eigenframe of a regular group element.
+def torus_frame(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenframe (angles, eigenvectors) of a regular special unitary
+    matrix, in the order of unitary_eigensystem.
 
     The element is eigenvectors @ diag(exp(2 pi i angles)) @ dagger(eigenvectors);
     group elements commuting with it are exactly the ones diagonal in this
     frame, so powers of the element and products with it can be iterated
-    exactly on the angles in this frame.
-    """
-
-    eigenvectors: np.ndarray
-    angles: np.ndarray
-
-
-def torus_frame(a: np.ndarray) -> TorusFrame:
-    """Eigenframe of a regular special unitary matrix.
-
-    Raises NonRegularElementError when the minimal eigenvalue-angle gap is
-    below REGULARITY_GAP.
+    exactly on the angles in this frame.  Raises NonRegularElementError when
+    the minimal eigenvalue-angle gap is below REGULARITY_GAP.
     """
     a = np.asarray(a, dtype=complex)
     assert_special_unitary(a)
@@ -380,7 +368,7 @@ def torus_frame(a: np.ndarray) -> TorusFrame:
         raise NonRegularElementError(
             f"eigenvalue-angle gap {gap:.3e} is below the regularity threshold"
         )
-    return TorusFrame(eigenvectors=vectors, angles=angles)
+    return angles, vectors
 
 
 def renormalize(u: np.ndarray) -> np.ndarray:

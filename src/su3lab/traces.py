@@ -17,15 +17,12 @@ midpoints of its edges at the traces of order-two elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TraceDomainError
-from .fiber import RepPoint
 from .su3 import REGULARITY_GAP, angle_gap, dagger, eigenvalue_angles, trace
 
-# Character coordinate order; fixed, because it is also the CSV schema.
+# Order of the character coordinates; fixed, because it is also the CSV schema.
 # "inv_" names the trace of the inverse holonomy, which for special unitary
 # matrices is the complex conjugate of the partner coordinate.
 CHARACTER_NAMES = (
@@ -68,7 +65,8 @@ def char_poly_roots(z: complex) -> np.ndarray:
     """
     z = complex(z)
     defect = delta_defect(z)
-    if defect > DELTA_BOUNDARY_TOL:
+    # Written so that the NaN defect of an overflowing z is refused here.
+    if not defect <= DELTA_BOUNDARY_TOL:
         raise TraceDomainError(
             f"trace {z!r} lies outside the trace domain (defect {defect:.3e})"
         )
@@ -81,33 +79,40 @@ def char_poly_roots(z: complex) -> np.ndarray:
     return np.sort(np.mod(np.angle(roots / moduli) / (2 * np.pi), 1.0))
 
 
-def angles_have_relation(
-    angles: np.ndarray, height: int = 20, tol: float = 1e-9
-) -> bool | np.ndarray:
+# The genericity policy: an integer relation of height at most
+# GENERICITY_HEIGHT holding within GENERICITY_TOL makes angles non-generic.
+# Fixed rather than tunable: the (2 height + 1)^2 grid per angle triple is
+# the largest temporary of a rank census.
+GENERICITY_HEIGHT = 20
+GENERICITY_TOL = 1e-9
+
+
+def angles_have_relation(angles: np.ndarray) -> bool | np.ndarray:
     """Whether any integer vector (m0, m1, m2), not all zero, with entries
-    bounded by height, satisfies |m1 th1 + m2 th2 + m0| <= tol.
+    bounded by GENERICITY_HEIGHT, satisfies |m1 th1 + m2 th2 + m0| <=
+    GENERICITY_TOL.
 
     The third angle never needs to enter: it differs from -(th1 + th2) by an
     integer, so relations involving it reduce to this form.  Brute force
-    over the (2 height + 1)^2 grid; accepts stacked angle triples.
+    over the (2 GENERICITY_HEIGHT + 1)^2 grid; accepts stacked angle triples.
     """
     angles = np.asarray(angles, dtype=float)
-    m = np.arange(-height, height + 1)
+    m = np.arange(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1)
     m1 = np.repeat(m, m.size)
     m2 = np.tile(m, m.size)
     combo = np.tensordot(angles[..., 0], m1, axes=0) + np.tensordot(
         angles[..., 1], m2, axes=0
     )
     m0 = -np.round(combo)
-    hit = (np.abs(combo + m0) <= tol) & (np.abs(m0) <= height)
+    hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
     hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
     out = hit.any(axis=-1)
     return bool(out) if out.ndim == 0 else out
 
 
-def is_generic(u: np.ndarray, height: int = 20, tol: float = 1e-9) -> bool | np.ndarray:
+def is_generic(u: np.ndarray) -> bool | np.ndarray:
     """Whether u is regular with rationally independent eigenvalue angles,
-    up to the given search height and tolerance.
+    up to the search height and tolerance of angles_have_relation.
 
     Generic elements generate dense subgroups of their maximal torus; the
     truncated search can reject a truly generic element (harmless for
@@ -116,9 +121,7 @@ def is_generic(u: np.ndarray, height: int = 20, tol: float = 1e-9) -> bool | np.
     Accepts stacks.
     """
     angles = eigenvalue_angles(u)
-    out = (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(
-        angles, height, tol
-    )
+    out = (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(angles)
     return bool(out) if np.ndim(out) == 0 else out
 
 
@@ -158,41 +161,3 @@ def character_reals(values: np.ndarray) -> np.ndarray:
     out[..., 0::2] = values.real
     out[..., 1::2] = values.imag
     return out
-
-
-@dataclass(frozen=True)
-class Character:
-    """The nine trace coordinates of a pair, in CHARACTER_NAMES order.
-
-    Coordinates live in the trace domain, and each inverse-holonomy
-    coordinate is the conjugate of its partner.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != 9:
-            raise ValueError("a character has exactly nine coordinates")
-        worst = float(np.max(delta_defect(np.array(self.values))))
-        if worst > DELTA_BOUNDARY_TOL:
-            raise TraceDomainError(
-                f"character coordinate leaves the trace domain by {worst:.3e}"
-            )
-        pairs = np.array(self.values)
-        mismatch = np.abs(pairs[5:] - np.conjugate(pairs[:4])).max()
-        if mismatch > 1e-12:
-            raise ValueError(
-                f"inverse traces fail conjugate pairing by {mismatch:.3e}"
-            )
-
-
-def character(p: RepPoint) -> Character:
-    """The nine-trace character of a pair."""
-    return Character(values=tuple(complex(z) for z in character_values(p.a, p.b)))
-
-
-def character_distance(x: Character, y: Character) -> float:
-    """Max over coordinates of the complex absolute difference."""
-    return float(
-        np.abs(np.array(x.values) - np.array(y.values)).max()
-    )

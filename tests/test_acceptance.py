@@ -33,7 +33,7 @@ from su3lab.fiber import (
     fiber_residual,
     is_central,
 )
-from su3lab.flows import FlowStep, Observable, flow_walk_stack, one_param, twist_flow, variation
+from su3lab.flows import flow_walk_stack, one_param, twist_flow, variation
 from su3lab.mcg import TwistWord, apply_word_stack, random_word_indices
 from su3lab.su3 import (
     IDENTITY,
@@ -166,7 +166,7 @@ def test_acceptance_4_flow_identities():
     for i in range(cases):
         y = random_algebra(rng)
         for part in ("re", "im"):
-            f = variation(x[i], part)
+            f = variation(x[i] if part == "re" else -1j * x[i])
             plus = np.trace(exp_algebra(h * y) @ x[i])
             minus = np.trace(exp_algebra(-h * y) @ x[i])
             fd = (plus - minus).real / (2 * h) if part == "re" else (
@@ -178,8 +178,7 @@ def test_acceptance_4_flow_identities():
     for i in range(0, cases, 1):
         p = RepPoint.from_pair(x[i], g[i])
         curve, part = ("alpha", "re") if i % 2 else ("alpha_beta", "im")
-        obs = Observable(curve, part)
-        q = twist_flow(p, FlowStep(obs, t[i]))
+        q = twist_flow(p, curve, part, t[i])
         from su3lab.flows import curve_holonomy
 
         before = np.trace(curve_holonomy(p.a, p.b, curve))
@@ -248,7 +247,7 @@ def test_acceptance_6_coset_equidistribution():
         np.exp(2j * np.pi * np.array([angles[0], angles[1], -sum(angles)]))
     )
     p = RepPoint.from_pair(anchor, haar_random(rng))
-    r = coset_twist_orbit(p, 1_000_000, height=50)
+    r = coset_twist_orbit(p, 1_000_000)
     ladder = r.stats["weyl_ladder_abs"]
     decreasing = all(b < a for a, b in zip(ladder, ladder[1:]))
     weyl = r.stats["abs_weyl_avg"]

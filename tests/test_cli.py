@@ -227,8 +227,6 @@ def test_parse_config_file_full(tmp_path):
         "N = 123\n"
         "word_length = 17\n"
         "trials = 2\n"
-        "height = 30\n"
-        "tol = 1e-8\n"
         "c_spec = angles=0.1,0.2\n",
         encoding="utf-8",
     )
@@ -238,9 +236,36 @@ def test_parse_config_file_full(tmp_path):
     assert config.n == 123
     assert config.word_length == 17
     assert config.trials == 2
-    assert config.height == 30
-    assert config.tol == 1e-8
     assert config.c_spec == "angles=0.1,0.2"
+
+
+@pytest.mark.parametrize(
+    "line", ["height = 0", "height = -5", "tol = nan", "tol = -1", "height = 20"]
+)
+def test_genericity_keys_are_not_config_keys(tmp_path, capsys, line):
+    # The genericity height and tolerance are package constants.
+    cfg = tmp_path / "generic.cfg"
+    cfg.write_text(
+        "kind = coset_twist_orbit\nseed = 1\nN = 100\n"
+        f"c_spec = angles=0.1,0.3\n{line}\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 2
+    key = line.split()[0]
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_report_records_the_genericity_constants(tmp_path, capsys):
+    cfg = tmp_path / "coset.cfg"
+    cfg.write_text(
+        "kind = coset_twist_orbit\nseed = 1\nN = 100\nc_spec = angles=0.1,0.3\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 0
+    text = capsys.readouterr().out
+    assert '"height": 20,' in text and '"tol": 1e-09' in text
+    config = json.loads(text)["manifest"]["config"]
+    assert config["height"] == 20 and config["tol"] == 1e-9
 
 
 def test_parse_config_file_defaults_and_key_spelling(tmp_path):
@@ -279,11 +304,31 @@ def test_negative_seed_in_config_file(tmp_path, capsys):
     assert "seed must be nonnegative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flag,label", [("--angles", "nan,0.3"), ("--angles", "0.1,inf"), ("--trace", "nan,0")])
+@pytest.mark.parametrize(
+    "flag,label",
+    [
+        ("--angles", "nan,0.3"),
+        ("--angles", "0.1,inf"),
+        ("--trace", "nan,0"),
+        # Finite angles whose third angle -t1 - t2 overflows.
+        ("--angles", "1e308,1e308"),
+    ],
+)
 def test_non_finite_fiber_label_is_a_config_error(flag, label, capsys):
     assert main(["orbit", "--n", "2", "--seed", "1", flag, label]) == 2
     assert "finite" in capsys.readouterr().err
     assert main(["sample", "--count", "2", "--seed", "1", flag, label]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["submersion_census", "coset_twist_orbit"])
+def test_overflowing_third_angle_in_config_file(tmp_path, capsys, kind):
+    cfg = tmp_path / "overflow.cfg"
+    cfg.write_text(
+        f"kind = {kind}\nseed = 1\nN = 4\nc_spec = angles=1e308,1e308\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 2
     assert "finite" in capsys.readouterr().err
 
 

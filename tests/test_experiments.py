@@ -139,7 +139,7 @@ def test_submersion_census_small(rng):
 def test_coset_twist_orbit_generic_anchor(rng):
     anchor = matrix_from_c_spec(f"angles={np.sqrt(2) - 1},{np.sqrt(3) - 1}")
     p = RepPoint.from_pair(anchor, haar_random(rng))
-    report = coset_twist_orbit(p, 4000, height=50)
+    report = coset_twist_orbit(p, 4000)
     assert report.passed
     assert report.stats["anchor_generic"]
     assert report.stats["period"] == 0

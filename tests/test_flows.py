@@ -9,8 +9,6 @@ from su3lab.flows import (
     BOUNDARY,
     CURVES,
     TWIST_TIME_BOUND,
-    FlowStep,
-    Observable,
     curve_holonomy,
     flow_walk_stack,
     one_param,
@@ -33,17 +31,22 @@ def haar_point(rng):
     return RepPoint.from_pair(haar_random(rng), haar_random(rng))
 
 
+def part_variation(x, part):
+    """The gradient of the named trace part: Im Tr x = Re Tr(-i x)."""
+    return variation(x if part == "re" else -1j * x)
+
+
 def test_variation_lies_in_algebra(rng):
     x = haar_random(rng, size=30)
     for part in ("re", "im"):
-        f = variation(x, part)
+        f = part_variation(x, part)
         assert max(algebra_defect(f[i]) for i in range(30)) < 1e-14
 
 
 def test_variation_commutes_with_argument(rng):
     x = haar_random(rng)
     for part in ("re", "im"):
-        f = variation(x, part)
+        f = part_variation(x, part)
         assert np.abs(f @ x - x @ f).max() < 1e-14
 
 
@@ -52,7 +55,7 @@ def test_variation_is_trace_gradient(rng):
     x = haar_random(rng)
     h = 1e-5
     for part in ("re", "im"):
-        f = variation(x, part)
+        f = part_variation(x, part)
         for _ in range(5):
             y = random_algebra(rng)
             plus = np.trace(exp_algebra(h * y) @ x)
@@ -93,7 +96,7 @@ def test_twist_flow_preserves_fiber_and_observable(rng):
     p = haar_point(rng)
     for curve in CURVES:
         for part in ("re", "im"):
-            q = twist_flow(p, FlowStep(Observable(curve, part), 1.3))
+            q = twist_flow(p, curve, part, 1.3)
             assert q.residual() < 1e-11
             h0 = np.trace(curve_holonomy(p.a, p.b, curve))
             h1 = np.trace(curve_holonomy(q.a, q.b, curve))
@@ -104,9 +107,8 @@ def test_twist_flow_preserves_fiber_and_observable(rng):
 
 def test_twist_flow_is_additive_in_time(rng):
     p = haar_point(rng)
-    step = lambda t: FlowStep(Observable("alpha_beta"), t)
-    q = twist_flow(twist_flow(p, step(0.8)), step(0.4))
-    r = twist_flow(p, step(1.2))
+    q = twist_flow(twist_flow(p, "alpha_beta", "re", 0.8), "alpha_beta", "re", 0.4)
+    r = twist_flow(p, "alpha_beta", "re", 1.2)
     assert np.abs(q.a - r.a).max() < 1e-11
     assert np.abs(q.b - r.b).max() < 1e-11
 
@@ -114,19 +116,24 @@ def test_twist_flow_is_additive_in_time(rng):
 def test_boundary_flow_rejected(rng):
     p = haar_point(rng)
     with pytest.raises(TrivialFlowError):
-        twist_flow(p, FlowStep(Observable(BOUNDARY), 1.0))
+        twist_flow(p, BOUNDARY, "re", 1.0)
+    # Bad names and times fail before the boundary check.
+    bad = [("gamma", "re", 1.0), (BOUNDARY, "abs", 1.0), (BOUNDARY, "re", np.nan)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            twist_flow(p, *args)
 
 
 def test_flow_commutes_with_conjugation(rng):
     # Flowing then conjugating equals conjugating then flowing.
     p = haar_point(rng)
     g = haar_random(rng)
-    step = FlowStep(Observable("alpha_beta_inv", "im"), 0.7)
-    q = twist_flow(p, step)
+    step = ("alpha_beta_inv", "im", 0.7)
+    q = twist_flow(p, *step)
     conj = RepPoint(
         a=g @ p.a @ dagger(g), b=g @ p.b @ dagger(g), c=g @ p.c @ dagger(g)
     )
-    qc = twist_flow(conj, step)
+    qc = twist_flow(conj, *step)
     assert np.abs(qc.a - g @ q.a @ dagger(g)).max() < 1e-11
     assert np.abs(qc.b - g @ q.b @ dagger(g)).max() < 1e-11
 

@@ -246,6 +246,6 @@ def test_engines_leave_their_inputs_unchanged():
     for q in (p, frozen):
         for curve in flows.CURVES:
             for part in flows.PARTS:
-                flows.twist_flow(q, flows.FlowStep(flows.Observable(curve, part), 0.7))
+                flows.twist_flow(q, curve, part, 0.7)
     for m, m0 in zip(inputs, saved):
         assert np.array_equal(m, m0)

@@ -10,11 +10,8 @@ from su3lab.fiber import RepPoint, central_fiber_point
 from su3lab.su3 import OMEGA, circle_distance, haar_random, trace
 from su3lab.traces import (
     CHARACTER_NAMES,
-    Character,
     angles_have_relation,
     char_poly_roots,
-    character,
-    character_distance,
     character_reals,
     character_values,
     delta_defect,
@@ -74,26 +71,30 @@ def test_char_poly_roots_rejects_outside():
         char_poly_roots(4.0)
     with pytest.raises(TraceDomainError):
         char_poly_roots(3.0001)
+    # These overflow the boundary defect to NaN.
+    for z in (1e103, 1e200):
+        with pytest.raises(TraceDomainError, match="outside the trace domain"):
+            char_poly_roots(z)
 
 
 def test_angles_have_relation_cases():
     third = np.array([1 / 3, 1 / 3, 1 / 3])
-    assert angles_have_relation(third, height=3)
-    assert angles_have_relation(np.zeros(3), height=1)
+    assert angles_have_relation(third)
+    assert angles_have_relation(np.zeros(3))
     tau = np.sqrt(2.0) - 1.0
-    assert angles_have_relation(np.array([tau, tau, -2 * tau]), height=2)
+    assert angles_have_relation(np.array([tau, tau, -2 * tau]))
     free = np.array([np.sqrt(2) - 1, np.sqrt(3) - 1, 2 - np.sqrt(2) - np.sqrt(3)])
-    assert not angles_have_relation(free, height=50)
+    assert not angles_have_relation(free)
 
 
 def test_is_generic_cases():
     assert not is_generic(diag_torus(1 / 3, 1 / 3))
     assert not is_generic(diag_torus(0.0, 0.3))  # repeated eigenvalue 1
-    assert is_generic(diag_torus(np.sqrt(2) - 1, np.sqrt(3) - 1), height=50)
+    assert is_generic(diag_torus(np.sqrt(2) - 1, np.sqrt(3) - 1))
     stacked = np.stack(
         [diag_torus(1 / 3, 1 / 3), diag_torus(np.sqrt(2) - 1, np.sqrt(3) - 1)]
     )
-    flags = is_generic(stacked, height=50)
+    flags = is_generic(stacked)
     assert flags.tolist() == [False, True]
 
 
@@ -104,41 +105,23 @@ def test_character_values_identity_pair():
 
 def test_character_of_central_pair():
     p = central_fiber_point(1)
-    ch = character(p)
-    zc = ch.values[CHARACTER_NAMES.index("tr_comm")]
+    values = character_values(p.a, p.b)
+    zc = values[CHARACTER_NAMES.index("tr_comm")]
     # The commutator is a central cube root times the identity.
     assert min(abs(zc - 3 * OMEGA), abs(zc - 3 * np.conjugate(OMEGA))) <= 1e-12
     # Clock and shift are traceless.
-    assert abs(ch.values[0]) <= 1e-12
-    assert abs(ch.values[1]) <= 1e-12
-
-
-def test_character_validation():
-    with pytest.raises(ValueError):
-        Character(values=(3.0,) * 8)
-    with pytest.raises(TraceDomainError):
-        Character(values=(4.0,) + (0.0,) * 8)
-    with pytest.raises(ValueError):
-        # Inverse traces must conjugate their partners.
-        Character(values=(1j, 0, 0, 0, 0, 1j, 0, 0, 0))
+    assert abs(values[0]) <= 1e-12
+    assert abs(values[1]) <= 1e-12
 
 
 def test_character_as_reals_order(rng):
     p = RepPoint.from_pair(haar_random(rng), haar_random(rng))
-    ch = character(p)
-    reals = character_reals(np.array(ch.values))
+    values = character_values(p.a, p.b)
+    reals = character_reals(values)
     assert reals.shape == (18,)
-    for k, z in enumerate(ch.values):
+    for k, z in enumerate(values):
         assert reals[2 * k] == pytest.approx(z.real)
         assert reals[2 * k + 1] == pytest.approx(z.imag)
-
-
-def test_character_distance(rng):
-    p = RepPoint.from_pair(haar_random(rng), haar_random(rng))
-    ch = character(p)
-    assert character_distance(ch, ch) == 0.0
-    q = RepPoint.from_pair(haar_random(rng), haar_random(rng))
-    assert character_distance(ch, character(q)) > 0.0
 
 
 def test_character_conjugation_invariant(rng):

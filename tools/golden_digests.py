@@ -14,7 +14,10 @@ eight curve/part pairs.
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
 another checkout digests that checkout's code; two checkouts print the
-same table exactly when these outputs are byte-identical.
+same table exactly when these outputs are byte-identical.  Where the
+public API changed between two commits (twist_flow took one step object
+before it took curve, part and time), digest each commit with its own
+copy of the script: the outputs, not the calls, are what must agree.
 """
 
 from __future__ import annotations
@@ -104,8 +107,7 @@ def engine_digests(seed: int) -> dict[str, str]:
         p = RepPoint.from_pair(su3.haar_random(rng), su3.haar_random(rng))
         for curve in flows.CURVES:
             for part in flows.PARTS:
-                step = flows.FlowStep(flows.Observable(curve, part), rng.uniform(-3.0, 3.0))
-                q = flows.twist_flow(p, step)
+                q = flows.twist_flow(p, curve, part, rng.uniform(-3.0, 3.0))
                 h.update(q.a.tobytes())
                 h.update(q.b.tobytes())
     return {
