@@ -35,17 +35,12 @@ from .su3 import dagger, renormalize
 # can afford a longer cadence because its factors are exactly unitary.
 WORD_RENORM_CADENCE = 8
 
+# Letters per random_word_indices draw.  One draw for a 10 000 x 200 stack
+# raised the peak memory of an mcg_orbit_distribution run by a quarter;
+# blocks of consecutive letter positions keep its temporaries to a few MB.
+DRAW_BLOCK = 1 << 17
+
 LETTERS = ("a", "A", "b", "B")
-
-# Letter indices for the batched engines: LETTERS[INVERSE_INDEX[i]] is the
-# inverse of LETTERS[i].
-INVERSE_INDEX = np.array([1, 0, 3, 2])
-
-# ALLOWED_NEXT[i] lists the three letter indices that may follow letter i
-# without an immediate cancellation.
-ALLOWED_NEXT = np.array(
-    [[j for j in range(4) if j != INVERSE_INDEX[i]] for i in range(4)]
-)
 
 H_ALPHA = np.array([[1, 1], [0, 1]], dtype=np.int64)
 H_BETA = np.array([[1, 0], [1, 1]], dtype=np.int64)
@@ -132,13 +127,46 @@ def random_word_indices(count: int, length: int, rng: np.random.Generator) -> np
 
     Shape (count, length); the first letter is uniform over all four, each
     later letter uniform over the three that do not cancel the previous one.
+
+    The first letters are one draw rng.integers(4, size=count); the later
+    ones are rng.integers(3, size=(rows, count)) draws over consecutive
+    letter positions, rows = DRAW_BLOCK // count, so one draw covers a
+    whole word or any stack of up to DRAW_BLOCK later letters.  The
+    generator fills each draw in C order, so the stream is the one that a
+    draw of size `count` per letter position gives: the same indices and
+    the same generator state afterwards.
+
+    With letter = 2 pair + sign (pair 0 is "a"/"A", pair 1 is "b"/"B"), a
+    draw r of 0 sets pair 0, a draw of 2 sets pair 1 and a draw of 1 switches
+    the pair.  The letter repeats while the pair stays; where the pair
+    changes, the letter is r + pair.  So pair XOR (step & 1) is carried
+    forward from the last step whose draw is 0 or 2, and the sign from the
+    last step that changed the pair: each is one running maximum over
+    (step << 1) | bit codes, which are zero at the steps that carry.
     """
     out = np.empty((count, max(length, 0)), dtype=np.int8)
     if length <= 0:
         return out
-    out[:, 0] = rng.integers(4, size=count)
-    for j in range(1, length):
-        out[:, j] = ALLOWED_NEXT[out[:, j - 1], rng.integers(3, size=count)]
+    first = rng.integers(4, size=count)
+    out[:, 0] = first
+    # The codes of the last step so far; row 0 of each block below.
+    pair_code, sign_code = first >> 1, first & 1
+    rows = max(1, DRAW_BLOCK // max(count, 1))
+    for j in range(1, length, rows):
+        # int32 draws take the same 32-bit bounded path as the default int64.
+        r = rng.integers(3, size=(min(rows, length - j), count), dtype=np.int32)
+        step = np.arange(j - 1, j + len(r), dtype=np.int32)[:, None]
+        parity = step & 1
+        code = np.empty((len(r) + 1, count), dtype=np.int32)
+        code[0] = pair_code
+        code[1:] = (r != 1) * ((step[1:] << 1) | ((r >> 1) ^ parity[1:]))
+        pair_code = np.maximum.accumulate(code, axis=0)
+        pair = (pair_code & 1) ^ parity
+        code[0] = sign_code
+        code[1:] = (pair[1:] != pair[:-1]) * ((step[1:] << 1) | (r - pair[1:]))
+        sign_code = np.maximum.accumulate(code, axis=0)
+        out.T[j : j + len(r)] = 2 * pair[1:] + (sign_code[1:] & 1)
+        pair_code, sign_code = pair_code[-1], sign_code[-1]
     return out
 
 

@@ -49,8 +49,11 @@ def delta_defect(z: complex | np.ndarray) -> float | np.ndarray:
     """Boundary defect of the trace domain: negative inside, zero on the
     boundary, positive outside.  Accepts arrays."""
     z = np.asarray(z, dtype=complex)
-    sq = z.real**2 + z.imag**2
-    out = sq * sq - 8 * np.real(z**3) + 18 * sq - 27
+    # An overflowing z gives NaN or inf here; callers refuse it, so numpy's
+    # warnings would only repeat the error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = z.real**2 + z.imag**2
+        out = sq * sq - 8 * np.real(z**3) + 18 * sq - 27
     return float(out) if out.ndim == 0 else out
 
 
@@ -65,8 +68,11 @@ def char_poly_roots(z: complex) -> np.ndarray:
     """
     z = complex(z)
     defect = delta_defect(z)
-    # Written so that the NaN defect of an overflowing z is refused here.
-    if not defect <= DELTA_BOUNDARY_TOL:
+    # The defect vanishes to third order at the vertices 3 omega^k, so a z
+    # just beyond one (3.0001: defect 4e-12) is refused by its modulus, which
+    # is at most 3 on the domain.  Written so that the NaN defect of an
+    # overflowing z is refused here too.
+    if abs(z) > 3 + DELTA_BOUNDARY_TOL or not defect <= DELTA_BOUNDARY_TOL:
         raise TraceDomainError(
             f"trace {z!r} lies outside the trace domain (defect {defect:.3e})"
         )

@@ -1,6 +1,7 @@
 """Command line contract: schemas, determinism, exit codes."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -131,6 +132,19 @@ def test_sample_rejects_out_of_domain_trace(capsys):
     code = main(["sample", "--count", "2", "--seed", "1", "--trace", "4,0"])
     assert code == 2
     assert "trace domain" in capsys.readouterr().err
+
+
+def test_sample_overflowing_trace_label_warns_nothing(capsys):
+    # The boundary defect of 1e200 overflows to NaN; the refusal is the
+    # typed error alone, with no numpy RuntimeWarning before it.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["sample", "--count", "2", "--seed", "1", "--trace", "1e200,0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "outside the trace domain" in err
+    assert "RuntimeWarning" not in err
+    assert [w.category for w in caught] == []
 
 
 def test_experiment_run_and_exit_codes(tmp_path, capsys):

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_kernels import ALLOWED_NEXT, INVERSE_INDEX, random_word_indices_loop
 from su3lab.fiber import RepPoint, commutator, fiber_residual
 from su3lab.mcg import (
-    ALLOWED_NEXT,
-    INVERSE_INDEX,
     LETTERS,
     TwistWord,
     apply_word,
@@ -85,6 +84,23 @@ def test_random_word_indices_shape_and_range(rng):
     for row in idx:
         for cur, nxt in zip(row, row[1:]):
             assert nxt != INVERSE_INDEX[cur]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_random_word_indices_matches_letter_loop(seed):
+    # One draw per block of letter positions consumes the stream exactly as
+    # one draw per position does: same indices, same generator state after.
+    for count in (1, 2, 3, 7, 1000):
+        for length in (0, 1, 2, 3, 8, 200):
+            fast = np.random.Generator(np.random.PCG64(seed))
+            loop = np.random.Generator(np.random.PCG64(seed))
+            got = random_word_indices(count, length, fast)
+            want = random_word_indices_loop(count, length, loop)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (count, length)
+            assert fast.integers(1 << 62, size=4).tolist() == loop.integers(
+                1 << 62, size=4
+            ).tolist()
 
 
 def test_apply_word_single_letters(rng):

@@ -71,8 +71,10 @@ def test_char_poly_roots_rejects_outside():
         char_poly_roots(4.0)
     with pytest.raises(TraceDomainError):
         char_poly_roots(3.0001)
-    # These overflow the boundary defect to NaN.
-    for z in (1e103, 1e200):
+    # Just beyond a central vertex the defect is below DELTA_BOUNDARY_TOL
+    # (third-order zero); the last two overflow the defect to NaN.
+    beyond = (3.0001, 3.0001 * OMEGA, 3.0001 * np.conj(OMEGA), 3.001)
+    for z in (*beyond, 1e103, 1e200):
         with pytest.raises(TraceDomainError, match="outside the trace domain"):
             char_poly_roots(z)
 

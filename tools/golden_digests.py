@@ -8,8 +8,9 @@ SHA-256 of that table.  Per seed it covers four CLI runs (CSV bytes of
 0.5,0.1 --walk-steps 200` and `orbit --angles 0.123,0.456`, CLI defaults
 otherwise), the JSON report of each experiment kind without its
 manifest (run through `su3lab experiment`), `flow_walk_stack` on 1000 Haar
-pairs for 256 steps, and `twist_flow` on 400 Haar points along all
-eight curve/part pairs.
+pairs for 256 steps, `twist_flow` on 400 Haar points along all eight
+curve/part pairs, and the letter indices of `mcg.random_word_indices`
+for one 200-letter word and then for a stack of 10 000 of them.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -35,7 +36,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from su3lab import cli, flows, su3  # noqa: E402
+from su3lab import cli, flows, mcg, su3  # noqa: E402
 from su3lab.fiber import RepPoint  # noqa: E402
 
 CLI_RUNS = {
@@ -59,6 +60,7 @@ EXPERIMENTS = {
 
 FLOW_PAIRS, FLOW_STEPS = 1000, 256
 TWIST_POINTS = 400
+WORD_LENGTH, WORD_STACK = 200, 10_000
 
 
 def _sha(data: bytes) -> str:
@@ -116,6 +118,16 @@ def engine_digests(seed: int) -> dict[str, str]:
     }
 
 
+def word_digests(seed: int) -> dict[str, str]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    one = mcg.random_word_indices(1, WORD_LENGTH, rng)
+    stack = mcg.random_word_indices(WORD_STACK, WORD_LENGTH, rng)
+    return {
+        "random_word_indices_1": _sha(one.tobytes()),
+        "random_word_indices_stack": _sha(stack.tobytes()),
+    }
+
+
 def table(seeds: list[int]) -> list[str]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -124,6 +136,7 @@ def table(seeds: list[int]) -> list[str]:
                 **cli_digests(seed, Path(tmp)),
                 **experiment_digests(seed, Path(tmp)),
                 **engine_digests(seed),
+                **word_digests(seed),
             }
             rows += [f"seed{seed}/{name} {d}" for name, d in digests.items()]
     return sorted(rows)
