@@ -34,11 +34,8 @@ from .experiments import (
     submersion_census,
 )
 from .fiber import (
-    A0,
-    B0,
     FIBER_TOL,
     RepPoint,
-    abelian_point,
     base_point,
     central_fiber_point,
     centralizer_intersection,
@@ -51,7 +48,6 @@ from .fiber import (
 from .flows import (
     CURVES,
     TWIST_TIME_BOUND,
-    curve_holonomy,
     one_param,
     random_flow_walk,
     twist_flow,
@@ -65,22 +61,14 @@ from .mcg import (
     random_word,
 )
 from .su3 import (
-    ALGEBRA_BASIS,
     IDENTITY,
     OMEGA,
     adjoint_matrix,
-    algebra_coords,
-    algebra_from_coords,
     circle_distance,
     dagger,
     eigenvalue_angles,
     exp_algebra,
     haar_random,
-    inner_product,
-    is_regular,
-    is_special_unitary,
-    random_algebra,
-    regularity_gap,
     renormalize,
     torus_frame,
     unitarity_defect,

@@ -417,7 +417,7 @@ def central_fiber_rigidity() -> ExperimentReport:
     under all four-letter twist words (expected roundoff: the fiber is a
     single point up to conjugation, and characters do not see conjugation).
     """
-    p = central_fiber_point(1)
+    p = central_fiber_point()
     a0, b0 = p.a, p.b
     kappa_residual = float(np.abs(a0 @ b0 @ dagger(b0 @ a0) - OMEGA * IDENTITY).max())
     cube_residual = float(
@@ -488,7 +488,7 @@ def submersion_census(
     if is_central(c):
         raise CentralFiberError(
             "the fiber label is central; use central_fiber_rigidity for the"
-            " omega Id fibers or abelian_point for commuting pairs"
+            " omega Id fibers or abelian_hyperbolic_test for commuting pairs"
         )
     p0 = base_point(c)
     a, b = flow_walk_stack(

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CentralFiberError, FiberMismatchError
+from .errors import FiberMismatchError
 from .su3 import (
     IDENTITY,
     OMEGA,
@@ -50,13 +50,6 @@ RANK_TOL = 1e-8
 NULLSPACE_TOL = 1e-8
 
 _EYE8 = np.eye(8)
-
-# The distinguished pair generating the fiber over omega Id: a diagonal
-# order-three element and the cyclic shift e1 -> e2 -> e3 -> e1.
-A0 = np.diag([1.0 + 0j, OMEGA, OMEGA**2])
-B0 = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
-A0.setflags(write=False)
-B0.setflags(write=False)
 
 # Cyclic shift used by base_point: maps e1 -> e3 -> e2 -> e1, so conjugating
 # a diagonal matrix by it shifts the diagonal entries up by one slot.
@@ -175,33 +168,12 @@ def base_point(c: np.ndarray) -> RepPoint:
     return RepPoint(a=a, b=b, c=c)
 
 
-def central_fiber_point(k: int) -> RepPoint:
-    """The distinguished pair on the fiber over omega^k Id, k in {1, 2}.
-
-    k = 1 gives exactly (A0, B0); k = 2 squares the shift.  k = 0 labels the
-    fiber of commuting pairs, which has its own constructor.
-    """
-    k = int(k) % 3
-    if k == 0:
-        raise CentralFiberError(
-            "k = 0 labels the fiber of commuting pairs; use abelian_point"
-        )
-    b = B0 if k == 1 else B0 @ B0
-    c = OMEGA**k * IDENTITY
-    return RepPoint(a=A0.copy(), b=b.copy(), c=c)
-
-
-def abelian_point(angles_a: tuple[float, float], angles_b: tuple[float, float]) -> RepPoint:
-    """A commuting diagonal pair from two torus angle pairs (in turns).
-
-    The third angle of each element closes the determinant; the commutator
-    is the identity exactly.
-    """
-
-    def diag(t1: float, t2: float) -> np.ndarray:
-        return np.diag(np.exp(2j * np.pi * np.array([t1, t2, -t1 - t2])))
-
-    return RepPoint(a=diag(*angles_a), b=diag(*angles_b), c=IDENTITY.copy())
+def central_fiber_point() -> RepPoint:
+    """The distinguished pair generating the fiber over omega Id: a diagonal
+    order-three element and the cyclic shift e1 -> e2 -> e3 -> e1."""
+    a = np.diag([1.0 + 0j, OMEGA, OMEGA**2])
+    b = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], dtype=complex)
+    return RepPoint(a=a, b=b, c=OMEGA * IDENTITY)
 
 
 def is_central(u: np.ndarray) -> bool:

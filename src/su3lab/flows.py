@@ -63,21 +63,6 @@ def one_param(x: np.ndarray, t: float) -> np.ndarray:
     return exp_algebra(t[..., None, None] * variation(x))
 
 
-def curve_holonomy(a: np.ndarray, b: np.ndarray, curve: str) -> np.ndarray:
-    """The matrix whose trace is the named curve's observable."""
-    if curve == "alpha":
-        return a
-    if curve == "beta":
-        return b
-    if curve == "alpha_beta":
-        return a @ b
-    if curve == "alpha_beta_inv":
-        return a @ dagger(b)
-    if curve == BOUNDARY:
-        return a @ b @ dagger(b @ a)
-    raise ValueError(f"unknown curve {curve!r}")
-
-
 def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
     """Flow the pair for time t along the real or imaginary part ("re" or
     "im") of the named curve's trace.

@@ -42,12 +42,10 @@ DRAW_BLOCK = 1 << 17
 
 LETTERS = ("a", "A", "b", "B")
 
-H_ALPHA = np.array([[1, 1], [0, 1]], dtype=np.int64)
-H_BETA = np.array([[1, 0], [1, 1]], dtype=np.int64)
 _LETTER_MATRIX = {
-    "a": H_ALPHA,
+    "a": np.array([[1, 1], [0, 1]], dtype=np.int64),
     "A": np.array([[1, -1], [0, 1]], dtype=np.int64),
-    "b": H_BETA,
+    "b": np.array([[1, 0], [1, 1]], dtype=np.int64),
     "B": np.array([[1, 0], [-1, 1]], dtype=np.int64),
 }
 
@@ -62,9 +60,6 @@ class TwistWord:
         bad = [l for l in self.letters if l not in LETTERS]
         if bad:
             raise ValueError(f"unknown letters {bad!r}; alphabet is {LETTERS}")
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def __str__(self) -> str:
         return "".join(self.letters)

@@ -83,10 +83,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(max(gram, det))
 
 
-def is_special_unitary(u: np.ndarray) -> bool:
-    return unitarity_defect(u) <= UNITARITY_TOL
-
-
 def assert_special_unitary(u: np.ndarray) -> None:
     defect = unitarity_defect(u)
     if defect > UNITARITY_TOL:
@@ -210,21 +206,6 @@ def _exp_taylor(c0: np.ndarray, c1: np.ndarray):
     return f0, f1, f2
 
 
-def inner_product(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """The invariant pairing Tr(x y); real on the algebra.
-
-    The imaginary part is asserted to be roundoff-level before being
-    dropped, so accidentally passing a non-algebra matrix fails loudly.
-    """
-    val = trace(np.asarray(x, dtype=complex) @ np.asarray(y, dtype=complex))
-    if np.abs(val.imag).max() > 1e-12:
-        raise InvalidAlgebraError(
-            "pairing has a non-real value; inputs are not algebra elements"
-        )
-    out = val.real
-    return float(out) if out.ndim == 0 else out
-
-
 def _build_algebra_basis() -> np.ndarray:
     """Orthonormal basis of su(3) under the negative of the pairing.
 
@@ -251,16 +232,6 @@ ALGEBRA_BASIS = _build_algebra_basis()
 ALGEBRA_BASIS.setflags(write=False)
 
 
-def algebra_coords(x: np.ndarray) -> np.ndarray:
-    """Real coordinates of algebra elements in ALGEBRA_BASIS; accepts stacks."""
-    return -np.real(np.einsum("...ab,kba->...k", np.asarray(x, complex), ALGEBRA_BASIS))
-
-
-def algebra_from_coords(v: np.ndarray) -> np.ndarray:
-    """Inverse of algebra_coords."""
-    return np.einsum("...k,kab->...ab", np.asarray(v, float), ALGEBRA_BASIS)
-
-
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS.
 
@@ -270,12 +241,6 @@ def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
     return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
-
-
-def random_algebra(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
-    """Gaussian random algebra element(s) with standard normal coordinates."""
-    shape = (8,) if size is None else (size, 8)
-    return algebra_from_coords(rng.standard_normal(shape))
 
 
 def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -321,16 +286,6 @@ def angle_gap(angles: np.ndarray) -> np.ndarray:
         for j in range(i + 1, 3)
     ]
     return np.min(np.stack(gaps, axis=-1), axis=-1)
-
-
-def regularity_gap(u: np.ndarray) -> np.ndarray:
-    """Minimal pairwise circle distance of the eigenvalue angles."""
-    return angle_gap(eigenvalue_angles(u))
-
-
-def is_regular(u: np.ndarray) -> bool | np.ndarray:
-    out = regularity_gap(u) >= REGULARITY_GAP
-    return bool(out) if np.ndim(out) == 0 else out
 
 
 def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,15 +1,17 @@
-"""Reference kernels for tests: the spectral exponential and SVD polar
-renormalization that the closed-form kernels in su3lab.su3 replaced, and
-the per-letter table draw that su3lab.mcg.random_word_indices replaced.
+"""Reference kernels and helpers for tests: the spectral exponential and SVD
+polar renormalization that the closed-form kernels in su3lab.su3 replaced,
+the per-letter table draw that su3lab.mcg.random_word_indices replaced,
+real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS with a
+Gaussian sampler over them, and the holonomy matrix of each named curve.
 
 Plain LAPACK formulations with no branches and a plain table loop, kept
-only to check the fast kernels against; nothing in the package imports
-them.
+only for the tests to check the package against; nothing in the package
+imports them.
 """
 
 import numpy as np
 
-from su3lab.su3 import assert_algebra_element, dagger
+from su3lab.su3 import ALGEBRA_BASIS, assert_algebra_element, dagger
 
 
 def exp_algebra_eigh(x: np.ndarray) -> np.ndarray:
@@ -53,3 +55,30 @@ def random_word_indices_loop(
     for j in range(1, length):
         out[:, j] = ALLOWED_NEXT[out[:, j - 1], rng.integers(3, size=count)]
     return out
+
+
+def algebra_coords(x: np.ndarray) -> np.ndarray:
+    """Real coordinates of algebra elements in ALGEBRA_BASIS; accepts stacks."""
+    return -np.real(np.einsum("...ab,kba->...k", np.asarray(x, complex), ALGEBRA_BASIS))
+
+
+def algebra_from_coords(v: np.ndarray) -> np.ndarray:
+    """Inverse of algebra_coords."""
+    return np.einsum("...k,kab->...ab", np.asarray(v, float), ALGEBRA_BASIS)
+
+
+def random_algebra(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Gaussian random algebra element(s) with standard normal coordinates."""
+    shape = (8,) if size is None else (size, 8)
+    return algebra_from_coords(rng.standard_normal(shape))
+
+
+def curve_holonomy(a: np.ndarray, b: np.ndarray, curve: str) -> np.ndarray:
+    """The matrix whose trace is the named flowable curve's observable."""
+    holonomy = {
+        "alpha": a,
+        "beta": b,
+        "alpha_beta": a @ b,
+        "alpha_beta_inv": a @ dagger(b),
+    }
+    return holonomy[curve]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import make_rng
+from oracle_kernels import curve_holonomy, random_algebra
 from su3lab.cli import main
 from su3lab.errors import NonHyperbolicWordError
 from su3lab.experiments import (
@@ -38,12 +39,12 @@ from su3lab.mcg import TwistWord, apply_word_stack, random_word_indices
 from su3lab.su3 import (
     IDENTITY,
     OMEGA,
+    REGULARITY_GAP,
+    angle_gap,
     dagger,
+    eigenvalue_angles,
     exp_algebra,
     haar_random,
-    inner_product,
-    is_regular,
-    random_algebra,
     trace,
 )
 from su3lab.traces import char_poly_roots, delta_defect
@@ -172,15 +173,13 @@ def test_acceptance_4_flow_identities():
             fd = (plus - minus).real / (2 * h) if part == "re" else (
                 plus - minus
             ).imag / (2 * h)
-            fd_gap = max(fd_gap, abs(fd - inner_product(f, y)))
+            fd_gap = max(fd_gap, abs(fd - np.trace(f @ y).real))
 
     conservation = 0.0
     for i in range(0, cases, 1):
         p = RepPoint.from_pair(x[i], g[i])
         curve, part = ("alpha", "re") if i % 2 else ("alpha_beta", "im")
         q = twist_flow(p, curve, part, t[i])
-        from su3lab.flows import curve_holonomy
-
         before = np.trace(curve_holonomy(p.a, p.b, curve))
         after = np.trace(curve_holonomy(q.a, q.b, curve))
         drift = (after - before).real if part == "re" else (after - before).imag
@@ -211,7 +210,7 @@ def test_acceptance_5_rank_census():
 
     c = commutator(haar_random(rng), haar_random(rng))
     p = base_point(c)
-    assert is_regular(p.b)
+    assert angle_gap(eigenvalue_angles(p.b)) >= REGULARITY_GAP
     base_rank = int(d_kappa_rank(d_kappa_matrix(p.a, p.b)))
     identity_rank = int(d_kappa_rank(d_kappa_matrix(IDENTITY, IDENTITY)))
 

@@ -125,7 +125,9 @@ def test_census_rejects_central_trace_label(tmp_path, capsys, c_spec, kind):
         encoding="utf-8",
     )
     assert main(["experiment", str(cfg)]) == 2
-    assert "central" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "central" in err
+    assert "abelian_hyperbolic_test" in err
 
 
 def test_sample_rejects_out_of_domain_trace(capsys):

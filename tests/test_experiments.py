@@ -206,7 +206,7 @@ def test_mcg_rejects_mismatched_fibers(rng):
 
 
 def test_mcg_rejects_central_fiber(rng):
-    p = central_fiber_point(1)
+    p = central_fiber_point()
     with pytest.raises(CentralFiberError):
         mcg_orbit_distribution(p, p, 10, 50, rng)
 

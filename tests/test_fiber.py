@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from su3lab.errors import CentralFiberError, FiberMismatchError
+from oracle_kernels import algebra_coords, algebra_from_coords
+from su3lab.errors import FiberMismatchError
+from su3lab.experiments import matrix_from_c_spec
 from su3lab.fiber import (
-    A0,
-    B0,
     RepPoint,
-    abelian_point,
     base_point,
     central_fiber_point,
     centralizer_intersection,
@@ -21,12 +20,12 @@ from su3lab.fiber import (
 from su3lab.su3 import (
     IDENTITY,
     OMEGA,
-    algebra_from_coords,
+    REGULARITY_GAP,
+    angle_gap,
     dagger,
     eigenvalue_angles,
+    exp_algebra,
     haar_random,
-    is_regular,
-    random_algebra,
     unitarity_defect,
 )
 
@@ -57,29 +56,15 @@ def test_rep_point_validates(rng):
 def test_central_fiber_point_oracle():
     # a0 is the clock matrix, b0 the cyclic shift; their commutator is the
     # center element omega Id exactly, up to roundoff.
-    p = central_fiber_point(1)
+    p = central_fiber_point()
     assert np.abs(p.a - np.diag([1, OMEGA, OMEGA**2])).max() < 1e-15
     assert np.abs(p.c - OMEGA * IDENTITY).max() < 1e-15
     assert np.abs(p.a @ p.b @ dagger(p.b @ p.a) - OMEGA * IDENTITY).max() < 1e-14
-    q = central_fiber_point(2)
-    assert np.abs(q.c - OMEGA**2 * IDENTITY).max() < 1e-14
-    with pytest.raises(CentralFiberError):
-        central_fiber_point(0)
-    with pytest.raises(CentralFiberError):
-        central_fiber_point(3)
 
 
 def test_braiding_of_central_pair():
-    assert np.abs(A0 @ B0 - OMEGA * (B0 @ A0)).max() < 1e-15
-
-
-def test_abelian_point():
-    p = abelian_point((0.1, 0.25), (0.4, -0.3))
-    assert np.abs(p.c - IDENTITY).max() == 0.0
-    assert np.abs(p.a @ p.b - p.b @ p.a).max() < 1e-15
-    assert np.abs(
-        np.sort(eigenvalue_angles(p.a)) - np.sort(np.mod([0.1, 0.25, -0.35], 1.0))
-    ).max() < 1e-12
+    p = central_fiber_point()
+    assert np.abs(p.a @ p.b - OMEGA * (p.b @ p.a)).max() < 1e-15
 
 
 def test_is_central():
@@ -137,10 +122,12 @@ def test_d_kappa_rank_cases(rng):
     assert d_kappa_rank(d_kappa_matrix(IDENTITY, IDENTITY)) == 0
     c = haar_commutator(rng)
     p = base_point(c)
-    assert is_regular(p.b)
+    assert angle_gap(eigenvalue_angles(p.b)) >= REGULARITY_GAP
     assert d_kappa_rank(d_kappa_matrix(p.a, p.b)) == 8
     # Commuting pairs keep at least a torus in both centralizers.
-    q = abelian_point((0.1, 0.23), (0.05, 0.41))
+    q = RepPoint.from_pair(
+        matrix_from_c_spec("angles=0.1,0.23"), matrix_from_c_spec("angles=0.05,0.41")
+    )
     assert d_kappa_rank(d_kappa_matrix(q.a, q.b)) <= 6
 
 
@@ -148,8 +135,6 @@ def test_d_kappa_matches_finite_difference(rng):
     # Columns of the differential against central differences of the raw
     # commutator product along perturbations a exp(tX), b exp(tY); the
     # matrix represents the left-translated derivative kappa^-1 kappa-dot.
-    from su3lab.su3 import algebra_coords, exp_algebra
-
     def raw_comm(u, v):
         return u @ v @ dagger(v @ u)
 

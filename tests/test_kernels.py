@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import make_rng
-from oracle_kernels import exp_algebra_eigh, renormalize_svd
+from oracle_kernels import algebra_from_coords, exp_algebra_eigh, renormalize_svd
 from su3lab import flows, mcg
 from su3lab.errors import DriftExplosionError
 from su3lab.fiber import RepPoint
@@ -26,7 +26,6 @@ from su3lab.su3 import (
     IDENTITY,
     NEWTON_SCHULZ_DEFECT,
     RENORM_GUARD,
-    algebra_from_coords,
     dagger,
     exp_algebra,
     _det3,

@@ -62,7 +62,7 @@ def test_twist_word_parsing():
     w = TwistWord.parse("abA")
     assert w.letters == ("a", "b", "A")
     assert str(w) == "abA"
-    assert len(w) == 3
+    assert len(w.letters) == 3
     with pytest.raises(ValueError):
         TwistWord.parse("abx")
     # The empty word is the identity mapping class.
@@ -72,7 +72,7 @@ def test_twist_word_parsing():
 def test_random_word_avoids_cancellation(rng):
     for _ in range(20):
         w = random_word(30, rng)
-        assert len(w) == 30
+        assert len(w.letters) == 30
         for cur, nxt in zip(w.letters, w.letters[1:]):
             assert nxt != LETTERS[INVERSE_INDEX[LETTERS.index(cur)]]
 

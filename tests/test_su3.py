@@ -11,24 +11,20 @@ from su3lab.errors import (
     InvalidGroupElementError,
     NonRegularElementError,
 )
+from oracle_kernels import algebra_coords, random_algebra
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
     OMEGA,
+    UNITARITY_TOL,
     adjoint_matrix,
-    algebra_coords,
     algebra_defect,
-    algebra_from_coords,
+    angle_gap,
     circle_distance,
     dagger,
     eigenvalue_angles,
     exp_algebra,
     haar_random,
-    inner_product,
-    is_regular,
-    is_special_unitary,
-    random_algebra,
-    regularity_gap,
     renormalize,
     torus_frame,
     unitarity_defect,
@@ -66,8 +62,8 @@ def test_haar_left_invariance_of_eigenvalue_angles(rng):
     # the mean of the smallest angle gap.
     u = haar_random(rng, size=4000)
     v = haar_random(rng)
-    gaps_raw = regularity_gap(u)
-    gaps_shift = regularity_gap(v @ u)
+    gaps_raw = angle_gap(eigenvalue_angles(u))
+    gaps_shift = angle_gap(eigenvalue_angles(v @ u))
     assert abs(gaps_raw.mean() - gaps_shift.mean()) < 0.01
 
 
@@ -89,34 +85,11 @@ def test_exp_algebra_matches_scipy(rng):
         assert np.abs(exp_algebra(x) - expm(x)).max() < 1e-12
 
 
-def test_inner_product_oracle():
-    x = np.diag([1j, -1j, 0.0])
-    assert inner_product(x, x) == pytest.approx(-2.0, abs=1e-15)
-
-
-def test_inner_product_negative_definite(rng):
-    for _ in range(50):
-        x = random_algebra(rng)
-        assert inner_product(x, x) < 0
-
-
 def test_algebra_basis_orthonormal():
     grams = np.einsum("iab,jba->ij", ALGEBRA_BASIS, ALGEBRA_BASIS)
     assert np.abs(-np.real(grams) - np.eye(8)).max() < 1e-14
     assert np.abs(np.imag(grams)).max() < 1e-14
     assert all(algebra_defect(e) < 1e-15 for e in ALGEBRA_BASIS)
-
-
-def test_coords_round_trip(rng):
-    x = random_algebra(rng, size=100)
-    v = algebra_coords(x)
-    assert v.shape == (100, 8)
-    assert np.abs(algebra_from_coords(v) - x).max() < 1e-13
-    # The pairing in coordinates is the negated dot product.
-    y = random_algebra(rng, size=100)
-    w = algebra_coords(y)
-    ips = np.array([inner_product(x[i], y[i]) for i in range(100)])
-    assert np.abs(ips + np.sum(v * w, axis=-1)).max() < 1e-12
 
 
 def test_adjoint_matrix_is_orthogonal_and_represents(rng):
@@ -155,18 +128,13 @@ def test_torus_frame_and_element(rng):
     assert np.abs((v * lam) @ dagger(v) - u).max() < 1e-12
     # An element diagonal in the frame lies on u's maximal torus.
     t = (v * np.exp(2j * np.pi * np.array([0.3, -0.8, 0.5]))) @ dagger(v)
-    assert is_special_unitary(t)
+    assert unitarity_defect(t) <= UNITARITY_TOL
     assert np.abs(t @ u - u @ t).max() < 1e-12
 
 
 def test_torus_frame_rejects_non_regular():
     with pytest.raises(NonRegularElementError):
         torus_frame(IDENTITY)
-
-
-def test_is_regular(rng):
-    assert not is_regular(IDENTITY)
-    assert bool(np.all(is_regular(haar_random(rng, size=20))))
 
 
 def test_renormalize_restores_and_guards(rng):

@@ -106,7 +106,7 @@ def test_character_values_identity_pair():
 
 
 def test_character_of_central_pair():
-    p = central_fiber_point(1)
+    p = central_fiber_point()
     values = character_values(p.a, p.b)
     zc = values[CHARACTER_NAMES.index("tr_comm")]
     # The commutator is a central cube root times the identity.
