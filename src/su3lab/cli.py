@@ -59,43 +59,42 @@ def _timestamp() -> str:
 
 
 def _c_spec_from_args(args) -> str | None:
-    if getattr(args, "trace", None) is not None:
+    if args.trace is not None:
         return f"trace={args.trace}"
-    if getattr(args, "angles", None) is not None:
+    if args.angles is not None:
         return f"angles={args.angles}"
     return None
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    out = contextlib.nullcontext(sys.stdout)
-    if path is not None:
-        out = open(path, "w", encoding="utf-8", newline="")
-    with out as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _print_manifest(command: str, args, started: str, resolved: dict) -> None:
-    manifest = {
+def _run_manifest(command: str, started: str, out: str | None) -> dict:
+    """The manifest keys every command shares."""
+    return {
         "command": command,
-        "seed": int(args.seed),
         "version": __version__,
         "started_at": started,
         "finished_at": _timestamp(),
-        "out": args.out,
-        "config": resolved,
+        "out": out,
     }
-    print(json.dumps(manifest, sort_keys=True))
 
 
-def _character_csv_rows(index, a, b, c) -> list[list[str]]:
+def _emit_characters(args, started: str, index: str, a, b, c, resolved: dict) -> None:
+    """Write one CSV row per pair (index, character reals, fiber residual)
+    to args.out or stdout; with args.out, print the run manifest line."""
     reals = character_reals(character_values(a, b))
-    residual = np.atleast_1d(fiber_residual(a, b, c))
-    return [
-        [str(int(i))] + [_format(v) for v in row] + [_format(r)]
-        for i, row, r in zip(index, reals, residual)
-    ]
+    out = contextlib.nullcontext(sys.stdout)
+    if args.out is not None:
+        out = open(args.out, "w", encoding="utf-8", newline="")
+    with out as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow([index, *REAL_COLUMN_NAMES, "fiber_residual"])
+        writer.writerows(
+            [str(i)] + [_format(v) for v in row] + [_format(r)]
+            for i, (row, r) in enumerate(zip(reals, fiber_residual(a, b, c)))
+        )
+    if args.out is not None:
+        manifest = _run_manifest(args.command, started, args.out)
+        manifest.update(seed=int(args.seed), config=resolved)
+        print(json.dumps(manifest, sort_keys=True))
 
 
 def cmd_sample(args) -> int:
@@ -126,17 +125,13 @@ def cmd_sample(args) -> int:
         c = fiber
         sampler = "fiber flow walks"
 
-    header = ["sample_index", *REAL_COLUMN_NAMES, "fiber_residual"]
-    rows = _character_csv_rows(range(count), a, b, c) if count else []
-    _write_csv(args.out, header, rows)
-    if args.out is not None:
-        resolved = {
-            "count": count,
-            "c_spec": spec,
-            "walk_steps": int(args.walk_steps),
-            "sampler": sampler,
-        }
-        _print_manifest("sample", args, started, resolved)
+    resolved = {
+        "count": count,
+        "c_spec": spec,
+        "walk_steps": int(args.walk_steps),
+        "sampler": sampler,
+    }
+    _emit_characters(args, started, "sample_index", a, b, c, resolved)
     return 0
 
 
@@ -166,16 +161,12 @@ def cmd_orbit(args) -> int:
     a = np.stack([q.a for q in points])
     b = np.stack([q.b for q in points])
 
-    header = ["word_index", *REAL_COLUMN_NAMES, "fiber_residual"]
-    rows = _character_csv_rows(range(len(points)), a, b, fiber)
-    _write_csv(args.out, header, rows)
-    if args.out is not None:
-        resolved = {
-            "N": int(args.n),
-            "word_length": int(args.word_length),
-            "c_spec": spec,
-        }
-        _print_manifest("orbit", args, started, resolved)
+    resolved = {
+        "N": int(args.n),
+        "word_length": int(args.word_length),
+        "c_spec": spec,
+    }
+    _emit_characters(args, started, "word_index", a, b, fiber, resolved)
     return 0
 
 
@@ -186,8 +177,11 @@ def parse_config_file(path: str) -> ExperimentConfig:
     errors.  The keys, their types and defaults, and which are mandatory
     (kind and seed) are those of the ExperimentConfig fields.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     # The file keys are the field names, except that the field n is spelled N.
     fields = {
         "N" if f.name == "n" else f.name: f for f in dataclasses.fields(ExperimentConfig)
@@ -231,15 +225,7 @@ def cmd_experiment(args) -> int:
     started = _timestamp()
     config = parse_config_file(args.config)
     report = run_experiment(config)
-    report.manifest.update(
-        {
-            "command": "experiment",
-            "version": __version__,
-            "started_at": started,
-            "finished_at": _timestamp(),
-            "out": config.out,
-        }
-    )
+    report.manifest.update(_run_manifest("experiment", started, config.out))
     # Reports may hold numpy scalars; .item() gives the Python value.
     text = json.dumps(
         report.to_json_dict(), sort_keys=True, indent=2, default=lambda v: v.item()

@@ -60,7 +60,7 @@ from .mcg import (
     is_hyperbolic,
     random_word_indices,
 )
-from .su3 import IDENTITY, OMEGA, circle_distance, dagger, haar_random, torus_frame
+from .su3 import IDENTITY, circle_distance, dagger, haar_random, torus_frame
 from .traces import (
     CHARACTER_NAMES,
     GENERICITY_HEIGHT,
@@ -118,7 +118,6 @@ class ExperimentConfig:
 class ExperimentReport:
     """Statistics, the thresholds they were judged against, and metadata."""
 
-    kind: str
     stats: dict
     thresholds: dict
     passed: bool
@@ -171,7 +170,7 @@ def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
     w_n = weyl[n]
 
     # First k >= 1 with a^k = Id within tolerance, i.e. all angles back at 0.
-    dist = circle_distance(phases[1:]).max(axis=1) if n > 1 else np.empty(0)
+    dist = circle_distance(phases[1:]).max(axis=1)
     hits = np.flatnonzero(dist <= 1e-9)
     period = int(hits[0]) + 1 if hits.size else 0
 
@@ -200,9 +199,7 @@ def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
     }
     thresholds = {"abs_weyl_avg_max": bound + 1e-9}
     passed = stats["abs_weyl_avg"] <= thresholds["abs_weyl_avg_max"]
-    return ExperimentReport(
-        kind="coset_twist_orbit", stats=stats, thresholds=thresholds, passed=passed
-    )
+    return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
 
 def mcg_orbit_distribution(
@@ -284,9 +281,7 @@ def mcg_orbit_distribution(
         and stats["max_null_ks"] <= NULL_KS_MAX
         and stats["all_on_fiber"]
     )
-    return ExperimentReport(
-        kind="mcg_orbit_distribution", stats=stats, thresholds=thresholds, passed=passed
-    )
+    return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
 
 def _abelian_modulus(angles: tuple[float, ...]) -> tuple[int, bool]:
@@ -354,21 +349,16 @@ def abelian_hyperbolic_test(
     period = int(returns[0]) + 1 if returns.size else 0
 
     def observables(th: np.ndarray) -> dict[str, np.ndarray]:
-        # th[..., i, 0] and th[..., i, 1] are the free angles of a and b.
-        def unit(t):
-            return np.exp(2j * np.pi * t)
-
+        # th[..., i, 0] and th[..., i, 1] are the free angles of a and b; the
+        # third angle of each is -th[..., 0, j] - th[..., 1, j].
+        th = np.concatenate([th, -th[..., :1, :] - th[..., 1:, :]], axis=-2)
         ta, tb = th[..., 0], th[..., 1]
-        third = lambda t: -t[..., 0] - t[..., 1]
-        za = unit(ta[..., 0]) + unit(ta[..., 1]) + unit(third(ta))
-        zb = unit(tb[..., 0]) + unit(tb[..., 1]) + unit(third(tb))
-        zab = unit(ta[..., 0] + tb[..., 0]) + unit(ta[..., 1] + tb[..., 1]) + unit(
-            third(ta) + third(tb)
-        )
-        zabi = unit(ta[..., 0] - tb[..., 0]) + unit(ta[..., 1] - tb[..., 1]) + unit(
-            third(ta) - third(tb)
-        )
-        return {"tr_a": za, "tr_b": zb, "tr_ab": zab, "tr_ab_inv": zabi}
+
+        def tr(t):
+            e = np.exp(2j * np.pi * t)
+            return e[..., 0] + e[..., 1] + e[..., 2]
+
+        return {"tr_a": tr(ta), "tr_b": tr(tb), "tr_ab": tr(ta + tb), "tr_ab_inv": tr(ta - tb)}
 
     orbit_obs = observables(traj.astype(float) / modulus)
     haar_obs = observables(rng.random((n, 2, 2)))
@@ -404,9 +394,7 @@ def abelian_hyperbolic_test(
     }
     thresholds = {"max_gap": GAP_MAX}
     passed = stats["periodic"] or stats["max_gap"] <= GAP_MAX
-    return ExperimentReport(
-        kind="abelian_hyperbolic_test", stats=stats, thresholds=thresholds, passed=passed
-    )
+    return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
 
 def central_fiber_rigidity() -> ExperimentReport:
@@ -419,7 +407,7 @@ def central_fiber_rigidity() -> ExperimentReport:
     """
     p = central_fiber_point()
     a0, b0 = p.a, p.b
-    kappa_residual = float(np.abs(a0 @ b0 @ dagger(b0 @ a0) - OMEGA * IDENTITY).max())
+    kappa_residual = p.residual()
     cube_residual = float(
         max(
             np.abs(np.linalg.matrix_power(a0, 3) - IDENTITY).max(),
@@ -467,9 +455,7 @@ def central_fiber_rigidity() -> ExperimentReport:
         and cube_residual <= thresholds["cube_residual_max"]
         and worst <= thresholds["max_word_character_distance_max"]
     )
-    return ExperimentReport(
-        kind="central_fiber_rigidity", stats=stats, thresholds=thresholds, passed=passed
-    )
+    return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
 
 def submersion_census(
@@ -520,9 +506,7 @@ def submersion_census(
         and base_rank == 8
         and stats["all_on_fiber"]
     )
-    return ExperimentReport(
-        kind="submersion_census", stats=stats, thresholds=thresholds, passed=passed
-    )
+    return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
 
 def resolve_c_spec(spec: str) -> tuple[str, tuple[float, ...]]:
@@ -590,7 +574,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             "trials_passed": sum(1 for r in reports if r.passed),
         }
         report = ExperimentReport(
-            kind=config.kind,
             stats=stats,
             thresholds=report.thresholds,
             passed=all(r.passed for r in reports),

@@ -65,10 +65,10 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return renormalize(a @ b @ dagger(b @ a))
 
 
-def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float | np.ndarray:
-    """Entrywise max distance of the raw product a b a^-1 b^-1 from c."""
-    r = np.abs(a @ b @ dagger(b @ a) - c).max(axis=(-2, -1))
-    return float(r) if r.ndim == 0 else r
+def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Entrywise max distance of the raw product a b a^-1 b^-1 from c;
+    accepts stacks, and a single pair gives a numpy scalar."""
+    return np.abs(a @ b @ dagger(b @ a) - c).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -119,32 +119,31 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.concatenate([block_x, block_y], axis=-1)
 
 
-def d_kappa_rank(m: np.ndarray) -> int | np.ndarray:
+def d_kappa_rank(m: np.ndarray) -> np.ndarray:
     """Numerical rank of differential matrices by singular value threshold.
 
     The threshold is anchored at unit scale as well as at the largest
     singular value: the differential's blocks are built from orthogonal
     matrices, so a matrix that is all roundoff has rank 0, not the count
-    of its noise values.
+    of its noise values.  Accepts stacks; a single matrix gives a numpy
+    integer.
     """
     s = np.linalg.svd(m, compute_uv=False)
     top = np.maximum(s[..., 0], 1.0)
-    rank = np.sum(s > RANK_TOL * top[..., None], axis=-1)
-    return int(rank) if rank.ndim == 0 else rank
+    return np.sum(s > RANK_TOL * top[..., None], axis=-1)
 
 
-def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> int | np.ndarray:
+def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dimension of the joint fixed space of Ad(a) and Ad(b).
 
     Computed as the joint nullspace of the stacked 16x8 matrix; accepts
-    stacks (returns an integer array).
+    stacks (returns an integer array; a single pair gives a numpy integer).
     """
     stacked = np.concatenate(
         [adjoint_matrix(a) - _EYE8, adjoint_matrix(b) - _EYE8], axis=-2
     )
     s = np.linalg.svd(stacked, compute_uv=False)
-    dim = 8 - np.sum(s > NULLSPACE_TOL, axis=-1)
-    return int(dim) if dim.ndim == 0 else dim
+    return 8 - np.sum(s > NULLSPACE_TOL, axis=-1)
 
 
 def base_point(c: np.ndarray) -> RepPoint:

@@ -108,14 +108,10 @@ def _flow_step(
     part, t the flow time; all three have one entry per row.  Returns the
     stack of centralizing factors z that were applied.
     """
-    m_alpha = curve == 0
-    m_beta = curve == 1
     m_ab = curve == 2
     m_abinv = curve == 3
     ab = a[m_ab] @ b[m_ab]
-    x = np.empty_like(a)
-    x[m_alpha] = a[m_alpha]
-    x[m_beta] = b[m_beta]
+    x = np.where((curve == 0)[:, None, None], a, b)
     x[m_ab] = ab
     x[m_abinv] = a[m_abinv] @ dagger(b[m_abinv])
     z = one_param(np.where(part_im[:, None, None], -1j * x, x), t)
@@ -124,11 +120,10 @@ def _flow_step(
     # a = u v for alpha_beta_inv.  Order matters: the alpha_beta update of a
     # reads the pre-step b.
     a[m_ab] = ab @ dagger(z[m_ab]) @ dagger(b[m_ab])
-    b[m_ab] = b[m_ab] @ z[m_ab]
-    b[m_alpha] = b[m_alpha] @ z[m_alpha]
-    a[m_beta] = a[m_beta] @ z[m_beta]
-    a[m_abinv] = a[m_abinv] @ z[m_abinv]
-    b[m_abinv] = b[m_abinv] @ z[m_abinv]
+    m_a = (curve == 1) | m_abinv
+    a[m_a] = a[m_a] @ z[m_a]
+    m_b = curve != 1
+    b[m_b] = b[m_b] @ z[m_b]
     return z
 
 

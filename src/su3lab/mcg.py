@@ -111,8 +111,6 @@ def is_hyperbolic(m: np.ndarray) -> bool:
 
 def random_word(length: int, rng: np.random.Generator) -> TwistWord:
     """Uniform random word with no letter followed by its own inverse."""
-    if length <= 0:
-        return TwistWord(())
     idx = random_word_indices(1, length, rng)[0]
     return TwistWord(tuple(LETTERS[i] for i in idx))
 

@@ -54,6 +54,16 @@ NEWTON_SCHULZ_DEFECT = 1e-8
 EXP_TAYLOR_C1 = 1e-3
 _EXP_TAYLOR_TERMS = 8
 
+# Above this c1 exp_algebra returns exp(x/2)^2.  Near repeated eigenvalues
+# theta = arccos(ratio)/3 carries an error of about sqrt(eps), which puts
+# an error of about eps c1 on the closed form: at spectrum (7, 7, -14),
+# c1 = 147, 2 % of stacks of eight missed 1e-13 in det.  The flows never
+# take this branch, so their bytes do not depend on it: the variation of a
+# unitary element has eigenvalues sin(phi_k) minus their mean, so
+# c1 <= 4/3 t^2 <= 16 pi^2 / 3 = 52.6 for flow times
+# |t| <= TWIST_TIME_BOUND = 2 pi.
+EXP_SQUARING_C1 = 64.0
+
 # sin(w)/w switches to its series below this w; the truncation error of the
 # four-term series there is at most w^8/9! = 1.1e-16.
 _SINC_SERIES_W = 0.05
@@ -126,7 +136,9 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     - near w = 0 (two equal eigenvalues) sin(w)/w is summed as a series;
     - for c1 < EXP_TAYLOR_C1 (near x = 0), where the divided form loses
       about eps/c1 in f2, the f_j come from the exponential's Taylor
-      series reduced by Q^3 = c1 Q + c0 Id instead.
+      series reduced by Q^3 = c1 Q + c0 Id instead;
+    - for c1 > EXP_SQUARING_C1, where the form loses about eps c1 near
+      repeated eigenvalues, the result is exp_algebra(x/2) squared.
 
     The result is a polynomial in x, so it commutes with x by
     construction.  Raises InvalidAlgebraError for inputs off the algebra.
@@ -145,6 +157,10 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     out = x2 * -f2[:, None, None]
     out -= x * (1j * f1)[:, None, None]
     out.reshape(-1, 9)[:, ::4] += f0[:, None]  # the diagonal
+    squaring = c1 > EXP_SQUARING_C1
+    if squaring.any():
+        half = exp_algebra(x[squaring] / 2)
+        out[squaring] = half @ half
     return out.reshape(shape)
 
 

@@ -45,16 +45,16 @@ REAL_COLUMN_NAMES = tuple(
 DELTA_BOUNDARY_TOL = 1e-9
 
 
-def delta_defect(z: complex | np.ndarray) -> float | np.ndarray:
+def delta_defect(z: complex | np.ndarray) -> np.ndarray:
     """Boundary defect of the trace domain: negative inside, zero on the
-    boundary, positive outside.  Accepts arrays."""
+    boundary, positive outside.  Accepts arrays; a single z gives a numpy
+    scalar."""
     z = np.asarray(z, dtype=complex)
     # An overflowing z gives NaN or inf here; callers refuse it, so numpy's
     # warnings would only repeat the error.
     with np.errstate(over="ignore", invalid="ignore"):
         sq = z.real**2 + z.imag**2
-        out = sq * sq - 8 * np.real(z**3) + 18 * sq - 27
-    return float(out) if out.ndim == 0 else out
+        return sq * sq - 8 * np.real(z**3) + 18 * sq - 27
 
 
 def char_poly_roots(z: complex) -> np.ndarray:
@@ -93,14 +93,15 @@ GENERICITY_HEIGHT = 20
 GENERICITY_TOL = 1e-9
 
 
-def angles_have_relation(angles: np.ndarray) -> bool | np.ndarray:
+def angles_have_relation(angles: np.ndarray) -> np.ndarray:
     """Whether any integer vector (m0, m1, m2), not all zero, with entries
     bounded by GENERICITY_HEIGHT, satisfies |m1 th1 + m2 th2 + m0| <=
     GENERICITY_TOL.
 
     The third angle never needs to enter: it differs from -(th1 + th2) by an
     integer, so relations involving it reduce to this form.  Brute force
-    over the (2 GENERICITY_HEIGHT + 1)^2 grid; accepts stacked angle triples.
+    over the (2 GENERICITY_HEIGHT + 1)^2 grid; accepts stacked angle triples
+    (one triple gives a numpy bool).
     """
     angles = np.asarray(angles, dtype=float)
     m = np.arange(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1)
@@ -112,11 +113,10 @@ def angles_have_relation(angles: np.ndarray) -> bool | np.ndarray:
     m0 = -np.round(combo)
     hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
     hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
-    out = hit.any(axis=-1)
-    return bool(out) if out.ndim == 0 else out
+    return hit.any(axis=-1)
 
 
-def is_generic(u: np.ndarray) -> bool | np.ndarray:
+def is_generic(u: np.ndarray) -> np.ndarray:
     """Whether u is regular with rationally independent eigenvalue angles,
     up to the search height and tolerance of angles_have_relation.
 
@@ -124,11 +124,10 @@ def is_generic(u: np.ndarray) -> bool | np.ndarray:
     truncated search can reject a truly generic element (harmless for
     experiment seeding) but a false positive would need a relation of
     height above the bound, invisible at orbit lengths this package runs.
-    Accepts stacks.
+    Accepts stacks; a single element gives a numpy bool.
     """
     angles = eigenvalue_angles(u)
-    out = (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(angles)
-    return bool(out) if np.ndim(out) == 0 else out
+    return (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(angles)
 
 
 def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -67,6 +67,16 @@ def test_sample_count_zero_emits_header_only(tmp_path):
         assert rows[0][0] == "sample_index"
 
 
+def test_orbit_with_empty_words_repeats_the_base_point(tmp_path):
+    out = tmp_path / "still.csv"
+    for n in (1, 3):
+        argv = ["orbit", "--n", str(n), "--word-length", "0", "--seed", "1"]
+        assert main([*argv, "--angles", "0.1,0.3", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [r[0] for r in rows] == ["word_index", *map(str, range(n))]
+        assert all(r[1:] == rows[1][1:] for r in rows[1:])
+
+
 def test_sample_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["sample", "--count", "6", "--seed", "42"]
@@ -366,3 +376,11 @@ def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
     assert main(["experiment", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert "repeated config key 'seed'" in err and ":4:" in err
+
+
+def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"kind = submersion_census\nseed = 1\n# caf\xe9 \xff\n")
+    assert main(["experiment", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(cfg) in err and "UTF-8" in err

@@ -108,9 +108,7 @@ def test_config_validation():
 
 
 def test_report_json_shape():
-    r = ExperimentReport(
-        kind="k", stats={"x": 1}, thresholds={"x_max": 2}, passed=True
-    )
+    r = ExperimentReport(stats={"x": 1}, thresholds={"x_max": 2}, passed=True)
     d = r.to_json_dict()
     assert d["x"] == 1 and d["pass"] is True
     assert d["thresholds"] == {"x_max": 2}
@@ -155,6 +153,15 @@ def test_coset_twist_orbit_torsion_anchor(rng):
     assert report.stats["periodic"]
     assert report.stats["period"] == 3
     assert not report.stats["anchor_generic"]
+
+
+def test_coset_twist_orbit_single_step(rng):
+    # The orbit is the start alone: no return time to find, W_1 = Tr(b).
+    anchor = matrix_from_c_spec("angles=0,0.3333333333333333")
+    p = RepPoint.from_pair(anchor, haar_random(rng))
+    report = coset_twist_orbit(p, 1)
+    assert report.passed and report.stats["period"] == 0
+    assert report.stats["weyl_avg_re"] == pytest.approx(np.trace(p.b).real)
 
 
 def test_abelian_hyperbolic_rational_is_periodic(rng):

@@ -12,7 +12,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -72,9 +72,11 @@ def test_exp_matches_expm_across_scales(seed, log_scale):
 
 @settings(max_examples=60, deadline=None)
 @given(SEEDS, st.floats(-8.0, np.log10(7.0)), st.sampled_from([1.0, -1.0]))
+@example(seed=106, log_lam=np.log10(7.0), sign=1.0)
 def test_exp_repeated_eigenvalues(seed, log_lam, sign):
     # Spectrum (l, l, -2l): w = 0 exactly, det Q = 2 sign l^3 at its
-    # extreme for the given c1, with either sign.
+    # extreme for the given c1, with either sign.  The example sits above
+    # EXP_SQUARING_C1, where the closed form alone missed EXP_TOL in det.
     rng = make_rng(seed)
     lam = sign * 10.0**log_lam
     q = np.tile([lam, lam, -2 * lam], (8, 1))

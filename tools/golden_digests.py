@@ -3,14 +3,17 @@
     python3 tools/golden_digests.py --seeds 7,11,29
 
 Prints a sorted `name sha256` table, one line per output, and then the
-SHA-256 of that table.  Per seed it covers four CLI runs (CSV bytes of
+SHA-256 of that table.  Per seed it covers eight CLI runs (CSV bytes of
 `sample` on Haar pairs, `sample --angles 0.123,0.456`, `sample --trace
 0.5,0.1 --walk-steps 200` and `orbit --angles 0.123,0.456`, CLI defaults
-otherwise), the JSON report of each experiment kind without its
-manifest (run through `su3lab experiment`), `flow_walk_stack` on 1000 Haar
-pairs for 256 steps, `twist_flow` on 400 Haar points along all eight
-curve/part pairs, and the letter indices of `mcg.random_word_indices`
-for one 200-letter word and then for a stack of 10 000 of them.
+otherwise, and the edge runs `sample --count 0` with and without
+`--angles`, `orbit --n 1 --word-length 0` and `orbit --n 3 --word-length
+0`), the JSON report of each experiment kind and of `coset_twist_orbit`
+at N = 1 without its manifest (run through `su3lab experiment`),
+`flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
+Haar points along all eight curve/part pairs, and the letter indices of
+`mcg.random_word_indices` for one 200-letter word and then for a stack
+of 10 000 of them.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -44,18 +47,42 @@ CLI_RUNS = {
     "sample_angles": ["sample", "--angles", "0.123,0.456"],
     "sample_trace": ["sample", "--trace", "0.5,0.1", "--walk-steps", "200"],
     "orbit_angles": ["orbit", "--angles", "0.123,0.456"],
+    "sample_haar_empty": ["sample", "--count", "0"],
+    "sample_angles_empty": ["sample", "--count", "0", "--angles", "0.123,0.456"],
+    "orbit_single": ["orbit", "--n", "1", "--word-length", "0", "--angles", "0.123,0.456"],
+    "orbit_empty_words": ["orbit", "--n", "3", "--word-length", "0", "--angles", "0.123,0.456"],
 }
 
-# kind, then the config lines after `seed`.
+# Digest name, then the config lines after `seed`, starting with the kind.
 EXPERIMENTS = {
-    "central_fiber_rigidity": [],
-    "coset_twist_orbit": ["N = 2000", "c_spec = angles=0.123,0.456"],
+    "central_fiber_rigidity": ["kind = central_fiber_rigidity"],
+    "coset_twist_orbit": [
+        "kind = coset_twist_orbit",
+        "N = 2000",
+        "c_spec = angles=0.123,0.456",
+    ],
+    "coset_twist_orbit_single": [
+        "kind = coset_twist_orbit",
+        "N = 1",
+        "c_spec = angles=0.123,0.456",
+    ],
     "abelian_hyperbolic_test": [
+        "kind = abelian_hyperbolic_test",
         "N = 2000",
         f"c_spec = angles={np.sqrt(2) - 1},{np.sqrt(3) - 1}",
     ],
-    "submersion_census": ["N = 64", "trials = 2", "c_spec = angles=0.123,0.456"],
-    "mcg_orbit_distribution": ["N = 200", "word_length = 40", "c_spec = angles=0.123,0.456"],
+    "submersion_census": [
+        "kind = submersion_census",
+        "N = 64",
+        "trials = 2",
+        "c_spec = angles=0.123,0.456",
+    ],
+    "mcg_orbit_distribution": [
+        "kind = mcg_orbit_distribution",
+        "N = 200",
+        "word_length = 40",
+        "c_spec = angles=0.123,0.456",
+    ],
 }
 
 FLOW_PAIRS, FLOW_STEPS = 1000, 256
@@ -88,13 +115,13 @@ def cli_digests(seed: int, tmp: Path) -> dict[str, str]:
 
 def experiment_digests(seed: int, tmp: Path) -> dict[str, str]:
     out = {}
-    for kind, lines in EXPERIMENTS.items():
-        path = tmp / f"{kind}.cfg"
-        path.write_text("\n".join([f"kind = {kind}", f"seed = {seed}", *lines]) + "\n")
+    for name, (kind, *lines) in EXPERIMENTS.items():
+        path = tmp / f"{name}.cfg"
+        path.write_text("\n".join([kind, f"seed = {seed}", *lines]) + "\n")
         _, text = _run_cli(["experiment", str(path)])
         report = json.loads(text)
         report.pop("manifest")
-        out[f"experiment_{kind}"] = _sha(json.dumps(report, sort_keys=True, indent=2).encode())
+        out[f"experiment_{name}"] = _sha(json.dumps(report, sort_keys=True, indent=2).encode())
     return out
 
 
