@@ -178,7 +178,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
     (kind and seed) are those of the ExperimentConfig fields.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig also reads files that begin with a byte-order mark.
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.readlines()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc

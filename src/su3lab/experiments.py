@@ -154,8 +154,11 @@ def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
     distribution of the real trace part, the first exact return time if one
     occurs within n steps, and the geometric-series bound
     |W_n| <= (1/n) sum_i |b_ii| min(n, 2 / |1 - lambda_i|)
-    that the average must respect regardless of genericity.
+    that the average must respect regardless of genericity.  Raises
+    ConfigError for n < 1, as ExperimentConfig does.
     """
+    if n < 1:
+        raise ConfigError("N must be at least 1")
     theta, v = torus_frame(p.a)  # NonRegularElementError for degenerate anchors
     generic = bool(is_generic(p.a))
     d = np.diagonal(dagger(v) @ p.b @ v)

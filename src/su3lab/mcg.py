@@ -75,13 +75,13 @@ def apply_word(word: TwistWord, p: RepPoint) -> RepPoint:
     a, b = p.a, p.b
     for i, letter in enumerate(word.letters):
         if letter == "a":
-            b = b @ a
+            b = np.dot(b, a)
         elif letter == "A":
-            b = b @ dagger(a)
+            b = np.dot(b, dagger(a))
         elif letter == "b":
-            a = a @ b
+            a = np.dot(a, b)
         else:
-            a = a @ dagger(b)
+            a = np.dot(a, dagger(b))
         if (i + 1) % WORD_RENORM_CADENCE == 0:
             a = renormalize(a)
             b = renormalize(b)

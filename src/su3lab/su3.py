@@ -76,7 +76,7 @@ OMEGA = np.exp(2j * np.pi / 3)
 
 def dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose over the last two axes."""
-    return np.conjugate(np.swapaxes(m, -1, -2))
+    return m.swapaxes(-1, -2).conj()
 
 
 def trace(m: np.ndarray) -> np.ndarray:
@@ -361,9 +361,12 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     if u.size == 0:
         return u.copy()
-    gram = dagger(u) @ u
+    # On a lone matrix np.dot makes the same zgemm call as matmul, so it
+    # gives the same bits, and it skips matmul's per-call gufunc setup.
+    mul = np.dot if u.ndim == 2 else np.matmul
+    gram = mul(dagger(u), u)
     if np.abs(gram - IDENTITY).max() <= NEWTON_SCHULZ_DEFECT:
-        q = u @ (1.5 * IDENTITY - 0.5 * gram)
+        q = mul(u, 1.5 * IDENTITY - 0.5 * gram)
     else:
         w, s, vh = np.linalg.svd(u)
         worst = np.abs(s - 1.0).max()
@@ -386,7 +389,11 @@ def _det3(m: np.ndarray) -> np.ndarray:
     """
     # m.T reverses every axis, so the unpacked entries are those of the
     # transposed matrices (same determinant) with the batch axes reversed,
-    # which the final .T restores.  On a single matrix they are scalars,
-    # which keeps the call cheap there.
+    # which the final .T restores.  A single matrix is unpacked into Python
+    # complex numbers: they multiply by the same formula as numpy's complex
+    # scalars, so the same bits, without numpy's per-operation dispatch.
+    if m.ndim == 2:
+        (a, b, c), (d, e, f), (g, h, i) = m.T.tolist()
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     (a, b, c), (d, e, f), (g, h, i) = m.T
     return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T

@@ -1,17 +1,28 @@
 """Reference kernels and helpers for tests: the spectral exponential and SVD
 polar renormalization that the closed-form kernels in su3lab.su3 replaced,
 the per-letter table draw that su3lab.mcg.random_word_indices replaced,
-real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS with a
-Gaussian sampler over them, and the holonomy matrix of each named curve.
+the matmul and numpy-scalar formulation of the single-pair word path
+(apply_word, renormalize, the cofactor determinant and dagger) that the
+np.dot and Python-complex one in su3lab replaced, real coordinates on the
+algebra in su3lab.su3.ALGEBRA_BASIS with a Gaussian sampler over them,
+and the holonomy matrix of each named curve.
 
 Plain LAPACK formulations with no branches and a plain table loop, kept
 only for the tests to check the package against; nothing in the package
-imports them.
+imports them.  The single-pair word path is the exception: it keeps the
+package's branches, because the package must match it bit for bit.
 """
 
 import numpy as np
 
-from su3lab.su3 import ALGEBRA_BASIS, assert_algebra_element, dagger
+from su3lab.mcg import WORD_RENORM_CADENCE
+from su3lab.su3 import (
+    ALGEBRA_BASIS,
+    IDENTITY,
+    NEWTON_SCHULZ_DEFECT,
+    assert_algebra_element,
+    dagger,
+)
 
 
 def exp_algebra_eigh(x: np.ndarray) -> np.ndarray:
@@ -82,3 +93,47 @@ def curve_holonomy(a: np.ndarray, b: np.ndarray, curve: str) -> np.ndarray:
         "alpha_beta_inv": a @ dagger(b),
     }
     return holonomy[curve]
+
+
+def dagger_conjugate(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose as np.conjugate of the swapped-axes view."""
+    return np.conjugate(np.swapaxes(m, -1, -2))
+
+
+def det3_numpy(m: np.ndarray) -> np.ndarray:
+    """Cofactor determinant of one 3x3 matrix on numpy complex scalars."""
+    (a, b, c), (d, e, f), (g, h, i) = m.T
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
+
+
+def renormalize_matmul(u: np.ndarray) -> np.ndarray:
+    """One matrix onto SU(3) by matmul: a Newton-Schulz step at Gram defect
+    up to NEWTON_SCHULZ_DEFECT, the SVD polar factor above it, then
+    the numpy-scalar determinant divided out of the first column."""
+    u = np.asarray(u, dtype=complex)
+    gram = dagger_conjugate(u) @ u
+    if np.abs(gram - IDENTITY).max() <= NEWTON_SCHULZ_DEFECT:
+        q = u @ (1.5 * IDENTITY - 0.5 * gram)
+    else:
+        w, _, vh = np.linalg.svd(u)
+        q = w @ vh
+    q[:, 0] /= det3_numpy(q)
+    return q
+
+
+def apply_word_matmul(letters, a: np.ndarray, b: np.ndarray):
+    """A word's letters applied to one pair by matmul, renormalizing with
+    renormalize_matmul every WORD_RENORM_CADENCE letters; returns (a, b)."""
+    for i, letter in enumerate(letters):
+        if letter == "a":
+            b = b @ a
+        elif letter == "A":
+            b = b @ dagger_conjugate(a)
+        elif letter == "b":
+            a = a @ b
+        else:
+            a = a @ dagger_conjugate(b)
+        if (i + 1) % WORD_RENORM_CADENCE == 0:
+            a = renormalize_matmul(a)
+            b = renormalize_matmul(b)
+    return a, b

@@ -378,6 +378,16 @@ def test_repeated_config_key_is_a_config_error(tmp_path, capsys):
     assert "repeated config key 'seed'" in err and ":4:" in err
 
 
+def test_config_with_byte_order_mark(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfkind = central_fiber_rigidity\nseed = 1\n")
+    assert parse_config_file(str(cfg)) == ExperimentConfig(
+        kind="central_fiber_rigidity", seed=1
+    )
+    assert main(["experiment", str(cfg)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"]
+
+
 def test_non_utf8_config_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "latin.cfg"
     cfg.write_bytes(b"kind = submersion_census\nseed = 1\n# caf\xe9 \xff\n")

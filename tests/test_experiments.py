@@ -164,6 +164,13 @@ def test_coset_twist_orbit_single_step(rng):
     assert report.stats["weyl_avg_re"] == pytest.approx(np.trace(p.b).real)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_coset_twist_orbit_refuses_empty_orbit(rng, n):
+    p = RepPoint.from_pair(matrix_from_c_spec("angles=0.1,0.3"), haar_random(rng))
+    with pytest.raises(ConfigError, match="N must be at least 1"):
+        coset_twist_orbit(p, n)
+
+
 def test_abelian_hyperbolic_rational_is_periodic(rng):
     report = abelian_hyperbolic_test(
         (1 / 3, 1 / 5, 0.0, 0.0), DEFAULT_HYPERBOLIC_WORD, 1000, rng

@@ -4,8 +4,10 @@ exp_algebra is checked against scipy's expm over coordinate scales from
 1e-12 to 20, on repeated eigenvalues of both determinant signs, at zero and
 on both sides of the Taylor-branch threshold.  renormalize is checked
 against SVD polar projection on both sides of its Newton-Schulz threshold,
-and its drift guard at the guard value.  The last tests run both orbit
-engines on the new kernels and on the reference ones.
+and its drift guard at the guard value.  The single-pair word path
+(apply_word, and renormalize, _det3 and dagger on one matrix) is checked
+bit for bit against its matmul and numpy-scalar form.  The last tests run
+both orbit engines on the new kernels and on the reference ones.
 """
 
 import warnings
@@ -17,10 +19,18 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from conftest import make_rng
-from oracle_kernels import algebra_from_coords, exp_algebra_eigh, renormalize_svd
+from oracle_kernels import (
+    algebra_from_coords,
+    apply_word_matmul,
+    dagger_conjugate,
+    det3_numpy,
+    exp_algebra_eigh,
+    renormalize_matmul,
+    renormalize_svd,
+)
 from su3lab import flows, mcg
 from su3lab.errors import DriftExplosionError
-from su3lab.fiber import RepPoint
+from su3lab.fiber import RepPoint, base_point
 from su3lab.su3 import (
     EXP_TAYLOR_C1,
     IDENTITY,
@@ -191,6 +201,32 @@ def test_det3_matches_lapack_det():
     assert np.abs(_det3(m) - np.linalg.det(m)).max() <= 1e-13
     assert np.isscalar(_det3(m[0, 0]))
     assert abs(_det3(m[0, 0]) - np.linalg.det(m[0, 0])) <= 1e-13
+
+
+def bits(m) -> np.ndarray:
+    """The IEEE bit patterns of a complex array or scalar."""
+    return np.asarray(m, dtype=complex).reshape(-1).view(np.int64)
+
+
+def test_single_pair_word_path_is_bit_identical_to_matmul():
+    """apply_word, renormalize, _det3 and dagger on one pair give the bits of
+    the matmul and numpy-scalar formulation in oracle_kernels."""
+    rng = make_rng(2027)
+    for _ in range(32):
+        p = base_point(haar_random(rng))
+        word = mcg.random_word(200, rng)
+        q = mcg.apply_word(word, p)
+        a, b = apply_word_matmul(word.letters, p.a, p.b)
+        assert np.array_equal(bits(q.a), bits(a))
+        assert np.array_equal(bits(q.b), bits(b))
+    for defect, newton_schulz in ((1e-15, True), (1e-4, False)):
+        stack = drifted(rng, defect, 64)
+        for u in stack:
+            assert (gram_defect(u) <= NEWTON_SCHULZ_DEFECT) == newton_schulz
+            assert np.array_equal(bits(renormalize(u)), bits(renormalize_matmul(u)))
+            assert np.array_equal(bits(_det3(u)), bits(det3_numpy(u)))
+            assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
+        assert dagger(stack).strides == dagger_conjugate(stack).strides
 
 
 # The engines are compared only over short horizons.  The two kernel pairs

@@ -11,9 +11,11 @@ otherwise, and the edge runs `sample --count 0` with and without
 0`), the JSON report of each experiment kind and of `coset_twist_orbit`
 at N = 1 without its manifest (run through `su3lab experiment`),
 `flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
-Haar points along all eight curve/part pairs, and the letter indices of
+Haar points along all eight curve/part pairs, the letter indices of
 `mcg.random_word_indices` for one 200-letter word and then for a stack
-of 10 000 of them.
+of 10 000 of them, and `su3.renormalize` called on 64 single matrices one
+by one at drift 1e-14 (its Newton-Schulz branch) and at drift 1e-4 (its
+SVD branch).
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -88,6 +90,8 @@ EXPERIMENTS = {
 FLOW_PAIRS, FLOW_STEPS = 1000, 256
 TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
+RENORM_MATRICES = 64
+RENORM_DRIFTS = {"renormalize_single_newton_schulz": 1e-14, "renormalize_single_svd": 1e-4}
 
 
 def _sha(data: bytes) -> str:
@@ -155,6 +159,20 @@ def word_digests(seed: int) -> dict[str, str]:
     }
 
 
+def renormalize_digests(seed: int) -> dict[str, str]:
+    """Haar matrices times Id + e, entries of e at most drift/3, each
+    renormalized as a single matrix."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = {}
+    for name, drift in RENORM_DRIFTS.items():
+        shape = (RENORM_MATRICES, 3, 3)
+        e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        e *= drift / (3 * np.abs(e).max(axis=(1, 2), keepdims=True))
+        u = su3.haar_random(rng, RENORM_MATRICES) @ (su3.IDENTITY + e)
+        out[name] = _sha(b"".join(su3.renormalize(m).tobytes() for m in u))
+    return out
+
+
 def table(seeds: list[int]) -> list[str]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -164,6 +182,7 @@ def table(seeds: list[int]) -> list[str]:
                 **experiment_digests(seed, Path(tmp)),
                 **engine_digests(seed),
                 **word_digests(seed),
+                **renormalize_digests(seed),
             }
             rows += [f"seed{seed}/{name} {d}" for name, d in digests.items()]
     return sorted(rows)
