@@ -82,6 +82,17 @@ KS_MAX = 0.05
 NULL_KS_MAX = 0.02
 GAP_MAX = 0.01
 
+# submersion_census's pass limit: the least fraction of full-rank samples.
+RANK8_FRACTION_MIN = 0.99
+
+# central_fiber_rigidity's pass limits: the commutator and cube residuals,
+# the order of the group the pair generates, and the largest character
+# movement under the four-letter words.
+KAPPA_RESIDUAL_MAX = 1e-14
+CENTRAL_GROUP_ORDER = 27
+CUBE_RESIDUAL_MAX = 1e-13
+WORD_CHARACTER_DISTANCE_MAX = 1e-9
+
 # Grid modulus for the exact abelian orbit when the starting angles are not
 # recognizably rational: a Mersenne prime small enough that the int64 state
 # update cannot overflow.
@@ -447,16 +458,16 @@ def central_fiber_rigidity() -> ExperimentReport:
         "tr_a_im": float(np.trace(a0).imag),
     }
     thresholds = {
-        "kappa_residual_max": 1e-14,
-        "group_order": 27,
-        "cube_residual_max": 1e-13,
-        "max_word_character_distance_max": 1e-9,
+        "kappa_residual_max": KAPPA_RESIDUAL_MAX,
+        "group_order": CENTRAL_GROUP_ORDER,
+        "cube_residual_max": CUBE_RESIDUAL_MAX,
+        "max_word_character_distance_max": WORD_CHARACTER_DISTANCE_MAX,
     }
     passed = (
-        kappa_residual <= thresholds["kappa_residual_max"]
-        and order == thresholds["group_order"]
-        and cube_residual <= thresholds["cube_residual_max"]
-        and worst <= thresholds["max_word_character_distance_max"]
+        kappa_residual <= KAPPA_RESIDUAL_MAX
+        and order == CENTRAL_GROUP_ORDER
+        and cube_residual <= CUBE_RESIDUAL_MAX
+        and worst <= WORD_CHARACTER_DISTANCE_MAX
     )
     return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
@@ -502,9 +513,9 @@ def submersion_census(
         "all_on_fiber": bool(residuals.max() <= FIBER_TOL),
         "sampler": "random flow walks from the fiber base point",
     }
-    thresholds = {"rank8_fraction_min": 0.99}
+    thresholds = {"rank8_fraction_min": RANK8_FRACTION_MIN}
     passed = (
-        stats["rank8_fraction"] >= thresholds["rank8_fraction_min"]
+        stats["rank8_fraction"] >= RANK8_FRACTION_MIN
         and stats["rank_matches_intersection"]
         and base_rank == 8
         and stats["all_on_fiber"]

@@ -247,16 +247,27 @@ def _build_algebra_basis() -> np.ndarray:
 ALGEBRA_BASIS = _build_algebra_basis()
 ALGEBRA_BASIS.setflags(write=False)
 
+# L and R of adjoint_matrix's Kronecker form.
+_ADJ_LEFT = np.ascontiguousarray(ALGEBRA_BASIS.swapaxes(1, 2).reshape(8, 9))
+_ADJ_RIGHT = np.ascontiguousarray(ALGEBRA_BASIS.reshape(8, 9).T)
+_ADJ_LEFT.setflags(write=False)
+_ADJ_RIGHT.setflags(write=False)
+
 
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS.
 
+    Entry (j, k) is -Re Tr(g E_k g^H E_j).  With the Kronecker product
+    K = g (x) conj(g), K[3a + d, 3b + c] = g[a, b] conj(g[d, c]), this is
+    -Re(L K R) for the fixed 8x9 matrix L[j, 3a + d] = E_j[d, a] and 9x8
+    matrix R[3b + c, k] = E_k[b, c]: two small matrix products per element.
     Orthogonal, because conjugation preserves the pairing.  Accepts stacks
     (returns ...x8x8).
     """
     g = np.asarray(g, dtype=complex)
-    conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
-    return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
+    kron = g[..., :, None, :, None] * np.conjugate(g)[..., None, :, None, :]
+    kron = kron.reshape(g.shape[:-2] + (9, 9))
+    return -np.real(_ADJ_LEFT @ kron @ _ADJ_RIGHT)
 
 
 def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

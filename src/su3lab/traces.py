@@ -87,8 +87,9 @@ def char_poly_roots(z: complex) -> np.ndarray:
 
 # The genericity policy: an integer relation of height at most
 # GENERICITY_HEIGHT holding within GENERICITY_TOL makes angles non-generic.
-# Fixed rather than tunable: the (2 height + 1)^2 grid per angle triple is
-# the largest temporary of a rank census.
+# Fixed rather than tunable.  angles_have_relation holds one
+# (rows, 2 height + 1) block at a time, one per first coefficient: about a
+# third of the (rows, 8, 16) differential beside it in a rank census.
 GENERICITY_HEIGHT = 20
 GENERICITY_TOL = 1e-9
 
@@ -99,21 +100,33 @@ def angles_have_relation(angles: np.ndarray) -> np.ndarray:
     GENERICITY_TOL.
 
     The third angle never needs to enter: it differs from -(th1 + th2) by an
-    integer, so relations involving it reduce to this form.  Brute force
-    over the (2 GENERICITY_HEIGHT + 1)^2 grid; accepts stacked angle triples
-    (one triple gives a numpy bool).
+    integer, so relations involving it reduce to this form.  A vector and
+    its negation are the same relation, and the search gives them the same
+    verdict bit for bit (negation is exact and rounding is odd), so it
+    covers only m1 >= 0, with m2 > 0 when m1 = 0: brute force over half the
+    (2 GENERICITY_HEIGHT + 1)^2 grid, one m1 at a time.  Accepts stacked
+    angle triples (one triple gives a numpy bool).
     """
     angles = np.asarray(angles, dtype=float)
-    m = np.arange(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1)
-    m1 = np.repeat(m, m.size)
-    m2 = np.tile(m, m.size)
-    combo = np.tensordot(angles[..., 0], m1, axes=0) + np.tensordot(
-        angles[..., 1], m2, axes=0
-    )
-    m0 = -np.round(combo)
-    hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
-    hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
-    return hit.any(axis=-1)
+    th1 = angles[..., 0, None]
+    # second[..., i] = th2 m2 for m2 = i - GENERICITY_HEIGHT.
+    second = angles[..., 1, None] * np.arange(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1)
+    out = np.zeros(angles.shape[:-1], dtype=bool)
+    # Two buffers reused for every m1: a fresh (rows, 41) array per step
+    # costs about as much as the arithmetic on it.
+    combo = np.empty_like(second)
+    m0 = np.empty_like(second)
+    for m1 in range(GENERICITY_HEIGHT + 1):
+        lo = 0 if m1 else GENERICITY_HEIGHT + 1
+        c, r = combo[..., lo:], m0[..., lo:]
+        np.multiply(th1, m1, out=c)
+        c += second[..., lo:]
+        np.round(c, out=r)
+        c -= r
+        hit = np.abs(c, out=c) <= GENERICITY_TOL
+        hit &= np.abs(r, out=r) <= GENERICITY_HEIGHT
+        out |= hit.any(axis=-1)
+    return out[()]
 
 
 def is_generic(u: np.ndarray) -> np.ndarray:

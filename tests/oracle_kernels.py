@@ -3,7 +3,10 @@ polar renormalization that the closed-form kernels in su3lab.su3 replaced,
 the per-letter table draw that su3lab.mcg.random_word_indices replaced,
 the matmul and numpy-scalar formulation of the single-pair word path
 (apply_word, renormalize, the cofactor determinant and dagger) that the
-np.dot and Python-complex one in su3lab replaced, real coordinates on the
+np.dot and Python-complex one in su3lab replaced, the two-einsum adjoint
+matrix and the full-grid integer-relation search that the Kronecker
+su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
+su3lab.traces.angles_have_relation replaced, real coordinates on the
 algebra in su3lab.su3.ALGEBRA_BASIS with a Gaussian sampler over them,
 and the holonomy matrix of each named curve.
 
@@ -16,6 +19,7 @@ package's branches, because the package must match it bit for bit.
 import numpy as np
 
 from su3lab.mcg import WORD_RENORM_CADENCE
+from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
@@ -137,3 +141,29 @@ def apply_word_matmul(letters, a: np.ndarray, b: np.ndarray):
             a = renormalize_matmul(a)
             b = renormalize_matmul(b)
     return a, b
+
+
+def adjoint_matrix_einsum(g: np.ndarray) -> np.ndarray:
+    """The 8x8 matrix of conjugation by g in ALGEBRA_BASIS, as the two
+    three-operand einsums -Re Tr(g E_k g^H E_j); accepts stacks."""
+    g = np.asarray(g, dtype=complex)
+    conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
+    return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
+
+
+def angles_have_relation_grid(angles: np.ndarray) -> np.ndarray:
+    """Integer relations |m1 th1 + m2 th2 + m0| <= GENERICITY_TOL with
+    entries bounded by GENERICITY_HEIGHT, searched over the whole
+    (2 GENERICITY_HEIGHT + 1)^2 grid of (m1, m2) at once; accepts stacked
+    angle triples."""
+    angles = np.asarray(angles, dtype=float)
+    m = np.arange(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1)
+    m1 = np.repeat(m, m.size)
+    m2 = np.tile(m, m.size)
+    combo = np.tensordot(angles[..., 0], m1, axes=0) + np.tensordot(
+        angles[..., 1], m2, axes=0
+    )
+    m0 = -np.round(combo)
+    hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
+    hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
+    return hit.any(axis=-1)

@@ -6,8 +6,12 @@ on both sides of the Taylor-branch threshold.  renormalize is checked
 against SVD polar projection on both sides of its Newton-Schulz threshold,
 and its drift guard at the guard value.  The single-pair word path
 (apply_word, and renormalize, _det3 and dagger on one matrix) is checked
-bit for bit against its matmul and numpy-scalar form.  The last tests run
-both orbit engines on the new kernels and on the reference ones.
+bit for bit against its matmul and numpy-scalar form.  The rank-census
+layers are checked against the two-einsum adjoint matrix and the full-grid
+relation search: the relation verdicts on Haar angles and on planted
+relations at every height, the adjoint matrix to roundoff, and the ranks,
+intersections and genericity flags they feed.  The last tests run both
+orbit engines on the new kernels and on the reference ones.
 """
 
 import warnings
@@ -20,7 +24,9 @@ from scipy.linalg import expm
 
 from conftest import make_rng
 from oracle_kernels import (
+    adjoint_matrix_einsum,
     algebra_from_coords,
+    angles_have_relation_grid,
     apply_word_matmul,
     dagger_conjugate,
     det3_numpy,
@@ -28,19 +34,33 @@ from oracle_kernels import (
     renormalize_matmul,
     renormalize_svd,
 )
-from su3lab import flows, mcg
+from su3lab import fiber, flows, mcg, traces
 from su3lab.errors import DriftExplosionError
-from su3lab.fiber import RepPoint, base_point
+from su3lab.fiber import (
+    RepPoint,
+    base_point,
+    centralizer_intersection,
+    d_kappa_matrix,
+    d_kappa_rank,
+)
 from su3lab.su3 import (
     EXP_TAYLOR_C1,
     IDENTITY,
     NEWTON_SCHULZ_DEFECT,
     RENORM_GUARD,
+    adjoint_matrix,
     dagger,
+    eigenvalue_angles,
     exp_algebra,
     _det3,
     haar_random,
     renormalize,
+)
+from su3lab.traces import (
+    GENERICITY_HEIGHT,
+    GENERICITY_TOL,
+    angles_have_relation,
+    is_generic,
 )
 
 EXP_TOL = 1e-13
@@ -227,6 +247,138 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
             assert np.array_equal(bits(_det3(u)), bits(det3_numpy(u)))
             assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
         assert dagger(stack).strides == dagger_conjugate(stack).strides
+
+
+def planted_relations(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:
+    """Angle triples satisfying m1 th1 + m2 th2 + m0 = 0 to roundoff, one
+    per row (m0, m1, m2) of m; the free angle is uniform in [0, 1)."""
+    m0, m1, m2 = m.T.astype(float)
+    free = rng.random(len(m))
+    on_second = m2 != 0
+    th1 = np.where(on_second, free, -m0 / np.where(on_second, 1.0, m1))
+    th2 = np.where(on_second, -(m0 + m1 * free) / np.where(on_second, m2, 1.0), free)
+    return np.stack([th1, th2, -th1 - th2], axis=-1)
+
+
+def relation_vectors(rng: np.random.Generator, height: int) -> np.ndarray:
+    """Integer vectors (m0, m1, m2) of height exactly `height`, not all with
+    m1 and m2 nonzero: blocks with m1 = 0, with m2 = 0, with |m0| = height,
+    and general ones with the height on m1 or m2."""
+    rows = []
+    for fixed in ("m1_zero", "m2_zero", "m0_height", "m1_height", "m2_height"):
+        m = rng.integers(-height, height + 1, size=(40, 3))
+        sign = rng.choice([-1, 1], size=40)
+        if fixed == "m1_zero":
+            m[:, 1] = 0
+            m[:, 2] = sign * height
+        elif fixed == "m2_zero":
+            m[:, 2] = 0
+            m[:, 1] = sign * height
+        elif fixed == "m0_height":
+            m[:, 0] = sign * height
+        else:
+            m[:, 1 if fixed == "m1_height" else 2] = sign * height
+        # Keep the equation solvable for the angle that carries it.
+        zero = (m[:, 1] == 0) & (m[:, 2] == 0)
+        m[zero, 2] = 1
+        rows.append(m)
+    return np.concatenate(rows)
+
+
+def test_relation_search_matches_full_grid():
+    """The half-grid search gives the full grid's verdict on Haar angles,
+    on planted relations at every height up to GENERICITY_HEIGHT (also
+    just inside and outside the tolerance), and on height-21 relations,
+    which neither finds; one triple gives a numpy bool."""
+    rng = make_rng(1111)
+    haar = eigenvalue_angles(haar_random(rng, 2000))
+    assert np.array_equal(angles_have_relation(haar), angles_have_relation_grid(haar))
+    for height in range(1, GENERICITY_HEIGHT + 1):
+        m = relation_vectors(rng, height)
+        exact = planted_relations(rng, m)
+        assert angles_have_relation(exact).all()
+        assert angles_have_relation_grid(exact).all()
+        # Residuals near the tolerance, carried by whichever angle solves
+        # the relation: both searches must draw the line at the same bits.
+        coeff = np.where(m[:, 2] != 0, m[:, 2], m[:, 1]).astype(float)
+        col = np.where(m[:, 2] != 0, 1, 0)
+        for factor in (0.5, 1 - 1e-6, 1 + 1e-6, 2.0):
+            shifted = exact.copy()
+            shifted[np.arange(len(m)), col] += factor * GENERICITY_TOL / coeff
+            assert np.array_equal(
+                angles_have_relation(shifted), angles_have_relation_grid(shifted)
+            )
+    above = GENERICITY_HEIGHT + 1
+    m = rng.integers(-GENERICITY_HEIGHT, GENERICITY_HEIGHT + 1, size=(80, 3))
+    m[:40, 1:] = (above, 1)
+    m[40:, 1:] = (1, above)
+    beyond = planted_relations(rng, m)
+    assert not angles_have_relation(beyond).any()
+    assert not angles_have_relation_grid(beyond).any()
+
+    one = angles_have_relation(haar[0])
+    assert type(one) is np.bool_
+    assert type(angles_have_relation(np.array([1 / 3, 1 / 3, 1 / 3]))) is np.bool_
+    empty = angles_have_relation(np.empty((0, 3)))
+    assert empty.shape == (0,) and empty.dtype == bool
+    # A non-finite first angle poisons every m1, m1 = 0 included, in both.
+    odd = np.array([[np.nan, 0.5, 0.0], [0.25, np.nan, 0.0], [np.inf, 0.5, 0.0]])
+    with np.errstate(invalid="ignore"):
+        assert not angles_have_relation(odd).any()
+        assert not angles_have_relation_grid(odd).any()
+    nested = np.concatenate([haar[:4], exact[:4]]).reshape(2, 4, 3)
+    assert np.array_equal(angles_have_relation(nested), angles_have_relation_grid(nested))
+    assert angles_have_relation(nested).shape == (2, 4)
+
+
+def test_adjoint_matrix_matches_einsum_form():
+    rng = make_rng(2222)
+    g = haar_random(rng, 2000)
+    assert np.abs(adjoint_matrix(g) - adjoint_matrix_einsum(g)).max() <= 1e-15
+    assert np.abs(adjoint_matrix(g[0]) - adjoint_matrix_einsum(g[0])).max() <= 1e-15
+    nested = g[:8].reshape(2, 4, 3, 3)
+    assert adjoint_matrix(nested).shape == (2, 4, 8, 8)
+    assert np.abs(adjoint_matrix(nested) - adjoint_matrix_einsum(nested)).max() <= 1e-15
+
+
+def test_rank_layers_match_reference_kernels(monkeypatch):
+    """Ranks, centralizer intersections and genericity flags from the
+    Kronecker adjoint and the half-grid search equal those from the einsum
+    adjoint and the full grid, on Haar pairs and on commuting pairs whose
+    second element carries a planted relation."""
+    rng = make_rng(3333)
+    a = haar_random(rng, 2000)
+    b = haar_random(rng, 2000)
+    # Rows 1500 on: a and b diagonal in one Haar frame, so they commute.
+    v = haar_random(rng, 500)
+    torus = np.exp(2j * np.pi * rng.random((500, 2)))
+    a_diag = np.stack([torus[:, 0], torus[:, 1], 1 / (torus[:, 0] * torus[:, 1])], -1)
+    # Low heights: is_generic reads the angles in sorted order, which can
+    # raise a relation's height up to twofold.
+    m = np.concatenate([relation_vectors(rng, h) for h in (1, 2, 3)])[:500]
+    b_diag = np.exp(2j * np.pi * planted_relations(rng, m))
+    a[1500:] = (v * a_diag[:, None, :]) @ dagger(v)
+    b[1500:] = (v * b_diag[:, None, :]) @ dagger(v)
+
+    def layers():
+        return (
+            d_kappa_rank(d_kappa_matrix(a, b)),
+            centralizer_intersection(a, b),
+            is_generic(a),
+            is_generic(b),
+        )
+
+    fast = layers()
+    monkeypatch.setattr(fiber, "adjoint_matrix", adjoint_matrix_einsum)
+    monkeypatch.setattr(traces, "angles_have_relation", angles_have_relation_grid)
+    slow = layers()
+    for x, y in zip(fast, slow):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+    ranks, inters, _, generic_b = fast
+    assert (ranks[:1500] == 8).all() and (ranks[1500:] < 8).all()
+    assert (inters[1500:] > 0).all()
+    assert not generic_b[1500:].any()
 
 
 # The engines are compared only over short horizons.  The two kernel pairs

@@ -13,9 +13,11 @@ at N = 1 without its manifest (run through `su3lab experiment`),
 `flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
 Haar points along all eight curve/part pairs, the letter indices of
 `mcg.random_word_indices` for one 200-letter word and then for a stack
-of 10 000 of them, and `su3.renormalize` called on 64 single matrices one
+of 10 000 of them, `su3.renormalize` called on 64 single matrices one
 by one at drift 1e-14 (its Newton-Schulz branch) and at drift 1e-4 (its
-SVD branch).
+SVD branch), and the rank layers of the submersion census on 2000 Haar
+pairs (a, b): the integer ranks of `d_kappa_matrix`, the centralizer
+intersections and the `is_generic` flags of b.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -41,8 +43,13 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from su3lab import cli, flows, mcg, su3  # noqa: E402
-from su3lab.fiber import RepPoint  # noqa: E402
+from su3lab import cli, flows, mcg, su3, traces  # noqa: E402
+from su3lab.fiber import (  # noqa: E402
+    RepPoint,
+    centralizer_intersection,
+    d_kappa_matrix,
+    d_kappa_rank,
+)
 
 CLI_RUNS = {
     "sample_haar": ["sample"],
@@ -92,6 +99,7 @@ TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 RENORM_MATRICES = 64
 RENORM_DRIFTS = {"renormalize_single_newton_schulz": 1e-14, "renormalize_single_svd": 1e-4}
+RANK_PAIRS = 2000
 
 
 def _sha(data: bytes) -> str:
@@ -173,6 +181,16 @@ def renormalize_digests(seed: int) -> dict[str, str]:
     return out
 
 
+def rank_layer_digests(seed: int) -> dict[str, str]:
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = su3.haar_random(rng, RANK_PAIRS)
+    b = su3.haar_random(rng, RANK_PAIRS)
+    ranks = d_kappa_rank(d_kappa_matrix(a, b))
+    inters = centralizer_intersection(a, b)
+    generic = traces.is_generic(b)
+    return {"rank_layers": _sha(ranks.tobytes() + inters.tobytes() + generic.tobytes())}
+
+
 def table(seeds: list[int]) -> list[str]:
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -183,6 +201,7 @@ def table(seeds: list[int]) -> list[str]:
                 **engine_digests(seed),
                 **word_digests(seed),
                 **renormalize_digests(seed),
+                **rank_layer_digests(seed),
             }
             rows += [f"seed{seed}/{name} {d}" for name, d in digests.items()]
     return sorted(rows)
