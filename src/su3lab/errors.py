@@ -22,7 +22,8 @@ class NonRegularElementError(Su3LabError):
 
 
 class DriftExplosionError(Su3LabError):
-    """A matrix drifted too far from the group to be renormalized.
+    """A matrix drifted too far from the group to be renormalized, or has
+    a non-finite (NaN or inf) entry.
 
     This signals a bug in an orbit engine, not a need for more frequent
     renormalization: the per-step drift budget keeps honest orbits many

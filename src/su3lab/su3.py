@@ -40,12 +40,20 @@ REGULARITY_GAP = 1e-8
 # Long orbit engines project back onto the group every this many products.
 RENORM_CADENCE = 64
 
-# Inputs farther than this from the unitary group are refused by renormalize.
-RENORM_GUARD = 0.1
+# renormalize refuses inputs whose Gram defect d = max |u^H u - Id| is
+# above this.  The eigenvalues s^2 - 1 of the Hermitian u^H u - Id are at
+# most its largest row sum, 3 d, in size (Gershgorin), so d <= 0.06 puts
+# every singular value s in [sqrt(0.82), sqrt(1.18)] = [0.906, 1.086],
+# inside the Newton-Schulz convergence region (0, sqrt 3).  Conversely a
+# singular value farther than 0.1 from 1 gives |s^2 - 1| >= 0.19, and the
+# largest entry of a 3x3 matrix is at least a third of its spectral norm,
+# so then d >= 0.063 and the input is refused.
+RENORM_GUARD = 0.06
 
-# renormalize replaces the SVD by one Newton-Schulz step when the stack's
-# Gram defect is at most this; the step's error, (3/8) d^2 < 4e-17, is
-# then below roundoff.
+# renormalize repeats Newton-Schulz steps until the Gram defect is at most
+# this, then takes one last step, whose error (3/8) d^2 < 4e-17 is below
+# roundoff.  Product paths reach renormalize with Gram defects below
+# 1e-12, so on them only the last step runs.
 NEWTON_SCHULZ_DEFECT = 1e-8
 
 # Below this c1 = tr(Q^2)/2 exp_algebra sums its Taylor series: there the
@@ -359,15 +367,14 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     The unitary factor of the polar decomposition, then the determinant
     phase divided out of the first column.  Idempotent to roundoff.
 
-    When the stack's Gram defect max |u^H u - Id| is at most
-    NEWTON_SCHULZ_DEFECT, one Newton-Schulz step u (3 Id - u^H u) / 2
-    gives the polar factor (Higham, "Functions of Matrices", SIAM 2008,
-    ch. 8): for Gram defect d it is off by about (3/8) d^2, below
-    roundoff there.  The orbit engines drift by about 1e-14 between
-    renormalizations, so this is their path.  Any larger defect takes the
-    polar factor from the SVD, which is also where RENORM_GUARD applies:
-    DriftExplosionError is raised when a singular value of any input is
-    farther than RENORM_GUARD from 1.
+    The polar factor comes from Newton-Schulz steps u (3 Id - u^H u) / 2
+    (Higham, "Functions of Matrices", SIAM 2008, ch. 8): they are repeated
+    while the stack's Gram defect d = max |u^H u - Id| is above
+    NEWTON_SCHULZ_DEFECT, and one more step follows, which is off by about
+    (3/8) d^2, below roundoff.  The orbit engines drift by about 1e-14
+    between renormalizations, so on their path only that last step runs.
+    DriftExplosionError is raised when the input's Gram defect is above
+    RENORM_GUARD or is not finite (a NaN or inf entry).
     """
     u = np.asarray(u, dtype=complex)
     if u.size == 0:
@@ -376,17 +383,18 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     # gives the same bits, and it skips matmul's per-call gufunc setup.
     mul = np.dot if u.ndim == 2 else np.matmul
     gram = mul(dagger(u), u)
-    if np.abs(gram - IDENTITY).max() <= NEWTON_SCHULZ_DEFECT:
-        q = mul(u, 1.5 * IDENTITY - 0.5 * gram)
-    else:
-        w, s, vh = np.linalg.svd(u)
-        worst = np.abs(s - 1.0).max()
-        if worst > RENORM_GUARD:
-            raise DriftExplosionError(
-                f"singular values deviate from 1 by {worst:.3e}, beyond the"
-                f" guard {RENORM_GUARD}; an orbit engine upstream is broken"
-            )
-        q = w @ vh
+    defect = np.abs(gram - IDENTITY).max()
+    # Written as `not <=` so that a NaN defect is refused too.
+    if not defect <= RENORM_GUARD:
+        raise DriftExplosionError(
+            f"Gram defect {defect:.3e} is beyond the guard {RENORM_GUARD};"
+            " an orbit engine upstream is broken"
+        )
+    while defect > NEWTON_SCHULZ_DEFECT:
+        u = mul(u, 1.5 * IDENTITY - 0.5 * gram)
+        gram = mul(dagger(u), u)
+        defect = np.abs(gram - IDENTITY).max()
+    q = mul(u, 1.5 * IDENTITY - 0.5 * gram)
     det = _det3(q)
     q[..., :, 0] /= det[..., None] if q.ndim > 2 else det
     return q

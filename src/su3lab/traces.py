@@ -99,8 +99,13 @@ def angles_have_relation(angles: np.ndarray) -> np.ndarray:
     bounded by GENERICITY_HEIGHT, satisfies |m1 th1 + m2 th2 + m0| <=
     GENERICITY_TOL.
 
-    The third angle never needs to enter: it differs from -(th1 + th2) by an
-    integer, so relations involving it reduce to this form.  A vector and
+    Only th1 and th2 are searched.  The third angle differs from
+    -(th1 + th2) by an integer, so a relation involving it becomes one in
+    (th1, th2), but of up to twice its height: a relation of height at most
+    GENERICITY_HEIGHT that involves th3 is found only when its rewritten
+    form is also within the height bound.  Sorted angles (0.30641,
+    0.33717, 0.35641), for one, satisfy 20 (th3 - th1) = 1, which is
+    40 th1 + 20 th2 = 19 here, and report no relation.  A vector and
     its negation are the same relation, and the search gives them the same
     verdict bit for bit (negation is exact and rounding is odd), so it
     covers only m1 >= 0, with m2 > 0 when m1 = 0: brute force over half the

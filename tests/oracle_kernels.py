@@ -111,16 +111,16 @@ def det3_numpy(m: np.ndarray) -> np.ndarray:
 
 
 def renormalize_matmul(u: np.ndarray) -> np.ndarray:
-    """One matrix onto SU(3) by matmul: a Newton-Schulz step at Gram defect
-    up to NEWTON_SCHULZ_DEFECT, the SVD polar factor above it, then
-    the numpy-scalar determinant divided out of the first column."""
+    """One matrix onto SU(3) by matmul: Newton-Schulz steps while the Gram
+    defect is above NEWTON_SCHULZ_DEFECT, one more step, then the
+    numpy-scalar determinant divided out of the first column; no drift
+    guard."""
     u = np.asarray(u, dtype=complex)
     gram = dagger_conjugate(u) @ u
-    if np.abs(gram - IDENTITY).max() <= NEWTON_SCHULZ_DEFECT:
-        q = u @ (1.5 * IDENTITY - 0.5 * gram)
-    else:
-        w, _, vh = np.linalg.svd(u)
-        q = w @ vh
+    while np.abs(gram - IDENTITY).max() > NEWTON_SCHULZ_DEFECT:
+        u = u @ (1.5 * IDENTITY - 0.5 * gram)
+        gram = dagger_conjugate(u) @ u
+    q = u @ (1.5 * IDENTITY - 0.5 * gram)
     q[:, 0] /= det3_numpy(q)
     return q
 

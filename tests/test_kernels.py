@@ -2,16 +2,20 @@
 
 exp_algebra is checked against scipy's expm over coordinate scales from
 1e-12 to 20, on repeated eigenvalues of both determinant signs, at zero and
-on both sides of the Taylor-branch threshold.  renormalize is checked
-against SVD polar projection on both sides of its Newton-Schulz threshold,
-and its drift guard at the guard value.  The single-pair word path
-(apply_word, and renormalize, _det3 and dagger on one matrix) is checked
-bit for bit against its matmul and numpy-scalar form.  The rank-census
-layers are checked against the two-einsum adjoint matrix and the full-grid
-relation search: the relation verdicts on Haar angles and on planted
-relations at every height, the adjoint matrix to roundoff, and the ranks,
-intersections and genericity flags they feed.  The last tests run both
-orbit engines on the new kernels and on the reference ones.
+on both sides of the Taylor-branch threshold.  renormalize, one path of
+Newton-Schulz steps, is checked against SVD polar projection on both sides
+of the Gram defect above which it iterates and just under its drift guard;
+the guard is checked on both sides of RENORM_GUARD and on inputs with a
+singular value farther than 0.1 from 1, and the CLI and experiment paths
+are checked never to iterate, which keeps their seeded bytes.  The
+single-pair word path (apply_word, and renormalize, _det3 and dagger on
+one matrix) is checked bit for bit against its matmul and numpy-scalar
+form.  The rank-census layers are checked against the two-einsum
+adjoint matrix and the full-grid relation search: the relation verdicts on
+Haar angles and on planted relations at every height, the adjoint matrix
+to roundoff, and the ranks, intersections and genericity flags they
+feed.  The last tests run both orbit engines on the new kernels and on
+the reference ones.
 """
 
 import warnings
@@ -34,7 +38,7 @@ from oracle_kernels import (
     renormalize_matmul,
     renormalize_svd,
 )
-from su3lab import fiber, flows, mcg, traces
+from su3lab import cli, fiber, flows, mcg, traces
 from su3lab.errors import DriftExplosionError
 from su3lab.fiber import (
     RepPoint,
@@ -176,7 +180,7 @@ def test_renormalize_matches_svd_polar_below_threshold(seed, log_defect):
     assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
 
 
-def test_renormalize_mixed_stack_takes_svd_path():
+def test_renormalize_mixed_stack_iterates():
     rng = make_rng(5)
     u = drifted(rng, 1e-14, 40)
     u[::5] = drifted(rng, 1e-4, 8)
@@ -190,18 +194,66 @@ def with_singular_values(rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
     return (haar_random(rng) * s) @ haar_random(rng)
 
 
+def with_gram_defect(rng: np.random.Generator, defect: float) -> np.ndarray:
+    """W V^H diag(s) V with Haar W and V and s = (s0, 1, 1): u^H u - Id is
+    (s0^2 - 1) times the outer product of V's first row, so s0^2 - 1 =
+    defect / max_k |V_0k|^2 makes the signed Gram defect `defect`."""
+    v = haar_random(rng)
+    s = np.ones(3)
+    s[0] = np.sqrt(1 + defect / np.abs(v[0]).max() ** 2)
+    return haar_random(rng) @ (dagger(v) * s) @ v
+
+
+# renormalize must refuse every input with a singular value farther than
+# this from 1 (see RENORM_GUARD).
+SINGULAR_VALUE_BOUND = 0.1
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_renormalize_guard_at_its_threshold(sign):
     rng = make_rng(6)
-    below = with_singular_values(rng, np.array([1 + sign * (RENORM_GUARD - 1e-6), 1.0, 1.0]))
+    below = with_gram_defect(rng, sign * (RENORM_GUARD - 1e-6))
+    assert RENORM_GUARD - 2e-6 < gram_defect(below) < RENORM_GUARD
     out = renormalize(below)
+    assert np.abs(out - renormalize_svd(below)).max() <= POLAR_TOL
     assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
-    above = with_singular_values(rng, np.array([1 + sign * (RENORM_GUARD + 1e-6), 1.0, 1.0]))
+    assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
+    over = with_gram_defect(rng, sign * (RENORM_GUARD + 1e-6))
+    assert RENORM_GUARD < gram_defect(over) < RENORM_GUARD + 2e-6
+    with pytest.raises(DriftExplosionError):
+        renormalize(over)
+    far = np.array([1 + sign * (SINGULAR_VALUE_BOUND + 1e-6), 1.0, 1.0])
+    above = with_singular_values(rng, far)
     with pytest.raises(DriftExplosionError):
         renormalize(above)
     stack = np.stack([haar_random(rng), above])
     with pytest.raises(DriftExplosionError):
         renormalize(stack)
+    # In the Fourier frame u^H u - Id spreads evenly over all nine entries,
+    # so the Gram defect is the least it can be, |s0^2 - 1| / 3 >= 0.063.
+    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+    flat = (haar_random(rng) * far) @ fourier
+    assert gram_defect(flat) == pytest.approx(abs(far[0] ** 2 - 1) / 3, rel=1e-12)
+    with pytest.raises(DriftExplosionError):
+        renormalize(flat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    SEEDS,
+    st.one_of(
+        st.floats(0.0, 1 - SINGULAR_VALUE_BOUND - 1e-9),
+        st.floats(1 + SINGULAR_VALUE_BOUND + 1e-9, 3.0),
+    ),
+    st.floats(1 - SINGULAR_VALUE_BOUND, 1 + SINGULAR_VALUE_BOUND),
+    st.floats(1 - SINGULAR_VALUE_BOUND, 1 + SINGULAR_VALUE_BOUND),
+)
+def test_renormalize_refuses_far_singular_values(seed, s0, s1, s2):
+    """A singular value farther than SINGULAR_VALUE_BOUND from 1 gives |s^2 - 1| >=
+    0.19, so some entry of u^H u - Id is at least 0.19 / 3 > RENORM_GUARD."""
+    u = with_singular_values(make_rng(seed), np.array([s0, s1, s2]))
+    with pytest.raises(DriftExplosionError):
+        renormalize(u)
 
 
 def test_renormalize_single_matrix_and_empty_stacks():
@@ -239,14 +291,46 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
         a, b = apply_word_matmul(word.letters, p.a, p.b)
         assert np.array_equal(bits(q.a), bits(a))
         assert np.array_equal(bits(q.b), bits(b))
-    for defect, newton_schulz in ((1e-15, True), (1e-4, False)):
+    for defect, iterates in ((1e-15, False), (1e-4, True)):
         stack = drifted(rng, defect, 64)
         for u in stack:
-            assert (gram_defect(u) <= NEWTON_SCHULZ_DEFECT) == newton_schulz
+            assert (gram_defect(u) > NEWTON_SCHULZ_DEFECT) == iterates
             assert np.array_equal(bits(renormalize(u)), bits(renormalize_matmul(u)))
             assert np.array_equal(bits(_det3(u)), bits(det3_numpy(u)))
             assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
         assert dagger(stack).strides == dagger_conjugate(stack).strides
+
+
+def test_product_paths_never_iterate(monkeypatch, tmp_path):
+    """Every matrix that the word engines, the flow walk and the commutator
+    hand to renormalize in `orbit`, `sample --angles` and an
+    mcg_orbit_distribution run has Gram defect at most NEWTON_SCHULZ_DEFECT,
+    so renormalize takes only its last Newton-Schulz step there, the same
+    operations its seeded bytes were made with."""
+    defects = []
+
+    def recording(u):
+        defects.append(gram_defect(u))
+        return renormalize(u)
+
+    for module in (mcg, flows, fiber):
+        monkeypatch.setattr(module, "renormalize", recording)
+    label = ["--angles", "0.123,0.456", "--seed", "3"]
+    out = ["--out", str(tmp_path / "rows.csv")]
+    assert cli.main(["orbit", "--n", "4", "--word-length", "64", *label, *out]) == 0
+    after_orbit = len(defects)
+    assert cli.main(["sample", "--count", "16", "--walk-steps", "256", *label, *out]) == 0
+    after_sample = len(defects)
+    cfg = tmp_path / "orbit.cfg"
+    cfg.write_text(
+        "kind = mcg_orbit_distribution\nseed = 3\nN = 50\nword_length = 40\n"
+        "c_spec = angles=0.123,0.456\n",
+        encoding="utf-8",
+    )
+    # N = 50 is too few for the KS gate (exit 1); the run is what counts.
+    assert cli.main(["experiment", str(cfg)]) in (0, 1)
+    assert 0 < after_orbit < after_sample < len(defects)
+    assert max(defects) <= NEWTON_SCHULZ_DEFECT
 
 
 def planted_relations(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:

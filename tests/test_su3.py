@@ -12,6 +12,7 @@ from su3lab.errors import (
     NonRegularElementError,
 )
 from oracle_kernels import algebra_coords, random_algebra
+from su3lab.fiber import RepPoint
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
@@ -150,6 +151,22 @@ def test_renormalize_restores_and_guards(rng):
 def test_renormalize_empty_stack():
     out = renormalize(np.empty((0, 3, 3), dtype=complex))
     assert out.shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_renormalize_refuses_non_finite_input(rng, bad):
+    """A NaN or inf entry, in a lone matrix, in one row of a stack, or in a
+    pair wrapped as a RepPoint (whose commutator is renormalized), raises
+    the typed drift error rather than a LinAlgError."""
+    u = haar_random(rng, size=4)
+    u[2, 1, 0] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DriftExplosionError):
+            renormalize(u[2])
+        with pytest.raises(DriftExplosionError):
+            renormalize(u)
+        with pytest.raises(DriftExplosionError):
+            RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
 
 
 def test_exp_algebra_empty_stack():

@@ -14,10 +14,11 @@ at N = 1 without its manifest (run through `su3lab experiment`),
 Haar points along all eight curve/part pairs, the letter indices of
 `mcg.random_word_indices` for one 200-letter word and then for a stack
 of 10 000 of them, `su3.renormalize` called on 64 single matrices one
-by one at drift 1e-14 (its Newton-Schulz branch) and at drift 1e-4 (its
-SVD branch), and the rank layers of the submersion census on 2000 Haar
-pairs (a, b): the integer ranks of `d_kappa_matrix`, the centralizer
-intersections and the `is_generic` flags of b.
+by one at drift 1e-14 (one Newton-Schulz step, as on the product
+paths) and at drift 1e-4 (repeated Newton-Schulz steps), and the rank
+layers of the submersion census on 2000 Haar pairs (a, b): the integer
+ranks of `d_kappa_matrix`, the centralizer intersections and the
+`is_generic` flags of b.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -98,7 +99,7 @@ FLOW_PAIRS, FLOW_STEPS = 1000, 256
 TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 RENORM_MATRICES = 64
-RENORM_DRIFTS = {"renormalize_single_newton_schulz": 1e-14, "renormalize_single_svd": 1e-4}
+RENORM_DRIFTS = {"renormalize_single_newton_schulz": 1e-14, "renormalize_single_iterated": 1e-4}
 RANK_PAIRS = 2000
 
 
