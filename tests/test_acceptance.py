@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import kolmogi
 
 from conftest import make_rng
 from oracle_kernels import curve_holonomy, random_algebra
@@ -314,7 +315,7 @@ def test_acceptance_8_orbit_distribution_evidence():
         kind="mcg_orbit_distribution",
         seed=4,
         trials=2,
-        n=10_000,
+        n=26_000,
         word_length=200,
     )
     r = run_experiment(config)
@@ -322,6 +323,9 @@ def test_acceptance_8_orbit_distribution_evidence():
     worst_ks = max(t["max_ks"] for t in trials)
     worst_null = max(t["max_null_ks"] for t in trials)
     on_fiber = all(t["all_on_fiber"] for t in trials)
+    # The Kolmogorov-law threshold at N = 26 000 is at most the null level 0.02.
+    ks_max = r.thresholds["ks_max"]
+    law = kolmogi(1e-3 / 16) * np.sqrt(2 / config.n)
 
     elapsed = time.perf_counter() - t0
     ok = (
@@ -329,6 +333,8 @@ def test_acceptance_8_orbit_distribution_evidence():
         and len(trials) == 2
         and worst_ks <= 0.05
         and worst_null <= 0.02
+        and ks_max == pytest.approx(law, rel=1e-12)
+        and ks_max <= 0.02
         and on_fiber
         and elapsed <= budget
     )
@@ -337,7 +343,8 @@ def test_acceptance_8_orbit_distribution_evidence():
         "orbit distribution evidence",
         ok,
         f"two-start ks {worst_ks:.4f} <= 0.05, null ks {worst_null:.4f} <= 0.02,"
-        f" fibers held {on_fiber}, {elapsed:.1f}s; statistical evidence only",
+        f" law threshold {ks_max:.5f}, fibers held {on_fiber}, {elapsed:.1f}s;"
+        " statistical evidence only",
     )
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
+from scipy.special import kolmogi
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from su3lab.fiber import RepPoint, base_point, central_fiber_point, commutator
 from su3lab.flows import random_flow_walk
 from su3lab.mcg import TwistWord
 from su3lab.su3 import haar_random
+from su3lab.traces import character_reals, character_values
 from su3lab.experiments import (
     DEFAULT_HYPERBOLIC_WORD,
     GRID_MODULUS,
@@ -164,11 +166,38 @@ def test_coset_twist_orbit_single_step(rng):
     assert report.stats["weyl_avg_re"] == pytest.approx(np.trace(p.b).real)
 
 
-@pytest.mark.parametrize("n", [0, -3])
-def test_coset_twist_orbit_refuses_empty_orbit(rng, n):
-    p = RepPoint.from_pair(matrix_from_c_spec("angles=0.1,0.3"), haar_random(rng))
-    with pytest.raises(ConfigError, match="N must be at least 1"):
-        coset_twist_orbit(p, n)
+@pytest.mark.parametrize(
+    "kind, n, word_length",
+    [
+        (kind, n, 10)
+        for kind in (
+            "coset_twist_orbit",
+            "mcg_orbit_distribution",
+            "abelian_hyperbolic_test",
+            "submersion_census",
+        )
+        for n in (0, -3)
+    ]
+    + [("mcg_orbit_distribution", 10, -3)],
+)
+def test_experiments_refuse_empty_sizes(rng, kind, n, word_length):
+    p = base_point(commutator(haar_random(rng), haar_random(rng)))
+    anchor = RepPoint.from_pair(matrix_from_c_spec("angles=0.1,0.3"), haar_random(rng))
+    calls = {
+        "coset_twist_orbit": lambda: coset_twist_orbit(anchor, n),
+        "mcg_orbit_distribution": lambda: mcg_orbit_distribution(
+            p, p, word_length, n, rng
+        ),
+        "abelian_hyperbolic_test": lambda: abelian_hyperbolic_test(
+            (1 / 3, 1 / 5, 0.0, 0.0), DEFAULT_HYPERBOLIC_WORD, n, rng
+        ),
+        "submersion_census": lambda: submersion_census(p.c, n, rng),
+    }
+    message = "N must be at least 1"
+    if word_length < 0:
+        message = "word_length must be nonnegative"
+    with pytest.raises(ConfigError, match=message):
+        calls[kind]()
 
 
 def test_abelian_hyperbolic_rational_is_periodic(rng):
@@ -210,6 +239,33 @@ def test_mcg_orbit_distribution_small(rng):
     assert report.stats["start_one_char_spread"] > 1e-3
     assert 0.0 <= report.stats["max_ks"] <= 0.5
     assert report.stats["max_null_ks"] <= 0.5
+    # The closed form is the Kolmogorov quantile at 1e-3 over two gates
+    # times 8 columns.
+    law = kolmogi(1e-3 / 16) * np.sqrt(2 / 300)
+    assert report.thresholds["ks_max"] == pytest.approx(law, rel=1e-12)
+    for key in ("ks_per_coordinate", "null_ks_per_coordinate"):
+        assert list(report.stats[key]) == list(REAL_COLUMN_NAMES[:8])
+
+
+def test_inverse_columns_repeat_their_partners_ks(rng):
+    # mcg_orbit_distribution gates only REAL_COLUMN_NAMES[:8]: each tr_inv_*
+    # column is its partner conjugated, so its KS distance is the partner's.
+    one, two = (
+        character_reals(
+            character_values(haar_random(rng, size=2000), haar_random(rng, size=2000))
+        )
+        for _ in range(2)
+    )
+    assert REAL_COLUMN_NAMES[8:10] == ("re_tr_comm", "im_tr_comm")
+    for j, name in enumerate(REAL_COLUMN_NAMES[:8]):
+        k = 10 + j
+        assert REAL_COLUMN_NAMES[k] == name.replace("_tr_", "_tr_inv_")
+        base = ks_statistic(one[:, j], two[:, j])
+        inverse = ks_statistic(one[:, k], two[:, k])
+        if name.startswith("re_"):
+            assert inverse == base
+        else:
+            assert abs(inverse - base) <= 1e-15
 
 
 def test_mcg_rejects_mismatched_fibers(rng):
