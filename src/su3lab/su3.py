@@ -20,7 +20,6 @@ this to drive thousands of trajectories in lockstep.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DriftExplosionError,
@@ -293,7 +292,7 @@ def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     q = q * (diag / np.abs(diag))[..., None, :]
     det = np.linalg.det(q)
-    q[..., :, 0] /= det[..., None] if q.ndim == 3 else det
+    q[..., :, 0] /= det[..., None]
     return q
 
 
@@ -327,15 +326,18 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Angles (turns, sorted ascending) and orthonormal eigenvectors of one
     unitary matrix.
 
-    Complex Schur factorization is diagonal for normal matrices up to
-    roundoff and returns an exactly unitary frame, which the closed-form
-    cubic does not guarantee near repeated eigenvalues.  Single matrix only.
+    LAPACK's zgeev returns eigenvectors V = Z X, with Z T Z^H the Schur
+    form of u and X upper triangular.  So the QR factor of V, taken in
+    zgeev's order before sorting, is Z up to column phases: exactly
+    unitary, and an eigenframe of a normal matrix even at repeated
+    eigenvalues, where V need not be orthogonal.  Single matrix only.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (3, 3):
         raise InvalidGroupElementError("unitary_eigensystem takes a single 3x3 matrix")
-    t, z = scipy.linalg.schur(u, output="complex")
-    angles = np.mod(np.angle(np.diagonal(t)) / (2 * np.pi), 1.0)
+    lam, v = np.linalg.eig(u)
+    z, _ = np.linalg.qr(v)
+    angles = np.mod(np.angle(lam) / (2 * np.pi), 1.0)
     order = np.argsort(angles, kind="stable")
     return angles[order], z[:, order]
 
@@ -377,13 +379,11 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     RENORM_GUARD or is not finite (a NaN or inf entry).
     """
     u = np.asarray(u, dtype=complex)
-    if u.size == 0:
-        return u.copy()
     # On a lone matrix np.dot makes the same zgemm call as matmul, so it
     # gives the same bits, and it skips matmul's per-call gufunc setup.
     mul = np.dot if u.ndim == 2 else np.matmul
     gram = mul(dagger(u), u)
-    defect = np.abs(gram - IDENTITY).max()
+    defect = np.abs(gram - IDENTITY).max(initial=0.0)
     # Written as `not <=` so that a NaN defect is refused too.
     if not defect <= RENORM_GUARD:
         raise DriftExplosionError(

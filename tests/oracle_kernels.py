@@ -1,14 +1,16 @@
 """Reference kernels and helpers for tests: the spectral exponential and SVD
 polar renormalization that the closed-form kernels in su3lab.su3 replaced,
 the per-letter table draw that su3lab.mcg.random_word_indices replaced,
-the matmul and numpy-scalar formulation of the single-pair word path
-(apply_word, renormalize, the cofactor determinant and dagger) that the
-np.dot and Python-complex one in su3lab replaced, the two-einsum adjoint
-matrix and the full-grid integer-relation search that the Kronecker
-su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
-su3lab.traces.angles_have_relation replaced, real coordinates on the
-algebra in su3lab.su3.ALGEBRA_BASIS with a Gaussian sampler over them,
-and the holonomy matrix of each named curve.
+the complex Schur eigenframe that the eigenvector QR in
+su3lab.su3.unitary_eigensystem replaced, the matmul and numpy-scalar
+formulation of the single-pair word path (apply_word, renormalize, the
+cofactor determinant and dagger) that the np.dot and Python-complex one
+in su3lab replaced, the two-einsum adjoint matrix and the full-grid
+integer-relation search that the Kronecker su3lab.su3.adjoint_matrix and
+the half-grid, one-block-per-m1 su3lab.traces.angles_have_relation
+replaced, real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS
+with a Gaussian sampler over them, and the holonomy matrix of each named
+curve.
 
 Plain LAPACK formulations with no branches and a plain table loop, kept
 only for the tests to check the package against; nothing in the package
@@ -17,6 +19,7 @@ package's branches, because the package must match it bit for bit.
 """
 
 import numpy as np
+import scipy.linalg
 
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
@@ -46,6 +49,15 @@ def renormalize_svd(u: np.ndarray) -> np.ndarray:
     det = np.linalg.det(q)
     q[..., :, 0] /= det[..., None] if q.ndim > 2 else det
     return q
+
+
+def unitary_eigensystem_schur(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Angles (turns, sorted ascending) and the complex Schur frame of one
+    unitary matrix, its columns in the same order."""
+    t, z = scipy.linalg.schur(np.asarray(u, dtype=complex), output="complex")
+    angles = np.mod(np.angle(np.diagonal(t)) / (2 * np.pi), 1.0)
+    order = np.argsort(angles, kind="stable")
+    return angles[order], z[:, order]
 
 
 # Letter indices over su3lab.mcg.LETTERS: LETTERS[INVERSE_INDEX[i]] is the

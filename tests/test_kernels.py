@@ -10,12 +10,15 @@ singular value farther than 0.1 from 1, and the CLI and experiment paths
 are checked never to iterate, which keeps their seeded bytes.  The
 single-pair word path (apply_word, and renormalize, _det3 and dagger on
 one matrix) is checked bit for bit against its matmul and numpy-scalar
-form.  The rank-census layers are checked against the two-einsum
-adjoint matrix and the full-grid relation search: the relation verdicts on
-Haar angles and on planted relations at every height, the adjoint matrix
-to roundoff, and the ranks, intersections and genericity flags they
-feed.  The last tests run both orbit engines on the new kernels and on
-the reference ones.
+form.  unitary_eigensystem is checked against the complex Schur frame:
+angles bit for bit, the frame up to column phases, bit for bit on
+diagonal fiber labels, and on the fiber at repeated eigenvalues of
+non-normal input.  The rank-census layers are checked against the
+two-einsum adjoint matrix and the full-grid relation search: the relation
+verdicts on Haar angles and on planted relations at every height, the
+adjoint matrix to roundoff, and the ranks, intersections and genericity
+flags they feed.  The last tests run both orbit engines on the new
+kernels and on the reference ones.
 """
 
 import warnings
@@ -37,10 +40,13 @@ from oracle_kernels import (
     exp_algebra_eigh,
     renormalize_matmul,
     renormalize_svd,
+    unitary_eigensystem_schur,
 )
 from su3lab import cli, fiber, flows, mcg, traces
 from su3lab.errors import DriftExplosionError
+from su3lab.experiments import matrix_from_c_spec
 from su3lab.fiber import (
+    FIBER_TOL,
     RepPoint,
     base_point,
     centralizer_intersection,
@@ -59,6 +65,7 @@ from su3lab.su3 import (
     _det3,
     haar_random,
     renormalize,
+    unitary_eigensystem,
 )
 from su3lab.traces import (
     GENERICITY_HEIGHT,
@@ -331,6 +338,56 @@ def test_product_paths_never_iterate(monkeypatch, tmp_path):
     assert cli.main(["experiment", str(cfg)]) in (0, 1)
     assert 0 < after_orbit < after_sample < len(defects)
     assert max(defects) <= NEWTON_SCHULZ_DEFECT
+
+
+# The fiber labels of the golden-digest table and the CLI edge labels: all
+# name diagonal matrices.
+DIAGONAL_LABELS = (
+    "angles=0.123,0.456",
+    "trace=0.5,0.1",
+    f"angles={np.sqrt(2) - 1},{np.sqrt(3) - 1}",
+    "angles=0,0",
+    "trace=3,0",
+)
+
+
+def non_normal_with_angles(rng: np.random.Generator, angles) -> np.ndarray:
+    """V (diag(exp(2 pi i angles)) + N) V^H with Haar V and N strictly upper
+    triangular, its largest entry 3e-10."""
+    v = haar_random(rng)
+    n = np.triu(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)), 1)
+    n *= 3e-10 / np.abs(n).max()
+    return v @ (np.diag(np.exp(2j * np.pi * np.asarray(angles))) + n) @ dagger(v)
+
+
+def test_eigensystem_matches_schur_frame():
+    """unitary_eigensystem (eig, then QR of the eigenvectors) against the
+    complex Schur frame: the same angles bit for bit and the same frame up
+    to column phases on Haar matrices, the same frame bit for bit on
+    diagonal labels, and a unitary frame whose base_point lands on the
+    fiber at repeated and nearly repeated eigenvalues of non-normal input."""
+    rng = make_rng(14)
+    for u in haar_random(rng, 1000):
+        angles, z = unitary_eigensystem(u)
+        ref_angles, ref_z = unitary_eigensystem_schur(u)
+        assert np.array_equal(bits(angles), bits(ref_angles))
+        phase = np.sum(ref_z.conj() * z, axis=0)
+        assert np.abs(z - ref_z * (phase / np.abs(phase))).max() <= 1e-13
+    for label in DIAGONAL_LABELS:
+        c = matrix_from_c_spec(label)
+        for got, ref in zip(unitary_eigensystem(c), unitary_eigensystem_schur(c)):
+            assert np.array_equal(bits(got), bits(ref))
+    for k in range(100):
+        x = rng.random()
+        for angles in (
+            (x, x, -2 * x),
+            (k % 3 / 3,) * 3,
+            (x, x + 1e-9, -2 * x - 1e-9),
+        ):
+            c = non_normal_with_angles(rng, angles)
+            _, z = unitary_eigensystem(c)
+            assert np.abs(dagger(z) @ z - IDENTITY).max() <= 1e-14
+            assert base_point(c).residual() <= FIBER_TOL
 
 
 def planted_relations(rng: np.random.Generator, m: np.ndarray) -> np.ndarray:

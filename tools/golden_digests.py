@@ -9,7 +9,9 @@ SHA-256 of that table.  Per seed it covers eight CLI runs (CSV bytes of
 otherwise, and the edge runs `sample --count 0` with and without
 `--angles`, `orbit --n 1 --word-length 0` and `orbit --n 3 --word-length
 0`), the JSON report of each experiment kind and of `coset_twist_orbit`
-at N = 1 without its manifest (run through `su3lab experiment`),
+at N = 1 without its manifest (run through `su3lab experiment`), and of
+`submersion_census` and `mcg_orbit_distribution` on a Haar fiber (no
+`c_spec`, so `base_point` runs on a non-diagonal label),
 `flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
 Haar points along all eight curve/part pairs, the letter indices of
 `mcg.random_word_indices` for one 200-letter word and then for a stack
@@ -92,6 +94,12 @@ EXPERIMENTS = {
         "N = 200",
         "word_length = 40",
         "c_spec = angles=0.123,0.456",
+    ],
+    "submersion_census_haar": ["kind = submersion_census", "N = 64"],
+    "mcg_orbit_distribution_haar": [
+        "kind = mcg_orbit_distribution",
+        "N = 200",
+        "word_length = 40",
     ],
 }
 
