@@ -82,4 +82,4 @@ from .traces import (
     is_generic,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

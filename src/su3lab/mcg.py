@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fiber import RepPoint
-from .su3 import dagger, renormalize
+from .su3 import (
+    _from_planes,
+    _planar_product,
+    _renormalize_planes,
+    _to_planes,
+    dagger,
+    renormalize,
+)
 
 # Letter products feed each element's norm deviation into the other, so the
 # distance from the group compounds near-geometrically with word length
@@ -170,20 +177,32 @@ def apply_word_stack(
 
     indices has shape (n, length) over the letter order "a", "A", "b", "B";
     rows evolve independently.  Renormalizes on cadence.  Returns new stacks.
+
+    Runs on planes (su3._to_planes) in two slots: x holds each row's last
+    target, the element its last letter multiplied (b for "a"/"A", a for
+    "b"/"B"), and y the other one.  A letter swaps the slots on the rows
+    whose target changes, then sets x = x y, or x y^H on the inverse
+    letters: one planar product over the whole stack.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    for j in range(indices.shape[1]):
+    n, length = indices.shape
+    x = _to_planes(np.asarray(a, dtype=complex))
+    y = _to_planes(np.asarray(b, dtype=complex))
+    x_is_b = np.zeros(n, dtype=bool)
+    t = np.empty((3, n), dtype=complex)
+    for j in range(length):
         col = indices[:, j]
-        m0 = col == 0
-        m1 = col == 1
-        m2 = col == 2
-        m3 = col == 3
-        b[m0] = b[m0] @ a[m0]
-        b[m1] = b[m1] @ dagger(a[m1])
-        a[m2] = a[m2] @ b[m2]
-        a[m3] = a[m3] @ dagger(b[m3])
+        to_b = col < 2
+        swap = to_b != x_is_b
+        x_is_b = to_b
+        x, y = np.where(swap, y, x), np.where(swap, x, y)
+        # y, or y^H on the inverse letters; freed before the renormalization
+        # below, so that the engine peaks no higher than the matmul one did.
+        factor = np.where(col & 1, np.conjugate(y.transpose(1, 0, 2)), y)
+        x = _planar_product(x, factor, np.empty_like(x), t)
+        del factor
         if (j + 1) % WORD_RENORM_CADENCE == 0:
-            a = renormalize(a)
-            b = renormalize(b)
-    return a, b
+            x = _renormalize_planes(x)
+            y = _renormalize_planes(y)
+    # The same swap as a letter that targets a everywhere: then x = a, y = b.
+    x, y = np.where(x_is_b, y, x), np.where(x_is_b, x, y)
+    return _from_planes(x), _from_planes(y)

@@ -371,48 +371,143 @@ def renormalize(u: np.ndarray) -> np.ndarray:
 
     The polar factor comes from Newton-Schulz steps u (3 Id - u^H u) / 2
     (Higham, "Functions of Matrices", SIAM 2008, ch. 8): they are repeated
-    while the stack's Gram defect d = max |u^H u - Id| is above
+    while the Gram defect d = max |u^H u - Id| is above
     NEWTON_SCHULZ_DEFECT, and one more step follows, which is off by about
     (3/8) d^2, below roundoff.  The orbit engines drift by about 1e-14
     between renormalizations, so on their path only that last step runs.
     DriftExplosionError is raised when the input's Gram defect is above
     RENORM_GUARD or is not finite (a NaN or inf entry).
+
+    A stack runs on planes (see _renormalize_planes); a lone matrix takes
+    one np.dot per product, which makes the same zgemm call as matmul
+    without matmul's per-call gufunc setup.
     """
     u = np.asarray(u, dtype=complex)
-    # On a lone matrix np.dot makes the same zgemm call as matmul, so it
-    # gives the same bits, and it skips matmul's per-call gufunc setup.
-    mul = np.dot if u.ndim == 2 else np.matmul
-    gram = mul(dagger(u), u)
-    defect = np.abs(gram - IDENTITY).max(initial=0.0)
+    if u.ndim > 2:
+        q = _renormalize_planes(_to_planes(u.reshape(-1, 3, 3)))
+        return _from_planes(q).reshape(u.shape)
+    gram = np.dot(dagger(u), u)
+    defect = np.abs(gram - IDENTITY).max()
+    _check_drift(defect)
+    while defect > NEWTON_SCHULZ_DEFECT:
+        u = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
+        gram = np.dot(dagger(u), u)
+        defect = np.abs(gram - IDENTITY).max()
+    q = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
+    q[:, 0] /= _det3(q)
+    return q
+
+
+def _check_drift(defect) -> None:
     # Written as `not <=` so that a NaN defect is refused too.
     if not defect <= RENORM_GUARD:
         raise DriftExplosionError(
             f"Gram defect {defect:.3e} is beyond the guard {RENORM_GUARD};"
             " an orbit engine upstream is broken"
         )
+
+
+def _det3(m: np.ndarray) -> complex:
+    """Determinant of one 3x3 matrix by cofactor expansion.
+
+    m.T.tolist() unpacks the entries of the transpose (same determinant)
+    into Python complex numbers: they multiply by the same formula as
+    numpy's complex scalars, so the same bits, without numpy's
+    per-operation dispatch.
+    """
+    (a, b, c), (d, e, f), (g, h, i) = m.T.tolist()
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+# Planes: a stack of n 3x3 matrices stored with shape (3, 3, n), so that
+# entry (i, k) of every matrix is one contiguous length-n vector and a
+# stacked product is 15 vector operations over (3, n) rows, where matmul
+# makes one small BLAS call per matrix.  The wide-stack paths convert once
+# on entry and once on exit.
+
+
+def _to_planes(u: np.ndarray) -> np.ndarray:
+    """A fresh contiguous (3, 3, n) copy of an (n, 3, 3) stack.
+
+    Always a copy, so planes never share the caller's memory: at n = 1 the
+    transposed view is already contiguous, and np.ascontiguousarray would
+    return it.
+    """
+    return u.transpose(1, 2, 0).copy()
+
+
+def _from_planes(p: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) stack of planes p, C-contiguous."""
+    return np.ascontiguousarray(p.transpose(2, 0, 1))
+
+
+def _planar_product(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray
+) -> np.ndarray:
+    """out = x y on planes; t is a (3, n) work buffer.
+
+    Row i of out is sum_j x[i, j] y[j], added left to right: 15 vector
+    operations over (3, n) rows.  out must not share memory with x or y;
+    x and y may be strided views of planes.
+    """
+    y0, y1, y2 = y
+    for (x0, x1, x2), out_i in zip(x, out):
+        np.multiply(x0, y0, out=out_i)
+        np.multiply(x1, y1, out=t)
+        out_i += t
+        np.multiply(x2, y2, out=t)
+        out_i += t
+    return out
+
+
+def _renormalize_planes(p: np.ndarray) -> np.ndarray:
+    """renormalize on planes: the same guard, Newton-Schulz steps and
+    first-column phase, with the cofactor determinant taken on the planes.
+    Returns new planes; p is not written."""
+    t = np.empty(p.shape[1:], dtype=complex)
+    # An inf entry makes inf * 0 in the Gram product; the guard refuses
+    # the result, so numpy need not warn about it first.
+    with np.errstate(invalid="ignore"):
+        gram = _gram_defect_planes(p, t)
+        defect = np.abs(gram).max(initial=0.0)
+    _check_drift(defect)
     while defect > NEWTON_SCHULZ_DEFECT:
-        u = mul(u, 1.5 * IDENTITY - 0.5 * gram)
-        gram = mul(dagger(u), u)
-        defect = np.abs(gram - IDENTITY).max()
-    q = mul(u, 1.5 * IDENTITY - 0.5 * gram)
-    det = _det3(q)
-    q[..., :, 0] /= det[..., None] if q.ndim > 2 else det
+        p = _planar_product(p, _newton_schulz_factor(gram), np.empty_like(p), t)
+        gram = _gram_defect_planes(p, t)
+        defect = np.abs(gram).max()
+    q = _planar_product(p, _newton_schulz_factor(gram), np.empty_like(p), t)
+    # The cofactor determinant a (e i - f h) - b (d i - f g) + c (d h - e g),
+    # formed in the rows of t rather than in fresh length-n temporaries,
+    # which keeps the word engine's peak memory under the matmul engine's.
+    (a, b, c), (d, e, f), (g, h, i) = q
+    det, u, v = t
+    np.multiply(e, i, out=det)
+    det -= np.multiply(f, h, out=u)
+    det *= a
+    np.multiply(d, i, out=u)
+    u -= np.multiply(f, g, out=v)
+    u *= b
+    det -= u
+    np.multiply(d, h, out=u)
+    u -= np.multiply(e, g, out=v)
+    u *= c
+    det += u
+    q[:, 0] /= det
     return q
 
 
-def _det3(m: np.ndarray) -> np.ndarray:
-    """Determinant of 3x3 matrices by cofactor expansion; accepts stacks.
+def _gram_defect_planes(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """p^H p - Id on planes."""
+    p_dagger = np.conjugate(p).transpose(1, 0, 2)
+    gram = _planar_product(p_dagger, p, np.empty_like(p), t)
+    for i in range(3):
+        gram[i, i] -= 1.0
+    return gram
 
-    Elementwise over the stack, where np.linalg.det runs one LU
-    factorization per matrix and is about 10x slower on wide stacks.
-    """
-    # m.T reverses every axis, so the unpacked entries are those of the
-    # transposed matrices (same determinant) with the batch axes reversed,
-    # which the final .T restores.  A single matrix is unpacked into Python
-    # complex numbers: they multiply by the same formula as numpy's complex
-    # scalars, so the same bits, without numpy's per-operation dispatch.
-    if m.ndim == 2:
-        (a, b, c), (d, e, f), (g, h, i) = m.T.tolist()
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    (a, b, c), (d, e, f), (g, h, i) = m.T
-    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)).T
+
+def _newton_schulz_factor(gram_defect: np.ndarray) -> np.ndarray:
+    """(3 Id - p^H p) / 2 on planes, written over p^H p - Id."""
+    gram_defect *= -0.5
+    for i in range(3):
+        gram_defect[i, i] += 1.0
+    return gram_defect

@@ -4,13 +4,14 @@ the per-letter table draw that su3lab.mcg.random_word_indices replaced,
 the complex Schur eigenframe that the eigenvector QR in
 su3lab.su3.unitary_eigensystem replaced, the matmul and numpy-scalar
 formulation of the single-pair word path (apply_word, renormalize, the
-cofactor determinant and dagger) that the np.dot and Python-complex one
-in su3lab replaced, the two-einsum adjoint matrix and the full-grid
-integer-relation search that the Kronecker su3lab.su3.adjoint_matrix and
-the half-grid, one-block-per-m1 su3lab.traces.angles_have_relation
-replaced, real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS
-with a Gaussian sampler over them, and the holonomy matrix of each named
-curve.
+cofactor determinant and dagger) that the np.dot and Python-complex one in
+su3lab replaced, the four-mask gather-matmul-scatter word-stack engine
+that the planar su3lab.mcg.apply_word_stack replaced, the two-einsum
+adjoint matrix and the full-grid integer-relation search that the
+Kronecker su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
+su3lab.traces.angles_have_relation replaced, real coordinates on the
+algebra in su3lab.su3.ALGEBRA_BASIS with a Gaussian sampler over them, and
+the holonomy matrix of each named curve.
 
 Plain LAPACK formulations with no branches and a plain table loop, kept
 only for the tests to check the package against; nothing in the package
@@ -152,6 +153,28 @@ def apply_word_matmul(letters, a: np.ndarray, b: np.ndarray):
         if (i + 1) % WORD_RENORM_CADENCE == 0:
             a = renormalize_matmul(a)
             b = renormalize_matmul(b)
+    return a, b
+
+
+def apply_word_stack_matmul(
+    indices: np.ndarray, a: np.ndarray, b: np.ndarray, renormalize
+):
+    """Per-row letter index sequences applied to stacked pairs by four
+    masked gather-matmul-scatter updates per letter, renormalizing both
+    stacks with the given function every WORD_RENORM_CADENCE letters;
+    returns (a, b)."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    for j in range(indices.shape[1]):
+        col = indices[:, j]
+        m0, m1, m2, m3 = (col == k for k in range(4))
+        b[m0] = b[m0] @ a[m0]
+        b[m1] = b[m1] @ dagger(a[m1])
+        a[m2] = a[m2] @ b[m2]
+        a[m3] = a[m3] @ dagger(b[m3])
+        if (j + 1) % WORD_RENORM_CADENCE == 0:
+            a = renormalize(a)
+            b = renormalize(b)
     return a, b
 
 

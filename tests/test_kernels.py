@@ -4,10 +4,11 @@ exp_algebra is checked against scipy's expm over coordinate scales from
 1e-12 to 20, on repeated eigenvalues of both determinant signs, at zero and
 on both sides of the Taylor-branch threshold.  renormalize, one path of
 Newton-Schulz steps, is checked against SVD polar projection on both sides
-of the Gram defect above which it iterates and just under its drift guard;
+of the Gram defect above which it iterates and just under its drift guard,
+on lone matrices and on stacks of every shape (stacks run on planes);
 the guard is checked on both sides of RENORM_GUARD and on inputs with a
-singular value farther than 0.1 from 1, and the CLI and experiment paths
-are checked never to iterate, which keeps their seeded bytes.  The
+singular value farther than 0.1 from 1, alone and inside a stack, and the
+CLI and experiment paths are checked never to iterate.  The
 single-pair word path (apply_word, and renormalize, _det3 and dagger on
 one matrix) is checked bit for bit against its matmul and numpy-scalar
 form.  unitary_eigensystem is checked against the complex Schur frame:
@@ -18,7 +19,10 @@ two-einsum adjoint matrix and the full-grid relation search: the relation
 verdicts on Haar angles and on planted relations at every height, the
 adjoint matrix to roundoff, and the ranks, intersections and genericity
 flags they feed.  The last tests run both orbit engines on the new
-kernels and on the reference ones.
+kernels and on the reference ones (the planar word-stack engine against
+the four-mask matmul one), check that a word stack applied in pieces cut
+at multiples of the renormalization cadence gives the bits of one call,
+and that no engine writes to its inputs.
 """
 
 import warnings
@@ -35,6 +39,7 @@ from oracle_kernels import (
     algebra_from_coords,
     angles_have_relation_grid,
     apply_word_matmul,
+    apply_word_stack_matmul,
     dagger_conjugate,
     det3_numpy,
     exp_algebra_eigh,
@@ -63,6 +68,7 @@ from su3lab.su3 import (
     eigenvalue_angles,
     exp_algebra,
     _det3,
+    _renormalize_planes,
     haar_random,
     renormalize,
     unitary_eigensystem,
@@ -216,33 +222,41 @@ def with_gram_defect(rng: np.random.Generator, defect: float) -> np.ndarray:
 SINGULAR_VALUE_BOUND = 0.1
 
 
+def in_stack(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
+    """u as the middle row of a 3-row stack, between two Haar matrices."""
+    return np.stack([haar_random(rng), u, haar_random(rng)])
+
+
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_renormalize_guard_at_its_threshold(sign):
-    rng = make_rng(6)
-    below = with_gram_defect(rng, sign * (RENORM_GUARD - 1e-6))
-    assert RENORM_GUARD - 2e-6 < gram_defect(below) < RENORM_GUARD
-    out = renormalize(below)
-    assert np.abs(out - renormalize_svd(below)).max() <= POLAR_TOL
-    assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
-    assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
-    over = with_gram_defect(rng, sign * (RENORM_GUARD + 1e-6))
-    assert RENORM_GUARD < gram_defect(over) < RENORM_GUARD + 2e-6
-    with pytest.raises(DriftExplosionError):
-        renormalize(over)
-    far = np.array([1 + sign * (SINGULAR_VALUE_BOUND + 1e-6), 1.0, 1.0])
-    above = with_singular_values(rng, far)
-    with pytest.raises(DriftExplosionError):
-        renormalize(above)
-    stack = np.stack([haar_random(rng), above])
-    with pytest.raises(DriftExplosionError):
-        renormalize(stack)
-    # In the Fourier frame u^H u - Id spreads evenly over all nine entries,
-    # so the Gram defect is the least it can be, |s0^2 - 1| / 3 >= 0.063.
-    fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
-    flat = (haar_random(rng) * far) @ fourier
-    assert gram_defect(flat) == pytest.approx(abs(far[0] ** 2 - 1) / 3, rel=1e-12)
-    with pytest.raises(DriftExplosionError):
-        renormalize(flat)
+    """The same verdicts and results on a lone matrix and as the middle row
+    of a stack, whose guard takes the stack's largest Gram defect."""
+    for stacked in (False, True):
+        rng = make_rng(6)
+        wrap = (lambda u: in_stack(rng, u)) if stacked else (lambda u: u)
+        below = with_gram_defect(rng, sign * (RENORM_GUARD - 1e-6))
+        assert RENORM_GUARD - 2e-6 < gram_defect(below) < RENORM_GUARD
+        below = wrap(below)
+        out = renormalize(below)
+        assert np.abs(out - renormalize_svd(below)).max() <= POLAR_TOL
+        assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
+        assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
+        over = with_gram_defect(rng, sign * (RENORM_GUARD + 1e-6))
+        assert RENORM_GUARD < gram_defect(over) < RENORM_GUARD + 2e-6
+        with pytest.raises(DriftExplosionError):
+            renormalize(wrap(over))
+        far = np.array([1 + sign * (SINGULAR_VALUE_BOUND + 1e-6), 1.0, 1.0])
+        above = with_singular_values(rng, far)
+        with pytest.raises(DriftExplosionError):
+            renormalize(wrap(above))
+        # In the Fourier frame u^H u - Id spreads evenly over all nine
+        # entries, so the Gram defect is the least it can be,
+        # |s0^2 - 1| / 3 >= 0.063.
+        fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+        flat = (haar_random(rng) * far) @ fourier
+        assert gram_defect(flat) == pytest.approx(abs(far[0] ** 2 - 1) / 3, rel=1e-12)
+        with pytest.raises(DriftExplosionError):
+            renormalize(wrap(flat))
 
 
 @settings(max_examples=60, deadline=None)
@@ -258,9 +272,12 @@ def test_renormalize_guard_at_its_threshold(sign):
 def test_renormalize_refuses_far_singular_values(seed, s0, s1, s2):
     """A singular value farther than SINGULAR_VALUE_BOUND from 1 gives |s^2 - 1| >=
     0.19, so some entry of u^H u - Id is at least 0.19 / 3 > RENORM_GUARD."""
-    u = with_singular_values(make_rng(seed), np.array([s0, s1, s2]))
+    rng = make_rng(seed)
+    u = with_singular_values(rng, np.array([s0, s1, s2]))
     with pytest.raises(DriftExplosionError):
         renormalize(u)
+    with pytest.raises(DriftExplosionError):
+        renormalize(in_stack(rng, u))
 
 
 def test_renormalize_single_matrix_and_empty_stacks():
@@ -274,12 +291,26 @@ def test_renormalize_single_matrix_and_empty_stacks():
         assert renormalize(np.empty(shape, dtype=complex)).shape == shape
 
 
+@pytest.mark.parametrize("shape", [(0, 3, 3), (1, 3, 3), (2, 5, 3, 3), (1000, 3, 3)])
+@pytest.mark.parametrize("defect", [1e-14, 1e-4])
+def test_stacked_renormalize_matches_svd_polar(shape, defect):
+    """Stacks run on planes, with their own determinant: the SVD polar
+    factor to POLAR_TOL at any stack shape, with and without iterating."""
+    rng = make_rng(10)
+    size = int(np.prod(shape[:-2]))
+    u = drifted(rng, defect, size).reshape(shape)
+    out = renormalize(u)
+    assert out.shape == shape and out.flags.c_contiguous
+    assert np.abs(out - renormalize_svd(u)).max(initial=0.0) <= POLAR_TOL
+    assert np.abs(out @ dagger(out) - IDENTITY).max(initial=0.0) <= POLAR_TOL
+    assert np.abs(np.linalg.det(out) - 1).max(initial=0.0) <= POLAR_TOL
+
+
 def test_det3_matches_lapack_det():
     rng = make_rng(9)
-    m = rng.standard_normal((2, 5, 3, 3)) + 1j * rng.standard_normal((2, 5, 3, 3))
-    assert np.abs(_det3(m) - np.linalg.det(m)).max() <= 1e-13
-    assert np.isscalar(_det3(m[0, 0]))
-    assert abs(_det3(m[0, 0]) - np.linalg.det(m[0, 0])) <= 1e-13
+    for m in rng.standard_normal((10, 3, 3)) + 1j * rng.standard_normal((10, 3, 3)):
+        assert np.isscalar(_det3(m))
+        assert abs(_det3(m) - np.linalg.det(m)) <= 1e-13
 
 
 def bits(m) -> np.ndarray:
@@ -310,18 +341,23 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
 
 def test_product_paths_never_iterate(monkeypatch, tmp_path):
     """Every matrix that the word engines, the flow walk and the commutator
-    hand to renormalize in `orbit`, `sample --angles` and an
-    mcg_orbit_distribution run has Gram defect at most NEWTON_SCHULZ_DEFECT,
-    so renormalize takes only its last Newton-Schulz step there, the same
-    operations its seeded bytes were made with."""
+    hand to renormalize (the word-stack engine: to its planar kernel) in
+    `orbit`, `sample --angles` and an mcg_orbit_distribution run has Gram
+    defect at most NEWTON_SCHULZ_DEFECT, so renormalize takes only its last
+    Newton-Schulz step there."""
     defects = []
 
     def recording(u):
         defects.append(gram_defect(u))
         return renormalize(u)
 
+    def recording_planes(p):
+        defects.append(gram_defect(p.transpose(2, 0, 1)))
+        return _renormalize_planes(p)
+
     for module in (mcg, flows, fiber):
         monkeypatch.setattr(module, "renormalize", recording)
+    monkeypatch.setattr(mcg, "_renormalize_planes", recording_planes)
     label = ["--angles", "0.123,0.456", "--seed", "3"]
     out = ["--out", str(tmp_path / "rows.csv")]
     assert cli.main(["orbit", "--n", "4", "--word-length", "64", *label, *out]) == 0
@@ -548,14 +584,29 @@ def test_flow_engine_matches_reference_kernels(haar_pairs, monkeypatch):
     assert np.abs(fast[1] - slow[1]).max() <= ENGINE_TOL
 
 
-def test_word_engine_matches_reference_kernels(haar_pairs, monkeypatch):
+def test_word_engine_matches_reference_kernels(haar_pairs):
+    """The planar engine against the four-mask matmul engine with SVD
+    renormalization."""
     a, b = haar_pairs
     indices = mcg.random_word_indices(1000, 16, make_rng(12))
     fast = mcg.apply_word_stack(indices, a, b)
-    monkeypatch.setattr(mcg, "renormalize", renormalize_svd)
-    slow = mcg.apply_word_stack(indices, a, b)
+    slow = apply_word_stack_matmul(indices, a, b, renormalize_svd)
     assert np.abs(fast[0] - slow[0]).max() <= ENGINE_TOL
     assert np.abs(fast[1] - slow[1]).max() <= ENGINE_TOL
+
+
+def test_word_stack_in_pieces_gives_the_bits_of_one_call(haar_pairs):
+    """Each call restarts its renormalization count, so pieces cut at
+    multiples of WORD_RENORM_CADENCE renormalize at the same letters as
+    one call, and the slots map back to (a, b) exactly at each cut."""
+    a, b = haar_pairs
+    indices = mcg.random_word_indices(1000, 200, make_rng(14))
+    whole = mcg.apply_word_stack(indices, a, b)
+    x, y = a, b
+    for lo, hi in ((0, 24), (24, 48), (48, 96), (96, 200)):
+        x, y = mcg.apply_word_stack(indices[:, lo:hi], x, y)
+    assert np.array_equal(bits(x), bits(whole[0]))
+    assert np.array_equal(bits(y), bits(whole[1]))
 
 
 def test_engines_leave_their_inputs_unchanged():
@@ -570,9 +621,13 @@ def test_engines_leave_their_inputs_unchanged():
     inputs = [a, b, p.a, p.b]
     saved = [m.copy() for m in inputs]
     broadcast = np.broadcast_to(a[0], a.shape), np.broadcast_to(b[0], b.shape)
-    for x, y in ((a, b), broadcast):
+    # A 1-row stack: its planes view is contiguous already, so an engine
+    # that worked in place without copying on entry would write to a[0]
+    # and b[0].
+    for x, y in ((a, b), broadcast, (a[:1], b[:1])):
         flows.flow_walk_stack(x, y, 8, rng)
-        mcg.apply_word_stack(indices, x, y)
+        mcg.apply_word_stack(indices[: len(x)], x, y)
+        renormalize(x)
     for q in (p, frozen):
         for curve in flows.CURVES:
             for part in flows.PARTS:

@@ -13,9 +13,10 @@ at N = 1 without its manifest (run through `su3lab experiment`), and of
 `submersion_census` and `mcg_orbit_distribution` on a Haar fiber (no
 `c_spec`, so `base_point` runs on a non-diagonal label),
 `flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
-Haar points along all eight curve/part pairs, the letter indices of
-`mcg.random_word_indices` for one 200-letter word and then for a stack
-of 10 000 of them, `su3.renormalize` called on 64 single matrices one
+Haar points along all eight curve/part pairs, `apply_word_stack` on the
+same 1000 Haar pairs with one random 200-letter word each, the letter
+indices of `mcg.random_word_indices` for one 200-letter word and then
+for a stack of 10 000 of them, `su3.renormalize` called on 64 single matrices one
 by one at drift 1e-14 (one Newton-Schulz step, as on the product
 paths) and at drift 1e-4 (repeated Newton-Schulz steps), and the rank
 layers of the submersion census on 2000 Haar pairs (a, b): the integer
@@ -160,9 +161,13 @@ def engine_digests(seed: int) -> dict[str, str]:
                 q = flows.twist_flow(p, curve, part, rng.uniform(-3.0, 3.0))
                 h.update(q.a.tobytes())
                 h.update(q.b.tobytes())
+    # Drawn after the twist flows, so their rows keep their draws.
+    indices = mcg.random_word_indices(FLOW_PAIRS, WORD_LENGTH, rng)
+    wa, wb = mcg.apply_word_stack(indices, a, b)
     return {
         "flow_walk_stack": _sha(fa.tobytes() + fb.tobytes()),
         "twist_flow": h.hexdigest(),
+        "apply_word_stack": _sha(wa.tobytes() + wb.tobytes()),
     }
 
 
