@@ -48,10 +48,7 @@ from .fiber import (
 from .flows import (
     CURVES,
     TWIST_TIME_BOUND,
-    one_param,
-    random_flow_walk,
     twist_flow,
-    variation,
 )
 from .mcg import (
     TwistWord,
@@ -71,15 +68,13 @@ from .su3 import (
     haar_random,
     renormalize,
     torus_frame,
-    unitarity_defect,
 )
 from .traces import (
     CHARACTER_NAMES,
     angles_have_relation,
     char_poly_roots,
     character_values,
-    delta_defect,
     is_generic,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

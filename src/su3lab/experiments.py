@@ -52,7 +52,7 @@ from .fiber import (
     fiber_residual,
     is_central,
 )
-from .flows import flow_walk_stack, random_flow_walk
+from .flows import flow_walk_stack
 from .mcg import (
     TwistWord,
     apply_word,
@@ -626,8 +626,15 @@ def _run_single(config: ExperimentConfig, rng: np.random.Generator) -> Experimen
     if kind == "mcg_orbit_distribution":
         c = matrix_from_c_spec(config.c_spec) if config.c_spec else haar_random(rng)
         base = base_point(c)
-        start_one = random_flow_walk(base, START_WALK_STEPS, rng)
-        start_two = random_flow_walk(base, START_WALK_STEPS, rng)
+        # Both starts walk from the base point as one 2-row stack.
+        a, b = flow_walk_stack(
+            np.broadcast_to(base.a, (2, 3, 3)),
+            np.broadcast_to(base.b, (2, 3, 3)),
+            START_WALK_STEPS,
+            rng,
+        )
+        start_one = RepPoint(a=a[0], b=b[0], c=base.c)
+        start_two = RepPoint(a=a[1], b=b[1], c=base.c)
         report = mcg_orbit_distribution(
             start_one, start_two, config.word_length, config.n, rng
         )

@@ -87,7 +87,8 @@ class RepPoint:
         for m in (self.a, self.b, self.c):
             assert_special_unitary(m)
         r = fiber_residual(self.a, self.b, self.c)
-        if r > FIBER_TOL:
+        # Written as `not <=` so that a NaN residual is refused too.
+        if not r <= FIBER_TOL:
             raise FiberMismatchError(
                 f"kappa(a, b) misses the fiber label by {r:.3e}"
                 f" (tolerance {FIBER_TOL:.1e})"

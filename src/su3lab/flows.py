@@ -18,6 +18,15 @@ The four flowable curves and the holonomy they centralize:
 
 The boundary curve's trace is constant on every fiber, so requesting its
 flow raises TrivialFlowError instead of silently doing nothing.
+
+One flow step, on planes (see su3lab.su3), runs under both twist_flow (a
+stack of one) and flow_walk_stack, which moves its pairs to (3, 3, n)
+planes once on entry and back once on exit.  In a step, a b on the
+alpha_beta rows and a b^H on the alpha_beta_inv rows are one planar
+product over the whole stack, formed only when some row's curve needs
+it; each row's x, and then each row's new a and b, are picked with
+np.where from whole-stack products.  variation, exp_algebra and
+renormalize take the (n, 3, 3) stack view of the planes.
 """
 
 from __future__ import annotations
@@ -27,12 +36,14 @@ import numpy as np
 from .errors import TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
-    IDENTITY,
     RENORM_CADENCE,
-    dagger,
+    _from_planes,
+    _planar_product,
+    _planes_view,
+    _stack_view,
+    _to_planes,
     exp_algebra,
     renormalize,
-    trace,
 )
 
 CURVES = ("alpha", "beta", "alpha_beta", "alpha_beta_inv")
@@ -50,17 +61,21 @@ def variation(x: np.ndarray) -> np.ndarray:
     Traceless anti-Hermitian component of x; the unique algebra element
     representing the directional derivative of the trace observable against
     the invariant pairing.  The gradient of Im Tr at x is variation(-1j * x).
-    Commutes with x when x is unitary.  Accepts stacks.
+    Commutes with x when x is unitary, so exp(t variation(x)) does too.
+    Accepts stacks.  Runs on planes: the result is the stack view of new
+    planes, and the stack view of planes, as the flow step passes it, is
+    read in place.
     """
     x = np.asarray(x, dtype=complex)
-    f = (x - dagger(x)) / 2
-    return f - (trace(f) / 3)[..., None, None] * IDENTITY
-
-
-def one_param(x: np.ndarray, t: float) -> np.ndarray:
-    """zeta_t(x) = exp(t variation(x)); commutes with x.  Accepts stacks."""
-    t = np.asarray(t, dtype=float)
-    return exp_algebra(t[..., None, None] * variation(x))
+    p = _planes_view(x)
+    f = np.empty(p.shape, dtype=complex)
+    np.conjugate(p.transpose(1, 0, 2), out=f)
+    np.subtract(p, f, out=f)
+    f *= 0.5
+    mean = (f[0, 0] + f[1, 1] + f[2, 2]) / 3
+    for i in range(3):
+        f[i, i] -= mean
+    return _stack_view(f).reshape(x.shape)
 
 
 def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
@@ -82,17 +97,14 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             "the boundary trace is constant on each fiber; its flow fixes"
             " every point"
         )
-    # np.array copies: the step writes into a and b, and p is frozen.
-    a = np.array(p.a[None], dtype=complex)
-    b = np.array(p.b[None], dtype=complex)
-    _flow_step(
-        a,
-        b,
+    a, b = _flow_step(
+        _to_planes(np.asarray(p.a, dtype=complex)[None]),
+        _to_planes(np.asarray(p.b, dtype=complex)[None]),
         np.array([CURVES.index(curve)]),
         np.array([part == "im"]),
-        np.array([t]),
+        np.array([t], dtype=float),
     )
-    return RepPoint(a=a[0], b=b[0], c=p.c)
+    return RepPoint(a=_from_planes(a)[0], b=_from_planes(b)[0], c=p.c)
 
 
 def _flow_step(
@@ -101,30 +113,40 @@ def _flow_step(
     curve: np.ndarray,
     part_im: np.ndarray,
     t: np.ndarray,
-) -> np.ndarray:
-    """Flow each row of the stacks in place along its own observable.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flow each row of the planes a and b along its own observable.
 
     curve holds indices into CURVES, part_im selects the imaginary trace
-    part, t the flow time; all three have one entry per row.  Returns the
-    stack of centralizing factors z that were applied.
+    part, t the flow time; all three have one entry per row.  Returns new
+    planes (a, b); a and b are not written.
     """
-    m_ab = curve == 2
-    m_abinv = curve == 3
-    ab = a[m_ab] @ b[m_ab]
-    x = np.where((curve == 0)[:, None, None], a, b)
-    x[m_ab] = ab
-    x[m_abinv] = a[m_abinv] @ dagger(b[m_abinv])
-    z = one_param(np.where(part_im[:, None, None], -1j * x, x), t)
+    work = np.empty(a.shape[1:], dtype=complex)
+    x = np.where(curve == 0, a, b)
+    on_product = curve >= 2
+    if on_product.any():
+        # u = a b on alpha_beta rows and a b^H on alpha_beta_inv rows: one
+        # planar product for both.
+        b_or_dagger = np.where(curve == 3, np.conjugate(b.transpose(1, 0, 2)), b)
+        u = _planar_product(a, b_or_dagger, np.empty_like(a), work)
+        x = np.where(on_product, u, x)
+    # Im Tr x = Re Tr(-i x); x is this step's own array.
+    x *= np.where(part_im, -1j, 1.0)
+    f = _planes_view(variation(_stack_view(x)))
+    f *= t
+    z = _planes_view(exp_algebra(_stack_view(f)))
 
-    # The table in the module docstring, with a = u v^-1 for alpha_beta and
-    # a = u v for alpha_beta_inv.  Order matters: the alpha_beta update of a
-    # reads the pre-step b.
-    a[m_ab] = ab @ dagger(z[m_ab]) @ dagger(b[m_ab])
-    m_a = (curve == 1) | m_abinv
-    a[m_a] = a[m_a] @ z[m_a]
-    m_b = curve != 1
-    b[m_b] = b[m_b] @ z[m_b]
-    return z
+    # The table in the module docstring.  On alpha_beta rows a = u v^-1
+    # with u = a b and v = b z, so a reads the pre-step b through bz.
+    bz = _planar_product(b, z, np.empty_like(b), work)
+    az = _planar_product(a, z, np.empty_like(a), work)
+    new_a = np.where((curve == 1) | (curve == 3), az, a)
+    m_ab = curve == 2
+    if m_ab.any():
+        a_ab = _planar_product(
+            u, np.conjugate(bz.transpose(1, 0, 2)), np.empty_like(a), work
+        )
+        new_a = np.where(m_ab, a_ab, new_a)
+    return new_a, np.where(curve != 1, bz, b)
 
 
 def flow_walk_stack(
@@ -137,35 +159,19 @@ def flow_walk_stack(
 
     Each step, every row draws its own curve (uniform over the four
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
-    Renormalizes both stacks every RENORM_CADENCE steps.  Returns the
-    updated stacks; inputs are not modified.
+    Renormalizes both stacks every RENORM_CADENCE steps.  Runs on planes,
+    converting once on entry and once on exit.  Returns new stacks; inputs
+    are not modified.
     """
-    a = np.array(a, dtype=complex)
-    b = np.array(b, dtype=complex)
-    n = a.shape[0]
+    a = _to_planes(np.asarray(a, dtype=complex))
+    b = _to_planes(np.asarray(b, dtype=complex))
+    n = a.shape[2]
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
         part_im = rng.integers(2, size=n).astype(bool)
         t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
-        # Holding z until the next step stops glibc from trimming the heap
-        # when the step's temporaries are freed: at 1000 rows that cost
-        # about 200 page faults per step, some 10 % of the walk.
-        z = _flow_step(a, b, curve, part_im, t)
+        a, b = _flow_step(a, b, curve, part_im, t)
         if (step + 1) % RENORM_CADENCE == 0:
-            a = renormalize(a)
-            b = renormalize(b)
-    return a, b
-
-
-def random_flow_walk(
-    p: RepPoint,
-    steps: int,
-    rng: np.random.Generator,
-) -> RepPoint:
-    """Compose `steps` random twist flows starting at p.
-
-    The walk stays on p's fiber; the returned point re-validates the
-    residual bound on construction.
-    """
-    a, b = flow_walk_stack(p.a[None], p.b[None], steps, rng)
-    return RepPoint(a=a[0], b=b[0], c=p.c)
+            a = _to_planes(renormalize(_stack_view(a)))
+            b = _to_planes(renormalize(_stack_view(b)))
+    return _from_planes(a), _from_planes(b)

@@ -102,7 +102,8 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def assert_special_unitary(u: np.ndarray) -> None:
     defect = unitarity_defect(u)
-    if defect > UNITARITY_TOL:
+    # Written as `not <=` so that a NaN defect is refused too.
+    if not defect <= UNITARITY_TOL:
         raise InvalidGroupElementError(
             f"matrix is {defect:.3e} away from the special unitary group"
             f" (tolerance {UNITARITY_TOL:.1e})"
@@ -111,16 +112,20 @@ def assert_special_unitary(u: np.ndarray) -> None:
 
 def algebra_defect(x: np.ndarray) -> float:
     """Largest deviation from being traceless anti-Hermitian, over any batch
-    (0 when empty)."""
-    x = np.asarray(x, dtype=complex)
-    herm = np.abs(x + dagger(x)).max(initial=0.0)
-    tr = np.abs(trace(x)).max(initial=0.0)
+    (0 when empty, NaN when an entry is NaN or inf).  Runs on planes."""
+    p = _planes_view(np.asarray(x, dtype=complex))
+    # An inf entry makes inf - inf; the NaN is refused by the callers, so
+    # numpy need not warn about it first.
+    with np.errstate(invalid="ignore"):
+        herm = np.abs(p + np.conjugate(p.transpose(1, 0, 2))).max(initial=0.0)
+        tr = np.abs(p[0, 0] + p[1, 1] + p[2, 2]).max(initial=0.0)
     return float(max(herm, tr))
 
 
 def assert_algebra_element(x: np.ndarray) -> None:
     defect = algebra_defect(x)
-    if defect > ALGEBRA_TOL:
+    # Written as `not <=` so that a NaN defect is refused too.
+    if not defect <= ALGEBRA_TOL:
         raise InvalidAlgebraError(
             f"matrix is {defect:.3e} away from the traceless anti-Hermitian"
             f" algebra (tolerance {ALGEBRA_TOL:.1e})"
@@ -136,7 +141,7 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     Q^3 = c1 Q + c0 Id for c0 = det Q and c1 = tr(Q^2)/2, so
     exp(x) = f0 Id + f1 Q + f2 Q^2 exactly.  The f_j are trigonometric in
     the eigenvalue parameters (u, w) of Q, found from c0 and c1 without an
-    eigensolver.  Three cases keep them accurate:
+    eigensolver.  Four cases keep them accurate:
 
     - c0 < 0 uses the symmetry Q -> -Q (u -> -u), so the divisor
       9u^2 - w^2 stays at least 2 c1;
@@ -148,27 +153,45 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
       repeated eigenvalues, the result is exp_algebra(x/2) squared.
 
     The result is a polynomial in x, so it commutes with x by
-    construction.  Raises InvalidAlgebraError for inputs off the algebra.
-    Accepts stacks.
+    construction.  Raises InvalidAlgebraError for inputs off the algebra,
+    NaN and inf entries included.  Accepts stacks.
+
+    Runs on planes for a stack, and a lone matrix is a stack of one (see
+    _exp_planes).  The result is the stack view of new planes, so it need
+    not be C-contiguous; given the stack view of planes, as the flow step
+    passes it, the input is read in place.
     """
     x = np.asarray(x, dtype=complex)
     assert_algebra_element(x)
-    shape = x.shape
-    x = x.reshape(-1, 3, 3)
-    x2 = x @ x
-    # With Q = -i x: tr(Q^2) = -tr(x^2) and det Q = tr(Q^3)/3 = i tr(x^3)/3.
-    c1 = -0.5 * trace(x2).real
-    c0 = np.einsum("nij,nji->n", x, x2).imag / -3.0
+    p = np.ascontiguousarray(_planes_view(x))
+    return _stack_view(_exp_planes(p)).reshape(x.shape)
+
+
+def _exp_planes(p: np.ndarray) -> np.ndarray:
+    """exp_algebra on planes: x^2 is one planar product, c1 and c0 come from
+    the diagonals of x^2 and x^3, and the f_j multiply the planes row by
+    row.  Returns new planes; p is not written."""
+    t = np.empty(p.shape[1:], dtype=complex)
+    out = _planar_product(p, p, np.empty_like(p), t)
+    # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
+    # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
+    c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
+    c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
     f0, f1, f2 = _exp_coefficients(c0, c1)
-    # exp(x) = f0 Id + f1 Q + f2 Q^2 with Q = -i x and Q^2 = -x^2.
-    out = x2 * -f2[:, None, None]
-    out -= x * (1j * f1)[:, None, None]
-    out.reshape(-1, 9)[:, ::4] += f0[:, None]  # the diagonal
+    # exp(x) = f0 Id + f1 Q + f2 Q^2 with Q = -i x and Q^2 = -x^2, formed
+    # over x^2.
+    out *= -f2
+    i_f1 = 1j * f1
+    for i in range(3):
+        out[i] -= np.multiply(p[i], i_f1, out=t)
+        out[i, i] += f0
     squaring = c1 > EXP_SQUARING_C1
     if squaring.any():
-        half = exp_algebra(x[squaring] / 2)
-        out[squaring] = half @ half
-    return out.reshape(shape)
+        half = _exp_planes(p[:, :, squaring] / 2)
+        out[:, :, squaring] = _planar_product(
+            half, half, np.empty_like(half), np.empty(half.shape[1:], dtype=complex)
+        )
+    return out
 
 
 def _exp_coefficients(c0: np.ndarray, c1: np.ndarray):
@@ -439,6 +462,17 @@ def _to_planes(u: np.ndarray) -> np.ndarray:
 def _from_planes(p: np.ndarray) -> np.ndarray:
     """The (n, 3, 3) stack of planes p, C-contiguous."""
     return np.ascontiguousarray(p.transpose(2, 0, 1))
+
+
+def _stack_view(p: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) view of planes p, without a copy."""
+    return p.transpose(2, 0, 1)
+
+
+def _planes_view(x: np.ndarray) -> np.ndarray:
+    """The (3, 3, n) view of a (..., 3, 3) stack: the planes themselves when
+    x is their _stack_view."""
+    return x.reshape(-1, 3, 3).transpose(1, 2, 0)
 
 
 def _planar_product(

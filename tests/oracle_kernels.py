@@ -6,7 +6,9 @@ su3lab.su3.unitary_eigensystem replaced, the matmul and numpy-scalar
 formulation of the single-pair word path (apply_word, renormalize, the
 cofactor determinant and dagger) that the np.dot and Python-complex one in
 su3lab replaced, the four-mask gather-matmul-scatter word-stack engine
-that the planar su3lab.mcg.apply_word_stack replaced, the two-einsum
+that the planar su3lab.mcg.apply_word_stack replaced, the masked
+gather-matmul-scatter flow step and walk that the planar su3lab.flows
+engine replaced, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
 Kronecker su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
 su3lab.traces.angles_have_relation replaced, real coordinates on the
@@ -22,12 +24,14 @@ package's branches, because the package must match it bit for bit.
 import numpy as np
 import scipy.linalg
 
+from su3lab.flows import TWIST_TIME_BOUND
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
     NEWTON_SCHULZ_DEFECT,
+    RENORM_CADENCE,
     assert_algebra_element,
     dagger,
 )
@@ -175,6 +179,53 @@ def apply_word_stack_matmul(
         if (j + 1) % WORD_RENORM_CADENCE == 0:
             a = renormalize(a)
             b = renormalize(b)
+    return a, b
+
+
+def flow_step_matmul(
+    a: np.ndarray,
+    b: np.ndarray,
+    curve: np.ndarray,
+    part_im: np.ndarray,
+    t: np.ndarray,
+) -> None:
+    """One flow step on stacked pairs in place: x gathered per curve, the
+    variation as (x - x^H)/2 less its trace part, exp_algebra_eigh, and one
+    masked matmul update per moved element (the alpha_beta update of a
+    first, as it reads the pre-step b)."""
+    m_ab = curve == 2
+    m_abinv = curve == 3
+    ab = a[m_ab] @ b[m_ab]
+    x = np.where((curve == 0)[:, None, None], a, b)
+    x[m_ab] = ab
+    x[m_abinv] = a[m_abinv] @ dagger(b[m_abinv])
+    x = np.where(part_im[:, None, None], -1j * x, x)
+    f = (x - dagger(x)) / 2
+    f -= (np.trace(f, axis1=-2, axis2=-1) / 3)[:, None, None] * IDENTITY
+    z = exp_algebra_eigh(t[:, None, None] * f)
+    a[m_ab] = ab @ dagger(z[m_ab]) @ dagger(b[m_ab])
+    m_a = (curve == 1) | m_abinv
+    a[m_a] = a[m_a] @ z[m_a]
+    m_b = curve != 1
+    b[m_b] = b[m_b] @ z[m_b]
+
+
+def flow_walk_matmul(
+    a: np.ndarray, b: np.ndarray, steps: int, rng: np.random.Generator
+):
+    """flow_walk_stack's draws over flow_step_matmul, renormalizing both
+    stacks with renormalize_svd every RENORM_CADENCE steps; returns (a, b)."""
+    a = np.array(a, dtype=complex)
+    b = np.array(b, dtype=complex)
+    n = a.shape[0]
+    for step in range(steps):
+        curve = rng.integers(4, size=n)
+        part_im = rng.integers(2, size=n).astype(bool)
+        t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
+        flow_step_matmul(a, b, curve, part_im, t)
+        if (step + 1) % RENORM_CADENCE == 0:
+            a = renormalize_svd(a)
+            b = renormalize_svd(b)
     return a, b
 
 

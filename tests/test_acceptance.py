@@ -35,7 +35,7 @@ from su3lab.fiber import (
     fiber_residual,
     is_central,
 )
-from su3lab.flows import flow_walk_stack, one_param, twist_flow, variation
+from su3lab.flows import flow_walk_stack, twist_flow, variation
 from su3lab.mcg import TwistWord, apply_word_stack, random_word_indices
 from su3lab.su3 import (
     IDENTITY,
@@ -154,7 +154,7 @@ def test_acceptance_4_flow_identities():
     x = haar_random(rng, size=cases)
     t = rng.uniform(-2.0, 2.0, size=cases)
 
-    z = np.stack([one_param(x[i], t[i]) for i in range(cases)])
+    z = np.stack([exp_algebra(t[i] * variation(x[i])) for i in range(cases)])
     centralizing = float(np.abs(z @ x - x @ z).max())
 
     g = haar_random(rng, size=cases)

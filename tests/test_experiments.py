@@ -14,7 +14,7 @@ from su3lab.errors import (
     NonHyperbolicWordError,
 )
 from su3lab.fiber import RepPoint, base_point, central_fiber_point, commutator
-from su3lab.flows import random_flow_walk
+from su3lab.flows import flow_walk_stack
 from su3lab.mcg import TwistWord
 from su3lab.su3 import haar_random
 from su3lab.traces import character_reals, character_values
@@ -232,8 +232,11 @@ def test_abelian_rejects_parabolic_word(rng):
 def test_mcg_orbit_distribution_small(rng):
     c = commutator(haar_random(rng), haar_random(rng))
     base = base_point(c)
-    s1 = random_flow_walk(base, 64, rng)
-    s2 = random_flow_walk(base, 64, rng)
+    a, b = flow_walk_stack(
+        np.broadcast_to(base.a, (2, 3, 3)), np.broadcast_to(base.b, (2, 3, 3)), 64, rng
+    )
+    s1 = RepPoint(a=a[0], b=b[0], c=base.c)
+    s2 = RepPoint(a=a[1], b=b[1], c=base.c)
     report = mcg_orbit_distribution(s1, s2, 30, 300, rng)
     assert report.stats["all_on_fiber"]
     assert report.stats["start_one_char_spread"] > 1e-3

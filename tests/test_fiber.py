@@ -5,6 +5,7 @@ import pytest
 
 from oracle_kernels import algebra_coords, algebra_from_coords
 from su3lab.errors import FiberMismatchError
+from su3lab import fiber
 from su3lab.experiments import matrix_from_c_spec
 from su3lab.fiber import (
     RepPoint,
@@ -163,3 +164,14 @@ def test_d_kappa_rank_iff_trivial_intersection(rng):
     # plus a degenerate pair to exercise the other branch
     assert centralizer_intersection(a[0], a[0]) > 0
     assert d_kappa_rank(d_kappa_matrix(a[0], a[0])) < 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_residual_check_refuses_non_finite_residual(monkeypatch, bad):
+    """With the special-unitary checks switched off, a NaN or inf entry
+    still fails RepPoint's own residual check."""
+    monkeypatch.setattr(fiber, "assert_special_unitary", lambda u: None)
+    a = IDENTITY.copy()
+    a[0, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(FiberMismatchError):
+        RepPoint(a=a, b=IDENTITY, c=IDENTITY)

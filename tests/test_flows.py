@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from oracle_kernels import curve_holonomy, random_algebra
-from su3lab.errors import TrivialFlowError
+from su3lab.errors import InvalidAlgebraError, TrivialFlowError
 from su3lab.fiber import RepPoint, base_point, commutator, fiber_residual
 from su3lab.flows import (
     BOUNDARY,
     CURVES,
     TWIST_TIME_BOUND,
     flow_walk_stack,
-    one_param,
-    random_flow_walk,
     twist_flow,
     variation,
 )
@@ -70,11 +68,9 @@ def test_variation_equivariance(rng):
     assert np.abs(lhs - rhs).max() < 1e-13
 
 
-def test_one_param_is_unitary_group_in_t(rng):
+def test_exp_of_variation_is_unitary_group_in_t(rng):
     x = haar_random(rng)
-    z1 = one_param(x, 0.9)
-    z2 = one_param(x, -0.4)
-    z3 = one_param(x, 0.5)
+    z1, z2, z3 = (exp_algebra(t * variation(x)) for t in (0.9, -0.4, 0.5))
     assert unitarity_defect(z1) < 1e-12
     assert np.abs(z1 @ z2 - z3).max() < 1e-12
     assert np.abs(z1 @ x - x @ z1).max() < 1e-12
@@ -126,10 +122,11 @@ def test_flow_commutes_with_conjugation(rng):
     assert np.abs(qc.b - g @ q.b @ dagger(g)).max() < 1e-11
 
 
-def test_random_flow_walk_stays_on_fiber(rng):
+def test_one_row_flow_walk_stays_on_fiber(rng):
     c = commutator(haar_random(rng), haar_random(rng))
     p = base_point(c)
-    q = random_flow_walk(p, 200, rng)
+    a, b = flow_walk_stack(p.a[None], p.b[None], 200, rng)
+    q = RepPoint(a=a[0], b=b[0], c=p.c)
     assert q.residual() < 1e-10
     # and actually moves
     assert np.abs(q.a - p.a).max() > 1e-3
@@ -143,3 +140,14 @@ def test_flow_walk_stack_matches_constants(rng):
     a2, b2 = flow_walk_stack(a, b, 150, rng)
     assert fiber_residual(a2, b2, c).max() < 1e-10
     assert unitarity_defect(a2) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("element", [0, 1])
+def test_short_flow_walk_refuses_non_finite_input(rng, bad, element):
+    """A walk shorter than RENORM_CADENCE never renormalizes, so exp_algebra's
+    algebra check is what refuses a NaN or inf entry in a or in b."""
+    pair = [haar_random(rng, size=8), haar_random(rng, size=8)]
+    pair[element][3, 0, 0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(InvalidAlgebraError):
+        flow_walk_stack(*pair, 8, rng)

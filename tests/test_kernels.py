@@ -18,11 +18,14 @@ non-normal input.  The rank-census layers are checked against the
 two-einsum adjoint matrix and the full-grid relation search: the relation
 verdicts on Haar angles and on planted relations at every height, the
 adjoint matrix to roundoff, and the ranks, intersections and genericity
-flags they feed.  The last tests run both orbit engines on the new
-kernels and on the reference ones (the planar word-stack engine against
-the four-mask matmul one), check that a word stack applied in pieces cut
-at multiples of the renormalization cadence gives the bits of one call,
-and that no engine writes to its inputs.
+flags they feed.  The last tests run both orbit engines against their
+reference forms: the planar flow step against the masked matmul step
+with the spectral exponential on every curve and trace part, the planar
+flow walk against the matmul walk with SVD renormalization on 0, 1 and
+1000 rows, and the planar word-stack engine against the four-mask matmul
+one.  They also check that a word stack applied in pieces cut at
+multiples of the renormalization cadence gives the bits of one call, and
+that no engine writes to its inputs.
 """
 
 import warnings
@@ -43,6 +46,8 @@ from oracle_kernels import (
     dagger_conjugate,
     det3_numpy,
     exp_algebra_eigh,
+    flow_step_matmul,
+    flow_walk_matmul,
     renormalize_matmul,
     renormalize_svd,
     unitary_eigensystem_schur,
@@ -68,7 +73,9 @@ from su3lab.su3 import (
     eigenvalue_angles,
     exp_algebra,
     _det3,
+    _from_planes,
     _renormalize_planes,
+    _to_planes,
     haar_random,
     renormalize,
     unitary_eigensystem,
@@ -574,14 +581,39 @@ def haar_pairs():
     return haar_random(rng, size=1000), haar_random(rng, size=1000)
 
 
-def test_flow_engine_matches_reference_kernels(haar_pairs, monkeypatch):
+# One step on Haar pairs: no chaos yet, only the roundoff of the two kernels.
+STEP_TOL = 1e-14
+
+
+@pytest.mark.parametrize("curve", range(len(flows.CURVES)))
+@pytest.mark.parametrize("part_im", [False, True])
+def test_flow_step_matches_reference_step(haar_pairs, curve, part_im):
+    """Every row forced onto one curve and trace part, so each of the eight
+    updates is checked on all 1000 rows."""
     a, b = haar_pairs
+    n = len(a)
+    curves = np.full(n, curve)
+    parts = np.full(n, part_im)
+    t = make_rng(15).uniform(-flows.TWIST_TIME_BOUND, flows.TWIST_TIME_BOUND, n)
+    pa, pb = _to_planes(a), _to_planes(b)
+    fast = flows._flow_step(pa, pb, curves, parts, t)
+    assert np.array_equal(pa, _to_planes(a)) and np.array_equal(pb, _to_planes(b))
+    slow = a.copy(), b.copy()
+    flow_step_matmul(*slow, curves, parts, t)
+    for x, y in zip(fast, slow):
+        assert np.abs(_from_planes(x) - y).max() <= STEP_TOL
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+def test_flow_walk_matches_reference_walk(haar_pairs, rows):
+    """The planar walk against the matmul walk with the spectral exponential
+    and SVD renormalization; `sample --count 0 --angles` walks 0 rows."""
+    a, b = (m[:rows] for m in haar_pairs)
     fast = flows.flow_walk_stack(a, b, 8, make_rng(11))
-    monkeypatch.setattr(flows, "exp_algebra", exp_algebra_eigh)
-    monkeypatch.setattr(flows, "renormalize", renormalize_svd)
-    slow = flows.flow_walk_stack(a, b, 8, make_rng(11))
-    assert np.abs(fast[0] - slow[0]).max() <= ENGINE_TOL
-    assert np.abs(fast[1] - slow[1]).max() <= ENGINE_TOL
+    slow = flow_walk_matmul(a, b, 8, make_rng(11))
+    for x, y in zip(fast, slow):
+        assert x.shape == (rows, 3, 3) and x.flags.c_contiguous
+        assert np.abs(x - y).max(initial=0.0) <= ENGINE_TOL
 
 
 def test_word_engine_matches_reference_kernels(haar_pairs):

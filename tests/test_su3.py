@@ -23,6 +23,8 @@ from su3lab.su3 import (
     adjoint_matrix,
     algebra_defect,
     angle_gap,
+    assert_algebra_element,
+    assert_special_unitary,
     circle_distance,
     dagger,
     eigenvalue_angles,
@@ -173,6 +175,27 @@ def test_renormalize_refuses_non_finite_input(rng, bad):
             renormalize(u[2])
         with pytest.raises(DriftExplosionError):
             RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_checks_refuse_non_finite_input(rng, bad):
+    """A NaN or inf entry gives a NaN or inf defect, and each check refuses
+    both: a lone matrix and a stack of algebra elements, a RepPoint, and
+    exp_algebra on a stack and on a lone matrix."""
+    u = haar_random(rng)
+    u[1, 0] = bad
+    x = random_algebra(rng, 4)
+    x[2, 0, 1] = bad
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(InvalidGroupElementError):
+            assert_special_unitary(u)
+        with pytest.raises(InvalidGroupElementError):
+            RepPoint(a=u, b=IDENTITY, c=IDENTITY)
+    for args in (x, x[2]):
+        with pytest.raises(InvalidAlgebraError):
+            assert_algebra_element(args)
+        with pytest.raises(InvalidAlgebraError):
+            exp_algebra(args)
 
 
 def test_exp_algebra_empty_stack():
