@@ -21,12 +21,14 @@ flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step, on planes (see su3lab.su3), runs under both twist_flow (a
 stack of one) and flow_walk_stack, which moves its pairs to (3, 3, n)
-planes once on entry and back once on exit.  In a step, a b on the
-alpha_beta rows and a b^H on the alpha_beta_inv rows are one planar
-product over the whole stack, formed only when some row's curve needs
-it; each row's x, and then each row's new a and b, are picked with
-np.where from whole-stack products.  variation, exp_algebra and
-renormalize take the (n, 3, 3) stack view of the planes.
+planes once on entry and back once on exit; the entry refuses a NaN or
+inf entry.  In a step, a b on the alpha_beta rows and a b^H on the
+alpha_beta_inv rows are one planar product over the whole stack, formed
+only when some row's curve needs it; each row's x, and then each row's
+new a and b, are picked with np.where from whole-stack products.
+variation, exp_algebra and renormalize take the (n, 3, 3) stack view of
+the planes and return the stack view of new planes, so the walk's
+renormalization, like the step, copies nothing to change layout.
 """
 
 from __future__ import annotations
@@ -98,8 +100,8 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             " every point"
         )
     a, b = _flow_step(
-        _to_planes(np.asarray(p.a, dtype=complex)[None]),
-        _to_planes(np.asarray(p.b, dtype=complex)[None]),
+        _to_planes(np.asarray(p.a)[None]),
+        _to_planes(np.asarray(p.b)[None]),
         np.array([CURVES.index(curve)]),
         np.array([part == "im"]),
         np.array([t], dtype=float),
@@ -161,10 +163,11 @@ def flow_walk_stack(
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
     Renormalizes both stacks every RENORM_CADENCE steps.  Runs on planes,
     converting once on entry and once on exit.  Returns new stacks; inputs
-    are not modified.
+    are not modified.  Raises InvalidGroupElementError when a or b has a
+    NaN or inf entry, at any number of steps.
     """
-    a = _to_planes(np.asarray(a, dtype=complex))
-    b = _to_planes(np.asarray(b, dtype=complex))
+    a = _to_planes(a)
+    b = _to_planes(b)
     n = a.shape[2]
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
@@ -172,6 +175,6 @@ def flow_walk_stack(
         t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
         a, b = _flow_step(a, b, curve, part_im, t)
         if (step + 1) % RENORM_CADENCE == 0:
-            a = _to_planes(renormalize(_stack_view(a)))
-            b = _to_planes(renormalize(_stack_view(b)))
+            a = _planes_view(renormalize(_stack_view(a)))
+            b = _planes_view(renormalize(_stack_view(b)))
     return _from_planes(a), _from_planes(b)

@@ -28,7 +28,8 @@ from .fiber import RepPoint
 from .su3 import (
     _from_planes,
     _planar_product,
-    _renormalize_planes,
+    _planes_view,
+    _stack_view,
     _to_planes,
     dagger,
     renormalize,
@@ -176,17 +177,21 @@ def apply_word_stack(
     """Apply per-row letter index sequences to stacked pairs.
 
     indices has shape (n, length) over the letter order "a", "A", "b", "B";
-    rows evolve independently.  Renormalizes on cadence.  Returns new stacks.
+    rows evolve independently.  Returns new stacks.  Raises
+    InvalidGroupElementError when a or b has a NaN or inf entry.
 
     Runs on planes (su3._to_planes) in two slots: x holds each row's last
     target, the element its last letter multiplied (b for "a"/"A", a for
     "b"/"B"), and y the other one.  A letter swaps the slots on the rows
     whose target changes, then sets x = x y, or x y^H on the inverse
-    letters: one planar product over the whole stack.
+    letters: one planar product over the whole stack.  Every
+    WORD_RENORM_CADENCE letters both slots go through renormalize as the
+    (n, 3, 3) stack view of their planes, which returns the stack view of
+    new planes, so renormalizing copies nothing to change layout.
     """
     n, length = indices.shape
-    x = _to_planes(np.asarray(a, dtype=complex))
-    y = _to_planes(np.asarray(b, dtype=complex))
+    x = _to_planes(a)
+    y = _to_planes(b)
     x_is_b = np.zeros(n, dtype=bool)
     t = np.empty((3, n), dtype=complex)
     for j in range(length):
@@ -201,8 +206,8 @@ def apply_word_stack(
         x = _planar_product(x, factor, np.empty_like(x), t)
         del factor
         if (j + 1) % WORD_RENORM_CADENCE == 0:
-            x = _renormalize_planes(x)
-            y = _renormalize_planes(y)
+            x = _planes_view(renormalize(_stack_view(x)))
+            y = _planes_view(renormalize(_stack_view(y)))
     # The same swap as a letter that targets a everywhere: then x = a, y = b.
     x, y = np.where(x_is_b, y, x), np.where(x_is_b, x, y)
     return _from_planes(x), _from_planes(y)

@@ -401,14 +401,19 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     DriftExplosionError is raised when the input's Gram defect is above
     RENORM_GUARD or is not finite (a NaN or inf entry).
 
-    A stack runs on planes (see _renormalize_planes); a lone matrix takes
-    one np.dot per product, which makes the same zgemm call as matmul
-    without matmul's per-call gufunc setup.
+    A stack runs on planes in _renormalize_planes, whose one caller this
+    is, and the result comes back in the input's memory order: a
+    C-contiguous stack gets a C-contiguous result, and the (n, 3, 3) stack
+    view of planes, as both orbit engines pass it, gets the stack view of
+    new planes, so neither side copies to change layout.  A lone matrix
+    takes one np.dot per product, which makes the same zgemm call as
+    matmul without matmul's per-call gufunc setup.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim > 2:
-        q = _renormalize_planes(_to_planes(u.reshape(-1, 3, 3)))
-        return _from_planes(q).reshape(u.shape)
+        stack = u.reshape(-1, 3, 3)
+        p = np.ascontiguousarray(_planes_view(stack))
+        return _stack_view(_renormalize_planes(p, stack)).reshape(u.shape)
     gram = np.dot(dagger(u), u)
     defect = np.abs(gram - IDENTITY).max()
     _check_drift(defect)
@@ -445,18 +450,28 @@ def _det3(m: np.ndarray) -> complex:
 # Planes: a stack of n 3x3 matrices stored with shape (3, 3, n), so that
 # entry (i, k) of every matrix is one contiguous length-n vector and a
 # stacked product is 15 vector operations over (3, n) rows, where matmul
-# makes one small BLAS call per matrix.  The wide-stack paths convert once
-# on entry and once on exit.
+# makes one small BLAS call per matrix.  The orbit engines convert once on
+# entry (_to_planes) and once on exit (_from_planes); in between they hand
+# exp_algebra and renormalize the (n, 3, 3) stack view of their planes and
+# take the stack view of new planes back, so no layout copy runs there.
 
 
 def _to_planes(u: np.ndarray) -> np.ndarray:
-    """A fresh contiguous (3, 3, n) copy of an (n, 3, 3) stack.
+    """A fresh contiguous (3, 3, n) copy of an (n, 3, 3) stack, refused with
+    InvalidGroupElementError when an entry is NaN or inf.
 
+    This is the entry of both orbit engines and of twist_flow.  Past it,
+    exp_algebra checks only each row's x and renormalize runs only on
+    cadence, so without this check a NaN could ride to the end of a short
+    walk or word.
     Always a copy, so planes never share the caller's memory: at n = 1 the
     transposed view is already contiguous, and np.ascontiguousarray would
     return it.
     """
-    return u.transpose(1, 2, 0).copy()
+    p = np.asarray(u, dtype=complex).transpose(1, 2, 0).copy()
+    if not np.isfinite(p).all():
+        raise InvalidGroupElementError("stack has a NaN or inf entry")
+    return p
 
 
 def _from_planes(p: np.ndarray) -> np.ndarray:
@@ -494,10 +509,14 @@ def _planar_product(
     return out
 
 
-def _renormalize_planes(p: np.ndarray) -> np.ndarray:
+def _renormalize_planes(p: np.ndarray, like: np.ndarray) -> np.ndarray:
     """renormalize on planes: the same guard, Newton-Schulz steps and
     first-column phase, with the cofactor determinant taken on the planes.
-    Returns new planes; p is not written."""
+
+    The last product is allocated as the planes view of
+    np.empty_like(like), where like is the (n, 3, 3) stack that p holds,
+    so the result has like's memory order.  Returns new planes; p is not
+    written."""
     t = np.empty(p.shape[1:], dtype=complex)
     # An inf entry makes inf * 0 in the Gram product; the guard refuses
     # the result, so numpy need not warn about it first.
@@ -509,7 +528,9 @@ def _renormalize_planes(p: np.ndarray) -> np.ndarray:
         p = _planar_product(p, _newton_schulz_factor(gram), np.empty_like(p), t)
         gram = _gram_defect_planes(p, t)
         defect = np.abs(gram).max()
-    q = _planar_product(p, _newton_schulz_factor(gram), np.empty_like(p), t)
+    q = _planar_product(
+        p, _newton_schulz_factor(gram), _planes_view(np.empty_like(like)), t
+    )
     # The cofactor determinant a (e i - f h) - b (d i - f g) + c (d h - e g),
     # formed in the rows of t rather than in fresh length-n temporaries,
     # which keeps the word engine's peak memory under the matmul engine's.

@@ -5,10 +5,12 @@ exp_algebra is checked against scipy's expm over coordinate scales from
 on both sides of the Taylor-branch threshold.  renormalize, one path of
 Newton-Schulz steps, is checked against SVD polar projection on both sides
 of the Gram defect above which it iterates and just under its drift guard,
-on lone matrices and on stacks of every shape (stacks run on planes);
-the guard is checked on both sides of RENORM_GUARD and on inputs with a
-singular value farther than 0.1 from 1, alone and inside a stack, and the
-CLI and experiment paths are checked never to iterate.  The
+on lone matrices and on stacks of every shape (stacks run on planes,
+and the stack view of planes gets the stack view of new planes back,
+with the bits of a C-contiguous stack); the guard is checked on both
+sides of RENORM_GUARD and on inputs with a singular value farther than
+0.1 from 1, alone and inside a stack, and the CLI and experiment paths
+are checked never to iterate.  The
 single-pair word path (apply_word, and renormalize, _det3 and dagger on
 one matrix) is checked bit for bit against its matmul and numpy-scalar
 form.  unitary_eigensystem is checked against the complex Schur frame:
@@ -24,8 +26,9 @@ with the spectral exponential on every curve and trace part, the planar
 flow walk against the matmul walk with SVD renormalization on 0, 1 and
 1000 rows, and the planar word-stack engine against the four-mask matmul
 one.  They also check that a word stack applied in pieces cut at
-multiples of the renormalization cadence gives the bits of one call, and
-that no engine writes to its inputs.
+multiples of the renormalization cadence gives the bits of one call,
+that the word engine renormalizes through the public renormalize, that
+no engine writes to its inputs, and that both refuse a NaN or inf entry.
 """
 
 import warnings
@@ -53,7 +56,7 @@ from oracle_kernels import (
     unitary_eigensystem_schur,
 )
 from su3lab import cli, fiber, flows, mcg, traces
-from su3lab.errors import DriftExplosionError
+from su3lab.errors import DriftExplosionError, InvalidGroupElementError
 from su3lab.experiments import matrix_from_c_spec
 from su3lab.fiber import (
     FIBER_TOL,
@@ -74,7 +77,8 @@ from su3lab.su3 import (
     exp_algebra,
     _det3,
     _from_planes,
-    _renormalize_planes,
+    _planes_view,
+    _stack_view,
     _to_planes,
     haar_random,
     renormalize,
@@ -313,6 +317,39 @@ def test_stacked_renormalize_matches_svd_polar(shape, defect):
     assert np.abs(np.linalg.det(out) - 1).max(initial=0.0) <= POLAR_TOL
 
 
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+@pytest.mark.parametrize("defect", [1e-14, 1e-4])
+def test_renormalize_returns_planes_for_planes(rows, defect):
+    """Given the (n, 3, 3) stack view of planes, as both orbit engines pass
+    it, renormalize returns the stack view of new planes, with the bits of
+    the C-contiguous path, and leaves its input as it was."""
+    u = drifted(make_rng(16), defect, rows)
+    planes = _to_planes(u)
+    saved = planes.copy()
+    out = renormalize(_stack_view(planes))
+    assert out.shape == (rows, 3, 3) and _planes_view(out).flags.c_contiguous
+    assert not np.shares_memory(out, planes)
+    assert np.array_equal(bits(out), bits(renormalize(u)))
+    assert np.array_equal(bits(planes), bits(saved))
+
+
+@pytest.mark.parametrize("length", [16, 20])
+def test_word_engine_renormalizes_through_renormalize(monkeypatch, length):
+    """apply_word_stack renormalizes both slots through the public
+    renormalize, once each every WORD_RENORM_CADENCE letters."""
+    shapes = []
+
+    def counting(u):
+        shapes.append(u.shape)
+        return renormalize(u)
+
+    monkeypatch.setattr(mcg, "renormalize", counting)
+    rng = make_rng(17)
+    a, b = haar_random(rng, size=8), haar_random(rng, size=8)
+    mcg.apply_word_stack(mcg.random_word_indices(8, length, rng), a, b)
+    assert shapes == [(8, 3, 3)] * (2 * (length // mcg.WORD_RENORM_CADENCE))
+
+
 def test_det3_matches_lapack_det():
     rng = make_rng(9)
     for m in rng.standard_normal((10, 3, 3)) + 1j * rng.standard_normal((10, 3, 3)):
@@ -348,23 +385,17 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
 
 def test_product_paths_never_iterate(monkeypatch, tmp_path):
     """Every matrix that the word engines, the flow walk and the commutator
-    hand to renormalize (the word-stack engine: to its planar kernel) in
-    `orbit`, `sample --angles` and an mcg_orbit_distribution run has Gram
-    defect at most NEWTON_SCHULZ_DEFECT, so renormalize takes only its last
-    Newton-Schulz step there."""
+    hand to renormalize in `orbit`, `sample --angles` and an
+    mcg_orbit_distribution run has Gram defect at most NEWTON_SCHULZ_DEFECT,
+    so renormalize takes only its last Newton-Schulz step there."""
     defects = []
 
     def recording(u):
         defects.append(gram_defect(u))
         return renormalize(u)
 
-    def recording_planes(p):
-        defects.append(gram_defect(p.transpose(2, 0, 1)))
-        return _renormalize_planes(p)
-
     for module in (mcg, flows, fiber):
         monkeypatch.setattr(module, "renormalize", recording)
-    monkeypatch.setattr(mcg, "_renormalize_planes", recording_planes)
     label = ["--angles", "0.123,0.456", "--seed", "3"]
     out = ["--out", str(tmp_path / "rows.csv")]
     assert cli.main(["orbit", "--n", "4", "--word-length", "64", *label, *out]) == 0
@@ -666,3 +697,27 @@ def test_engines_leave_their_inputs_unchanged():
                 flows.twist_flow(q, curve, part, 0.7)
     for m, m0 in zip(inputs, saved):
         assert np.array_equal(m, m0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("element", [0, 1])
+def test_engines_refuse_non_finite_input(bad, element):
+    """A NaN or inf entry in a or in b is refused where both engines move
+    their pairs to planes, so a 1-letter word (each letter) and a 1-step
+    walk (several draws of curves) raise before they could pass it on;
+    0-row stacks still run."""
+    rng = make_rng(18)
+    pair = [haar_random(rng, size=4), haar_random(rng, size=4)]
+    pair[element][0, 0, 0] = bad
+    for letter in range(4):
+        with pytest.raises(InvalidGroupElementError):
+            mcg.apply_word_stack(np.full((4, 1), letter, dtype=np.int8), *pair)
+    for seed in range(1, 6):
+        with pytest.raises(InvalidGroupElementError):
+            flows.flow_walk_stack(*pair, 1, make_rng(seed))
+    empty = np.empty((0, 3, 3), dtype=complex)
+    for out in (
+        mcg.apply_word_stack(np.empty((0, 1), dtype=np.int8), empty, empty),
+        flows.flow_walk_stack(empty, empty, 1, rng),
+    ):
+        assert [m.shape for m in out] == [(0, 3, 3)] * 2

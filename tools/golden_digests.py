@@ -18,10 +18,11 @@ same 1000 Haar pairs with one random 200-letter word each, the letter
 indices of `mcg.random_word_indices` for one 200-letter word and then
 for a stack of 10 000 of them, `su3.renormalize` called on 64 single matrices one
 by one at drift 1e-14 (one Newton-Schulz step, as on the product
-paths) and at drift 1e-4 (repeated Newton-Schulz steps), and the rank
-layers of the submersion census on 2000 Haar pairs (a, b): the integer
-ranks of `d_kappa_matrix`, the centralizer intersections and the
-`is_generic` flags of b.
+paths) and at drift 1e-4 (repeated Newton-Schulz steps), the same 64
+matrices per drift renormalized as one C-contiguous stack (the planar
+path), and the rank layers of the submersion census on 2000 Haar pairs
+(a, b): the integer ranks of `d_kappa_matrix`, the centralizer
+intersections and the `is_generic` flags of b.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -108,7 +109,7 @@ FLOW_PAIRS, FLOW_STEPS = 1000, 256
 TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 RENORM_MATRICES = 64
-RENORM_DRIFTS = {"renormalize_single_newton_schulz": 1e-14, "renormalize_single_iterated": 1e-4}
+RENORM_DRIFTS = {"newton_schulz": 1e-14, "iterated": 1e-4}
 RANK_PAIRS = 2000
 
 
@@ -183,7 +184,7 @@ def word_digests(seed: int) -> dict[str, str]:
 
 def renormalize_digests(seed: int) -> dict[str, str]:
     """Haar matrices times Id + e, entries of e at most drift/3, each
-    renormalized as a single matrix."""
+    renormalized as a single matrix, and then all of them as one stack."""
     rng = np.random.Generator(np.random.PCG64(seed))
     out = {}
     for name, drift in RENORM_DRIFTS.items():
@@ -191,7 +192,9 @@ def renormalize_digests(seed: int) -> dict[str, str]:
         e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         e *= drift / (3 * np.abs(e).max(axis=(1, 2), keepdims=True))
         u = su3.haar_random(rng, RENORM_MATRICES) @ (su3.IDENTITY + e)
-        out[name] = _sha(b"".join(su3.renormalize(m).tobytes() for m in u))
+        single = b"".join(su3.renormalize(m).tobytes() for m in u)
+        out[f"renormalize_single_{name}"] = _sha(single)
+        out[f"renormalize_stack_{name}"] = _sha(su3.renormalize(u).tobytes())
     return out
 
 
