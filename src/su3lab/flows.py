@@ -21,21 +21,21 @@ flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step, on planes (see su3lab.su3), runs under both twist_flow (a
 stack of one) and flow_walk_stack, which moves its pairs to (3, 3, n)
-planes once on entry and back once on exit; the entry refuses a NaN or
-inf entry.  In a step, a b on the alpha_beta rows and a b^H on the
-alpha_beta_inv rows are one planar product over the whole stack, formed
-only when some row's curve needs it; each row's x, and then each row's
-new a and b, are picked with np.where from whole-stack products.
-variation, exp_algebra and renormalize take the (n, 3, 3) stack view of
-the planes and return the stack view of new planes, so the walk's
-renormalization, like the step, copies nothing to change layout.
+planes once on entry and back once on exit; the entry refuses anything
+but an (n, 3, 3) stack without NaN or inf entries.  In a step, a b on
+the alpha_beta rows and a b^H on the alpha_beta_inv rows are one planar
+product over the whole stack, formed only when some row's curve needs
+it; each row's x, and then each row's new a and b, are picked with
+np.where from whole-stack products.  Every planar product, and
+variation, exp_algebra and renormalize on the (n, 3, 3) stack view of
+the planes, return new planes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import TrivialFlowError
+from .errors import InvalidGroupElementError, TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
@@ -122,14 +122,13 @@ def _flow_step(
     part, t the flow time; all three have one entry per row.  Returns new
     planes (a, b); a and b are not written.
     """
-    work = np.empty(a.shape[1:], dtype=complex)
     x = np.where(curve == 0, a, b)
     on_product = curve >= 2
     if on_product.any():
         # u = a b on alpha_beta rows and a b^H on alpha_beta_inv rows: one
         # planar product for both.
         b_or_dagger = np.where(curve == 3, np.conjugate(b.transpose(1, 0, 2)), b)
-        u = _planar_product(a, b_or_dagger, np.empty_like(a), work)
+        u = _planar_product(a, b_or_dagger)
         x = np.where(on_product, u, x)
     # Im Tr x = Re Tr(-i x); x is this step's own array.
     x *= np.where(part_im, -1j, 1.0)
@@ -139,14 +138,12 @@ def _flow_step(
 
     # The table in the module docstring.  On alpha_beta rows a = u v^-1
     # with u = a b and v = b z, so a reads the pre-step b through bz.
-    bz = _planar_product(b, z, np.empty_like(b), work)
-    az = _planar_product(a, z, np.empty_like(a), work)
+    bz = _planar_product(b, z)
+    az = _planar_product(a, z)
     new_a = np.where((curve == 1) | (curve == 3), az, a)
     m_ab = curve == 2
     if m_ab.any():
-        a_ab = _planar_product(
-            u, np.conjugate(bz.transpose(1, 0, 2)), np.empty_like(a), work
-        )
+        a_ab = _planar_product(u, np.conjugate(bz.transpose(1, 0, 2)))
         new_a = np.where(m_ab, a_ab, new_a)
     return new_a, np.where(curve != 1, bz, b)
 
@@ -163,12 +160,15 @@ def flow_walk_stack(
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
     Renormalizes both stacks every RENORM_CADENCE steps.  Runs on planes,
     converting once on entry and once on exit.  Returns new stacks; inputs
-    are not modified.  Raises InvalidGroupElementError when a or b has a
-    NaN or inf entry, at any number of steps.
+    are not modified.  Raises InvalidGroupElementError unless a and b are
+    (n, 3, 3) stacks with the same n and no NaN or inf entry, at any
+    number of steps.
     """
     a = _to_planes(a)
     b = _to_planes(b)
     n = a.shape[2]
+    if b.shape[2] != n:
+        raise InvalidGroupElementError(f"a has {n} rows and b has {b.shape[2]}")
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
         part_im = rng.integers(2, size=n).astype(bool)

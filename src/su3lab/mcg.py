@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidGroupElementError
 from .fiber import RepPoint
 from .su3 import (
     _from_planes,
@@ -178,7 +179,8 @@ def apply_word_stack(
 
     indices has shape (n, length) over the letter order "a", "A", "b", "B";
     rows evolve independently.  Returns new stacks.  Raises
-    InvalidGroupElementError when a or b has a NaN or inf entry.
+    InvalidGroupElementError unless a and b are (n, 3, 3) stacks with no
+    NaN or inf entry, and ValueError on an index outside 0..3.
 
     Runs on planes (su3._to_planes) in two slots: x holds each row's last
     target, the element its last letter multiplied (b for "a"/"A", a for
@@ -186,14 +188,18 @@ def apply_word_stack(
     whose target changes, then sets x = x y, or x y^H on the inverse
     letters: one planar product over the whole stack.  Every
     WORD_RENORM_CADENCE letters both slots go through renormalize as the
-    (n, 3, 3) stack view of their planes, which returns the stack view of
-    new planes, so renormalizing copies nothing to change layout.
+    (n, 3, 3) stack view of their planes.
     """
     n, length = indices.shape
     x = _to_planes(a)
     y = _to_planes(b)
+    if x.shape[2] != n or y.shape[2] != n:
+        raise InvalidGroupElementError(
+            f"indices have {n} rows, a has {x.shape[2]} and b has {y.shape[2]}"
+        )
+    if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
+        raise ValueError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
     x_is_b = np.zeros(n, dtype=bool)
-    t = np.empty((3, n), dtype=complex)
     for j in range(length):
         col = indices[:, j]
         to_b = col < 2
@@ -203,7 +209,7 @@ def apply_word_stack(
         # y, or y^H on the inverse letters; freed before the renormalization
         # below, so that the engine peaks no higher than the matmul one did.
         factor = np.where(col & 1, np.conjugate(y.transpose(1, 0, 2)), y)
-        x = _planar_product(x, factor, np.empty_like(x), t)
+        x = _planar_product(x, factor)
         del factor
         if (j + 1) % WORD_RENORM_CADENCE == 0:
             x = _planes_view(renormalize(_stack_view(x)))

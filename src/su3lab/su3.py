@@ -156,10 +156,8 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     construction.  Raises InvalidAlgebraError for inputs off the algebra,
     NaN and inf entries included.  Accepts stacks.
 
-    Runs on planes for a stack, and a lone matrix is a stack of one (see
-    _exp_planes).  The result is the stack view of new planes, so it need
-    not be C-contiguous; given the stack view of planes, as the flow step
-    passes it, the input is read in place.
+    Runs on planes, a lone matrix as a stack of one (see _exp_planes), and
+    returns the stack view of new planes.
     """
     x = np.asarray(x, dtype=complex)
     assert_algebra_element(x)
@@ -171,8 +169,7 @@ def _exp_planes(p: np.ndarray) -> np.ndarray:
     """exp_algebra on planes: x^2 is one planar product, c1 and c0 come from
     the diagonals of x^2 and x^3, and the f_j multiply the planes row by
     row.  Returns new planes; p is not written."""
-    t = np.empty(p.shape[1:], dtype=complex)
-    out = _planar_product(p, p, np.empty_like(p), t)
+    out = _planar_product(p, p)
     # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
     # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
     c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
@@ -183,14 +180,12 @@ def _exp_planes(p: np.ndarray) -> np.ndarray:
     out *= -f2
     i_f1 = 1j * f1
     for i in range(3):
-        out[i] -= np.multiply(p[i], i_f1, out=t)
+        out[i] -= p[i] * i_f1
         out[i, i] += f0
     squaring = c1 > EXP_SQUARING_C1
     if squaring.any():
         half = _exp_planes(p[:, :, squaring] / 2)
-        out[:, :, squaring] = _planar_product(
-            half, half, np.empty_like(half), np.empty(half.shape[1:], dtype=complex)
-        )
+        out[:, :, squaring] = _planar_product(half, half)
     return out
 
 
@@ -401,19 +396,15 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     DriftExplosionError is raised when the input's Gram defect is above
     RENORM_GUARD or is not finite (a NaN or inf entry).
 
-    A stack runs on planes in _renormalize_planes, whose one caller this
-    is, and the result comes back in the input's memory order: a
-    C-contiguous stack gets a C-contiguous result, and the (n, 3, 3) stack
-    view of planes, as both orbit engines pass it, gets the stack view of
-    new planes, so neither side copies to change layout.  A lone matrix
-    takes one np.dot per product, which makes the same zgemm call as
-    matmul without matmul's per-call gufunc setup.
+    A stack runs on planes, as in exp_algebra, and returns the stack view
+    of new planes.  A lone matrix takes one np.dot per product, which
+    makes the same zgemm call as matmul without matmul's per-call gufunc
+    setup.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim > 2:
-        stack = u.reshape(-1, 3, 3)
-        p = np.ascontiguousarray(_planes_view(stack))
-        return _stack_view(_renormalize_planes(p, stack)).reshape(u.shape)
+        p = np.ascontiguousarray(_planes_view(u))
+        return _stack_view(_renormalize_planes(p)).reshape(u.shape)
     gram = np.dot(dagger(u), u)
     defect = np.abs(gram - IDENTITY).max()
     _check_drift(defect)
@@ -422,7 +413,7 @@ def renormalize(u: np.ndarray) -> np.ndarray:
         gram = np.dot(dagger(u), u)
         defect = np.abs(gram - IDENTITY).max()
     q = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
-    q[:, 0] /= _det3(q)
+    q[:, 0] /= _det3(q.T.tolist())
     return q
 
 
@@ -435,30 +426,35 @@ def _check_drift(defect) -> None:
         )
 
 
-def _det3(m: np.ndarray) -> complex:
-    """Determinant of one 3x3 matrix by cofactor expansion.
+def _det3(rows):
+    """Determinant of a 3x3 matrix from its rows, by cofactor expansion.
 
-    m.T.tolist() unpacks the entries of the transpose (same determinant)
-    into Python complex numbers: they multiply by the same formula as
-    numpy's complex scalars, so the same bits, without numpy's
-    per-operation dispatch.
+    The rows of planes give the determinant of every matrix at once.  For
+    a lone matrix m, m.T.tolist() gives the rows of its transpose (same
+    determinant) as Python complex numbers: they multiply by the same
+    formula as numpy's complex scalars, so the same bits, without numpy's
+    per-operation dispatch.  Each cofactor is the left operand: numpy's
+    SIMD complex multiply is not bitwise commutative, and this order keeps
+    the planar bits.
     """
-    (a, b, c), (d, e, f), (g, h, i) = m.T.tolist()
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (e * i - f * h) * a - (d * i - f * g) * b + (d * h - e * g) * c
 
 
 # Planes: a stack of n 3x3 matrices stored with shape (3, 3, n), so that
 # entry (i, k) of every matrix is one contiguous length-n vector and a
 # stacked product is 15 vector operations over (3, n) rows, where matmul
-# makes one small BLAS call per matrix.  The orbit engines convert once on
-# entry (_to_planes) and once on exit (_from_planes); in between they hand
-# exp_algebra and renormalize the (n, 3, 3) stack view of their planes and
-# take the stack view of new planes back, so no layout copy runs there.
+# makes one small BLAS call per matrix.  Every planar kernel returns new
+# planes and allocates its own output and work rows.  The orbit engines
+# convert once on entry (_to_planes) and once on exit (_from_planes); in
+# between they hand exp_algebra and renormalize the (n, 3, 3) stack view
+# of their planes and take the stack view of new planes back.
 
 
 def _to_planes(u: np.ndarray) -> np.ndarray:
     """A fresh contiguous (3, 3, n) copy of an (n, 3, 3) stack, refused with
-    InvalidGroupElementError when an entry is NaN or inf.
+    InvalidGroupElementError when it has another shape or an entry is NaN
+    or inf.
 
     This is the entry of both orbit engines and of twist_flow.  Past it,
     exp_algebra checks only each row's x and renormalize runs only on
@@ -468,7 +464,10 @@ def _to_planes(u: np.ndarray) -> np.ndarray:
     transposed view is already contiguous, and np.ascontiguousarray would
     return it.
     """
-    p = np.asarray(u, dtype=complex).transpose(1, 2, 0).copy()
+    u = np.asarray(u, dtype=complex)
+    if u.ndim != 3 or u.shape[1:] != (3, 3):
+        raise InvalidGroupElementError(f"expected an (n, 3, 3) stack, got shape {u.shape}")
+    p = u.transpose(1, 2, 0).copy()
     if not np.isfinite(p).all():
         raise InvalidGroupElementError("stack has a NaN or inf entry")
     return p
@@ -490,15 +489,14 @@ def _planes_view(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 3, 3).transpose(1, 2, 0)
 
 
-def _planar_product(
-    x: np.ndarray, y: np.ndarray, out: np.ndarray, t: np.ndarray
-) -> np.ndarray:
-    """out = x y on planes; t is a (3, n) work buffer.
+def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x y on planes, as new planes laid out like x.
 
-    Row i of out is sum_j x[i, j] y[j], added left to right: 15 vector
-    operations over (3, n) rows.  out must not share memory with x or y;
-    x and y may be strided views of planes.
+    Row i is sum_j x[i, j] y[j], added left to right: 15 vector operations
+    over (3, n) rows.  x and y may be strided views of planes.
     """
+    out = np.empty_like(x)
+    t = np.empty(x.shape[1:], dtype=complex)
     y0, y1, y2 = y
     for (x0, x1, x2), out_i in zip(x, out):
         np.multiply(x0, y0, out=out_i)
@@ -509,52 +507,28 @@ def _planar_product(
     return out
 
 
-def _renormalize_planes(p: np.ndarray, like: np.ndarray) -> np.ndarray:
+def _renormalize_planes(p: np.ndarray) -> np.ndarray:
     """renormalize on planes: the same guard, Newton-Schulz steps and
     first-column phase, with the cofactor determinant taken on the planes.
-
-    The last product is allocated as the planes view of
-    np.empty_like(like), where like is the (n, 3, 3) stack that p holds,
-    so the result has like's memory order.  Returns new planes; p is not
-    written."""
-    t = np.empty(p.shape[1:], dtype=complex)
+    Returns new planes; p is not written."""
     # An inf entry makes inf * 0 in the Gram product; the guard refuses
     # the result, so numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
-        gram = _gram_defect_planes(p, t)
+        gram = _gram_defect_planes(p)
         defect = np.abs(gram).max(initial=0.0)
     _check_drift(defect)
     while defect > NEWTON_SCHULZ_DEFECT:
-        p = _planar_product(p, _newton_schulz_factor(gram), np.empty_like(p), t)
-        gram = _gram_defect_planes(p, t)
+        p = _planar_product(p, _newton_schulz_factor(gram))
+        gram = _gram_defect_planes(p)
         defect = np.abs(gram).max()
-    q = _planar_product(
-        p, _newton_schulz_factor(gram), _planes_view(np.empty_like(like)), t
-    )
-    # The cofactor determinant a (e i - f h) - b (d i - f g) + c (d h - e g),
-    # formed in the rows of t rather than in fresh length-n temporaries,
-    # which keeps the word engine's peak memory under the matmul engine's.
-    (a, b, c), (d, e, f), (g, h, i) = q
-    det, u, v = t
-    np.multiply(e, i, out=det)
-    det -= np.multiply(f, h, out=u)
-    det *= a
-    np.multiply(d, i, out=u)
-    u -= np.multiply(f, g, out=v)
-    u *= b
-    det -= u
-    np.multiply(d, h, out=u)
-    u -= np.multiply(e, g, out=v)
-    u *= c
-    det += u
-    q[:, 0] /= det
+    q = _planar_product(p, _newton_schulz_factor(gram))
+    q[:, 0] /= _det3(q)
     return q
 
 
-def _gram_defect_planes(p: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _gram_defect_planes(p: np.ndarray) -> np.ndarray:
     """p^H p - Id on planes."""
-    p_dagger = np.conjugate(p).transpose(1, 0, 2)
-    gram = _planar_product(p_dagger, p, np.empty_like(p), t)
+    gram = _planar_product(np.conjugate(p).transpose(1, 0, 2), p)
     for i in range(3):
         gram[i, i] -= 1.0
     return gram

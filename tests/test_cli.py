@@ -146,6 +146,17 @@ def test_sample_rejects_out_of_domain_trace(capsys):
     assert "trace domain" in capsys.readouterr().err
 
 
+def test_sample_negative_trace_label_with_equals_sign(tmp_path):
+    # argparse reads the "-0.5,0.2" of `--trace -0.5,0.2` as an option, so
+    # the README writes a label with a negative real part as `--trace=`.
+    out = tmp_path / "fiber.csv"
+    code = main(["sample", "--count", "4", "--seed", "1", "--trace=-0.5,0.2", "--out", str(out)])
+    assert code == 0
+    rows = read_csv(out)
+    assert len(rows) == 5 and all(len(r) == EXPECTED_COLUMNS for r in rows)
+    assert max(float(r[-1]) for r in rows[1:]) <= 1e-9
+
+
 def test_sample_overflowing_trace_label_warns_nothing(capsys):
     # The boundary defect of 1e200 overflows to NaN; the refusal is the
     # typed error alone, with no numpy RuntimeWarning before it.

@@ -5,9 +5,11 @@ exp_algebra is checked against scipy's expm over coordinate scales from
 on both sides of the Taylor-branch threshold.  renormalize, one path of
 Newton-Schulz steps, is checked against SVD polar projection on both sides
 of the Gram defect above which it iterates and just under its drift guard,
-on lone matrices and on stacks of every shape (stacks run on planes,
-and the stack view of planes gets the stack view of new planes back,
-with the bits of a C-contiguous stack); the guard is checked on both
+on lone matrices and on stacks of every shape (stacks run on planes:
+renormalize and exp_algebra return the stack view of new planes, with
+the same bits for a C-contiguous stack and for the stack view of planes,
+the planar product matches matmul on strided operands, and the cofactor
+determinant on plane rows matches LAPACK's); the guard is checked on both
 sides of RENORM_GUARD and on inputs with a singular value farther than
 0.1 from 1, alone and inside a stack, and the CLI and experiment paths
 are checked never to iterate.  The
@@ -28,7 +30,8 @@ flow walk against the matmul walk with SVD renormalization on 0, 1 and
 one.  They also check that a word stack applied in pieces cut at
 multiples of the renormalization cadence gives the bits of one call,
 that the word engine renormalizes through the public renormalize, that
-no engine writes to its inputs, and that both refuse a NaN or inf entry.
+no engine writes to its inputs, and that both refuse a NaN or inf entry
+and malformed stacks.
 """
 
 import warnings
@@ -77,6 +80,7 @@ from su3lab.su3 import (
     exp_algebra,
     _det3,
     _from_planes,
+    _planar_product,
     _planes_view,
     _stack_view,
     _to_planes,
@@ -311,26 +315,68 @@ def test_stacked_renormalize_matches_svd_polar(shape, defect):
     size = int(np.prod(shape[:-2]))
     u = drifted(rng, defect, size).reshape(shape)
     out = renormalize(u)
-    assert out.shape == shape and out.flags.c_contiguous
+    assert out.shape == shape and _planes_view(out).flags.c_contiguous
     assert np.abs(out - renormalize_svd(u)).max(initial=0.0) <= POLAR_TOL
     assert np.abs(out @ dagger(out) - IDENTITY).max(initial=0.0) <= POLAR_TOL
     assert np.abs(np.linalg.det(out) - 1).max(initial=0.0) <= POLAR_TOL
 
 
+def algebra_at_scale(rng: np.random.Generator, scale: float, size: int) -> np.ndarray:
+    return algebra_from_coords(scale * rng.standard_normal((size, 8)))
+
+
+# The stacked planar kernels and their inputs: renormalize at the drift of
+# the product paths and iterating (ids are the drifts), exp_algebra with c1
+# below EXP_TAYLOR_C1, in between and above EXP_SQUARING_C1.
+PLANAR_KERNELS = [
+    pytest.param(renormalize, drifted, 1e-14, id="1e-14"),
+    pytest.param(renormalize, drifted, 1e-4, id="0.0001"),
+    pytest.param(exp_algebra, algebra_at_scale, 1e-3, id="exp_taylor"),
+    pytest.param(exp_algebra, algebra_at_scale, 1.0, id="exp_closed"),
+    pytest.param(exp_algebra, algebra_at_scale, 12.0, id="exp_squaring"),
+]
+
+
 @pytest.mark.parametrize("rows", [0, 1, 1000])
-@pytest.mark.parametrize("defect", [1e-14, 1e-4])
-def test_renormalize_returns_planes_for_planes(rows, defect):
-    """Given the (n, 3, 3) stack view of planes, as both orbit engines pass
-    it, renormalize returns the stack view of new planes, with the bits of
-    the C-contiguous path, and leaves its input as it was."""
-    u = drifted(make_rng(16), defect, rows)
-    planes = _to_planes(u)
-    saved = planes.copy()
-    out = renormalize(_stack_view(planes))
-    assert out.shape == (rows, 3, 3) and _planes_view(out).flags.c_contiguous
-    assert not np.shares_memory(out, planes)
-    assert np.array_equal(bits(out), bits(renormalize(u)))
-    assert np.array_equal(bits(planes), bits(saved))
+@pytest.mark.parametrize("kernel, draw, scale", PLANAR_KERNELS)
+def test_renormalize_returns_planes_for_planes(rows, kernel, draw, scale):
+    """Given a C-contiguous stack or the (n, 3, 3) stack view of planes, as
+    both orbit engines pass it, renormalize and exp_algebra return the
+    stack view of new planes, with the same bits for both layouts, and
+    leave their input as it was."""
+    u = draw(make_rng(16), scale, rows)
+    results = []
+    for x in (u, _stack_view(_to_planes(u))):
+        saved = x.copy()
+        out = kernel(x)
+        assert out.shape == (rows, 3, 3) and _planes_view(out).flags.c_contiguous
+        assert not np.shares_memory(out, x)
+        assert np.array_equal(bits(x), bits(saved))
+        results.append(out)
+    assert np.array_equal(bits(results[0]), bits(results[1]))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+def test_planar_product_returns_new_planes_laid_out_like_x(rows):
+    """_planar_product(x, y) is x y to 1e-15 on strided operands, the planar
+    dagger view and the planes view of a C-contiguous stack, as new planes
+    laid out like x that share no memory with x or y."""
+    rng = make_rng(21)
+    u, v = haar_random(rng, size=rows), haar_random(rng, size=rows)
+    planes = _to_planes(v)
+    # Each operand with the axis order that is C-contiguous in memory.
+    stack_of_u = (_planes_view(u), lambda m: m.transpose(2, 0, 1))
+    dagger_of_v = (np.conjugate(planes).transpose(1, 0, 2), lambda m: m.transpose(1, 0, 2))
+    v_itself = (planes, lambda m: m)
+    for (x, x_order), (y, _), ref in (
+        (stack_of_u, dagger_of_v, u @ dagger(v)),
+        (dagger_of_v, stack_of_u, dagger(v) @ u),
+        (v_itself, stack_of_u, v @ u),
+    ):
+        out = _planar_product(x, y)
+        assert np.abs(_stack_view(out) - ref).max(initial=0.0) <= 1e-15
+        assert x_order(x).flags.c_contiguous and x_order(out).flags.c_contiguous
+        assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
 
 
 @pytest.mark.parametrize("length", [16, 20])
@@ -357,6 +403,14 @@ def test_det3_matches_lapack_det():
         assert abs(_det3(m) - np.linalg.det(m)) <= 1e-13
 
 
+def test_det3_on_plane_rows_matches_lapack_det():
+    """The rows of planes give every matrix's determinant at once."""
+    rng = make_rng(23)
+    gauss = rng.standard_normal((1000, 3, 3)) + 1j * rng.standard_normal((1000, 3, 3))
+    for m in (haar_random(rng, size=1000), gauss):
+        assert np.abs(_det3(_to_planes(m)) - np.linalg.det(m)).max() <= 1e-13
+
+
 def bits(m) -> np.ndarray:
     """The IEEE bit patterns of a complex array or scalar."""
     return np.asarray(m, dtype=complex).reshape(-1).view(np.int64)
@@ -378,7 +432,7 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
         for u in stack:
             assert (gram_defect(u) > NEWTON_SCHULZ_DEFECT) == iterates
             assert np.array_equal(bits(renormalize(u)), bits(renormalize_matmul(u)))
-            assert np.array_equal(bits(_det3(u)), bits(det3_numpy(u)))
+            assert np.array_equal(bits(_det3(u.T.tolist())), bits(det3_numpy(u)))
             assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
         assert dagger(stack).strides == dagger_conjugate(stack).strides
 
@@ -721,3 +775,44 @@ def test_engines_refuse_non_finite_input(bad, element):
         flows.flow_walk_stack(empty, empty, 1, rng),
     ):
         assert [m.shape for m in out] == [(0, 3, 3)] * 2
+
+
+def with_index(indices: np.ndarray, letter: int) -> np.ndarray:
+    indices = indices.copy()
+    indices[1, 2] = letter
+    return indices
+
+
+# Malformed inputs to both engines, built from 4-row stacks a and b and
+# 4 x 8 letter indices.  The flow walk takes no indices, so a 1-row pair is
+# well formed for it, and so are the index cases.
+MALFORMED = {
+    "lone_matrix": lambda a, b, w: (a[0], b, w),
+    "one_row_b": lambda a, b, w: (a, b[:1], w),
+    "one_row_pair": lambda a, b, w: (a[:1], b[:1], w),
+    "three_row_b": lambda a, b, w: (a, b[:3], w),
+    "index_7": lambda a, b, w: (a, b, with_index(w, 7)),
+    "index_-1": lambda a, b, w: (a, b, with_index(w, -1)),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_engines_refuse_malformed_stacks(case):
+    """Both engines take only (n, 3, 3) stacks a and b with the same number
+    of rows as each other and as the word indices, and letter indices in
+    0..3: a lone matrix or a row count that differs raises
+    InvalidGroupElementError, so no 1-row stack is broadcast over the
+    others, and an index outside 0..3 raises ValueError, as TwistWord
+    does for an unknown letter."""
+    rng = make_rng(19)
+    a, b = haar_random(rng, size=4), haar_random(rng, size=4)
+    a, b, indices = MALFORMED[case](a, b, mcg.random_word_indices(4, 8, rng))
+    index_case = case.startswith("index")
+    with pytest.raises(ValueError if index_case else InvalidGroupElementError):
+        mcg.apply_word_stack(indices, a, b)
+    if index_case or case == "one_row_pair":
+        out = flows.flow_walk_stack(a, b, 1, rng)
+        assert [m.shape for m in out] == [(len(a), 3, 3)] * 2
+    else:
+        with pytest.raises(InvalidGroupElementError):
+            flows.flow_walk_stack(a, b, 1, rng)

@@ -20,9 +20,13 @@ for a stack of 10 000 of them, `su3.renormalize` called on 64 single matrices on
 by one at drift 1e-14 (one Newton-Schulz step, as on the product
 paths) and at drift 1e-4 (repeated Newton-Schulz steps), the same 64
 matrices per drift renormalized as one C-contiguous stack (the planar
-path), and the rank layers of the submersion census on 2000 Haar pairs
-(a, b): the integer ranks of `d_kappa_matrix`, the centralizer
-intersections and the `is_generic` flags of b.
+path), `su3.exp_algebra` on three stacks of 64 algebra elements, with
+Gaussian `ALGEBRA_BASIS` coordinates scaled by 1e-3, 1 and 12 so that c1
+is below `EXP_TAYLOR_C1`, in between, and above `EXP_SQUARING_C1` (the
+Taylor, closed-form and squaring branches), and the rank layers of the
+submersion census on 2000 Haar pairs (a, b): the integer ranks of
+`d_kappa_matrix`, the centralizer intersections and the `is_generic`
+flags of b.
 
 The script imports su3lab from the `src` directory beside it and calls
 only the public API with positional arguments, so a copy of it run in
@@ -110,6 +114,8 @@ TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 RENORM_MATRICES = 64
 RENORM_DRIFTS = {"newton_schulz": 1e-14, "iterated": 1e-4}
+EXP_ELEMENTS = 64
+EXP_SCALES = {"taylor": 1e-3, "closed": 1.0, "squaring": 12.0}
 RANK_PAIRS = 2000
 
 
@@ -198,6 +204,18 @@ def renormalize_digests(seed: int) -> dict[str, str]:
     return out
 
 
+def exp_digests(seed: int) -> dict[str, str]:
+    """One stack per branch of exp_algebra; the coordinates are summed
+    against ALGEBRA_BASIS elementwise, so no BLAS call shapes the input."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    out = {}
+    for name, scale in EXP_SCALES.items():
+        coords = scale * rng.standard_normal((EXP_ELEMENTS, 8))
+        x = (coords[:, :, None, None] * su3.ALGEBRA_BASIS).sum(axis=1)
+        out[f"exp_algebra_stack_{name}"] = _sha(su3.exp_algebra(x).tobytes())
+    return out
+
+
 def rank_layer_digests(seed: int) -> dict[str, str]:
     rng = np.random.Generator(np.random.PCG64(seed))
     a = su3.haar_random(rng, RANK_PAIRS)
@@ -218,6 +236,7 @@ def table(seeds: list[int]) -> list[str]:
                 **engine_digests(seed),
                 **word_digests(seed),
                 **renormalize_digests(seed),
+                **exp_digests(seed),
                 **rank_layer_digests(seed),
             }
             rows += [f"seed{seed}/{name} {d}" for name, d in digests.items()]
