@@ -77,4 +77,4 @@ from .traces import (
     is_generic,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

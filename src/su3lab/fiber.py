@@ -26,6 +26,9 @@ from .errors import FiberMismatchError
 from .su3 import (
     IDENTITY,
     OMEGA,
+    _broadcast_planes,
+    _planar_product,
+    _stack_view,
     adjoint_matrix,
     assert_special_unitary,
     dagger,
@@ -67,8 +70,20 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Entrywise max distance of the raw product a b a^-1 b^-1 from c;
-    accepts stacks, and a single pair gives a numpy scalar."""
-    return np.abs(a @ b @ dagger(b @ a) - c).max(axis=(-2, -1))
+    accepts stacks that broadcast, and a single pair gives a numpy scalar.
+
+    Stacks run on planes (su3._broadcast_planes): three planar products,
+    ab, ba and ab (ba)^H.  A lone pair takes one np.dot per product, as
+    renormalize does: on planes it cost 9x as much, and every RepPoint
+    pays it once.
+    """
+    if np.ndim(a) == 2 and np.ndim(b) == 2:
+        return np.abs(np.dot(np.dot(a, b), dagger(np.dot(b, a))) - c).max(axis=(-2, -1))
+    (pa, pb), shape = _broadcast_planes(a, b)
+    ab = _planar_product(pa, pb)
+    ba = _planar_product(pb, pa)
+    comm = _planar_product(ab, np.conjugate(ba.transpose(1, 0, 2)))
+    return np.abs(_stack_view(comm).reshape(shape + (3, 3)) - c).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)

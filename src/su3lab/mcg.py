@@ -27,7 +27,6 @@ import numpy as np
 from .errors import InvalidGroupElementError
 from .fiber import RepPoint
 from .su3 import (
-    _from_planes,
     _planar_product,
     _planes_view,
     _stack_view,
@@ -48,6 +47,14 @@ WORD_RENORM_CADENCE = 8
 # raised the peak memory of an mcg_orbit_distribution run by a quarter;
 # blocks of consecutive letter positions keep its temporaries to a few MB.
 DRAW_BLOCK = 1 << 17
+
+# Rows per block of apply_word_stack: a block's planes and the letter
+# step's temporaries, a few MB at 4096 rows, stay in cache through all of
+# its letters.  On 26 000 rows, blocks of 1024 to 4096 rows cost 0.19 to
+# 0.22 us per row-letter and blocks of 8192 cost 0.23 us, against 0.39 us
+# unblocked (one core of a shared 2-core x86_64 host; 2048 and 4096 trade
+# places between runs).
+WORD_BLOCK_ROWS = 4096
 
 LETTERS = ("a", "A", "b", "B")
 
@@ -143,8 +150,9 @@ def random_word_indices(count: int, length: int, rng: np.random.Generator) -> np
     the pair.  The letter repeats while the pair stays; where the pair
     changes, the letter is r + pair.  So pair XOR (step & 1) is carried
     forward from the last step whose draw is 0 or 2, and the sign from the
-    last step that changed the pair: each is one running maximum over
-    (step << 1) | bit codes, which are zero at the steps that carry.
+    last step that changed the pair: each is one running maximum
+    (_running_max) over (step << 1) | bit codes, which are zero at the steps
+    that carry.
     """
     out = np.empty((count, max(length, 0)), dtype=np.int8)
     if length <= 0:
@@ -162,14 +170,30 @@ def random_word_indices(count: int, length: int, rng: np.random.Generator) -> np
         code = np.empty((len(r) + 1, count), dtype=np.int32)
         code[0] = pair_code
         code[1:] = (r != 1) * ((step[1:] << 1) | ((r >> 1) ^ parity[1:]))
-        pair_code = np.maximum.accumulate(code, axis=0)
+        pair_code = _running_max(code)
         pair = (pair_code & 1) ^ parity
+        code = np.empty_like(pair_code)
         code[0] = sign_code
         code[1:] = (pair[1:] != pair[:-1]) * ((step[1:] << 1) | (r - pair[1:]))
-        sign_code = np.maximum.accumulate(code, axis=0)
+        sign_code = _running_max(code)
         out.T[j : j + len(r)] = 2 * pair[1:] + (sign_code[1:] & 1)
         pair_code, sign_code = pair_code[-1], sign_code[-1]
     return out
+
+
+def _running_max(code: np.ndarray) -> np.ndarray:
+    """The running maximum of code down axis 0, written in place.
+
+    A doubling scan: after the pass with shift s each row holds the maximum
+    of the 2 s rows ending at it.  Maxima are exact, so the values are those
+    of np.maximum.accumulate, which runs one short strided lane per column
+    and took 3.5x as long on a (14, 10 000) block.
+    """
+    s = 1
+    while s < len(code):
+        code[s:] = np.maximum(code[s:], code[:-s])
+        s *= 2
+    return code
 
 
 def apply_word_stack(
@@ -177,20 +201,26 @@ def apply_word_stack(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Apply per-row letter index sequences to stacked pairs.
 
-    indices has shape (n, length) over the letter order "a", "A", "b", "B";
-    rows evolve independently.  Returns new stacks.  Raises
+    indices has shape (n, length), integer letter indices over the order
+    "a", "A", "b", "B"; rows evolve independently.  Raises
     InvalidGroupElementError unless a and b are (n, 3, 3) stacks with no
-    NaN or inf entry, and ValueError on an index outside 0..3.
+    NaN or inf entry, and ValueError unless indices is a 2-D integer array
+    with entries in 0..3.
 
-    Runs on planes (su3._to_planes) in two slots: x holds each row's last
-    target, the element its last letter multiplied (b for "a"/"A", a for
-    "b"/"B"), and y the other one.  A letter swaps the slots on the rows
-    whose target changes, then sets x = x y, or x y^H on the inverse
-    letters: one planar product over the whole stack.  Every
-    WORD_RENORM_CADENCE letters both slots go through renormalize as the
-    (n, 3, 3) stack view of their planes.
+    Returns new stacks: the (n, 3, 3) stack views (su3._stack_view) of two
+    contiguous (3, 3, n) planes, which su3._planes_view hands back to the
+    planar kernels without a copy.
+
+    The rows run in blocks of WORD_BLOCK_ROWS, all letters per block (see
+    _apply_word_planes), and each block is written into the output planes.
     """
-    n, length = indices.shape
+    indices = np.asarray(indices)
+    if indices.ndim != 2 or not np.issubdtype(indices.dtype, np.integer):
+        raise ValueError(
+            f"letter indices must be a 2-D integer array, got shape {indices.shape}"
+            f" and dtype {indices.dtype}"
+        )
+    n = len(indices)
     x = _to_planes(a)
     y = _to_planes(b)
     if x.shape[2] != n or y.shape[2] != n:
@@ -199,21 +229,42 @@ def apply_word_stack(
         )
     if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
         raise ValueError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
-    x_is_b = np.zeros(n, dtype=bool)
-    for j in range(length):
-        col = indices[:, j]
+    # _to_planes copied a and b, so their planes take the blocks' results.
+    for lo in range(0, n, WORD_BLOCK_ROWS):
+        rows = slice(lo, lo + WORD_BLOCK_ROWS)
+        x[:, :, rows], y[:, :, rows] = _apply_word_planes(
+            indices[rows], x[:, :, rows], y[:, :, rows]
+        )
+    return _stack_view(x), _stack_view(y)
+
+
+def _apply_word_planes(
+    indices: np.ndarray, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """apply_word_stack on the planes of a block of rows; returns new planes.
+
+    Two slots, which start as the planes x of a and y of b: x holds each
+    row's last target, the element its last letter multiplied (b for
+    "a"/"A", a for "b"/"B"), and y the other one.  A letter swaps the slots on the rows whose target changes, then sets
+    x = x y, or x y^H on the inverse letters: one planar product over the
+    block.  Every WORD_RENORM_CADENCE letters both slots go through
+    renormalize as the (rows, 3, 3) stack view of their planes.
+    """
+    x_is_b = np.zeros(len(indices), dtype=bool)
+    for j, col in enumerate(np.ascontiguousarray(indices.T)):
         to_b = col < 2
         swap = to_b != x_is_b
         x_is_b = to_b
         x, y = np.where(swap, y, x), np.where(swap, x, y)
         # y, or y^H on the inverse letters; freed before the renormalization
         # below, so that the engine peaks no higher than the matmul one did.
-        factor = np.where(col & 1, np.conjugate(y.transpose(1, 0, 2)), y)
+        # A bool condition: np.where took about 1.5x as long on int8 col & 1.
+        inverse = (col & 1).astype(bool)
+        factor = np.where(inverse, np.conjugate(y.transpose(1, 0, 2)), y)
         x = _planar_product(x, factor)
         del factor
         if (j + 1) % WORD_RENORM_CADENCE == 0:
             x = _planes_view(renormalize(_stack_view(x)))
             y = _planes_view(renormalize(_stack_view(y)))
     # The same swap as a letter that targets a everywhere: then x = a, y = b.
-    x, y = np.where(x_is_b, y, x), np.where(x_is_b, x, y)
-    return _from_planes(x), _from_planes(y)
+    return np.where(x_is_b, y, x), np.where(x_is_b, x, y)

@@ -86,11 +86,6 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).conj()
 
 
-def trace(m: np.ndarray) -> np.ndarray:
-    """Trace over the last two axes."""
-    return np.trace(m, axis1=-2, axis2=-1)
-
-
 def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of u dagger(u) from Id, plus the
     determinant's distance from 1, maximized over any batch (0 when empty)."""
@@ -489,6 +484,16 @@ def _planes_view(x: np.ndarray) -> np.ndarray:
     return x.reshape(-1, 3, 3).transpose(1, 2, 0)
 
 
+def _broadcast_planes(*stacks: np.ndarray) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """Contiguous (3, 3, n) planes of (..., 3, 3) stacks broadcast against
+    one another, and their common batch shape.  The stack view of planes
+    gives its planes without a copy; any other layout is copied, as
+    exp_algebra and renormalize copy theirs."""
+    stacks = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
+    planes = [np.ascontiguousarray(_planes_view(s)) for s in stacks]
+    return planes, stacks[0].shape[:-2]
+
+
 def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """x y on planes, as new planes laid out like x.
 
@@ -527,10 +532,30 @@ def _renormalize_planes(p: np.ndarray) -> np.ndarray:
 
 
 def _gram_defect_planes(p: np.ndarray) -> np.ndarray:
-    """p^H p - Id on planes."""
-    gram = _planar_product(np.conjugate(p).transpose(1, 0, 2), p)
+    """p^H p - Id on planes, exactly Hermitian.
+
+    Entry (i, j) is sum_k conj(p_ki) p_kj, added left to right, for the
+    three entries above the diagonal; the three below are their
+    conjugates, and the diagonal is the squared column norms minus 1, with
+    no imaginary part: 9 complex products and 9 squared moduli where all
+    nine entries as one planar product took 27 complex products.  That
+    product was also Hermitian only to roundoff, because numpy's SIMD
+    complex multiply is not bitwise conjugate symmetric (conj(z) z has an
+    imaginary part in the last bits).
+    """
+    gram = np.empty_like(p)
+    conj = np.conjugate(p[:, :2])
+    t = np.empty(p.shape[2:], dtype=complex)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        out = gram[i, j]
+        np.multiply(conj[0, i], p[0, j], out=out)
+        for k in (1, 2):
+            np.multiply(conj[k, i], p[k, j], out=t)
+            out += t
+        np.conjugate(out, out=gram[j, i])
+    norms = np.square(p.real) + np.square(p.imag)
     for i in range(3):
-        gram[i, i] -= 1.0
+        gram[i, i] = norms[0, i] + norms[1, i] + norms[2, i] - 1.0
     return gram
 
 

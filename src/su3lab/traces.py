@@ -20,7 +20,13 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import TraceDomainError
-from .su3 import REGULARITY_GAP, angle_gap, dagger, eigenvalue_angles, trace
+from .su3 import (
+    REGULARITY_GAP,
+    _broadcast_planes,
+    _planar_product,
+    angle_gap,
+    eigenvalue_angles,
+)
 
 # Order of the character coordinates; fixed, because it is also the CSV schema.
 # "inv_" names the trace of the inverse holonomy, which for special unitary
@@ -149,19 +155,24 @@ def is_generic(u: np.ndarray) -> np.ndarray:
 
 
 def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The nine character coordinates as a (..., 9) complex array.
+    """The nine character coordinates as a (..., 9) complex array; a and b
+    broadcast against each other, and a lone pair gives shape (9,).
 
-    The inverse-holonomy traces are the conjugates of their partners, which
-    is exact for the conjugate-transpose inverse, so they are computed that
-    way rather than through four extra products.
+    Runs on planes (su3._broadcast_planes).  A trace needs only the
+    diagonal of a product, tr(x y) = sum_ij x_ij y_ji and tr(x y^H) =
+    sum_ij x_ij conj(y_ij), so the only planar products are ab and ba:
+    tr(comm) = tr(ab (ba)^H).  The inverse-holonomy traces are the
+    conjugates of their partners, which is exact for the conjugate-transpose
+    inverse, so they are computed that way rather than through four extra
+    products.
     """
-    ab = a @ b
-    abinv = a @ dagger(b)
-    comm = ab @ dagger(b @ a)
-    za, zb = trace(a), trace(b)
-    zab, zabinv = trace(ab), trace(abinv)
-    zc = trace(comm)
-    return np.stack(
+    (pa, pb), shape = _broadcast_planes(a, b)
+    ab = _planar_product(pa, pb)
+    ba = _planar_product(pb, pa)
+    za, zb, zab = (p[0, 0] + p[1, 1] + p[2, 2] for p in (pa, pb, ab))
+    zabinv = (pa * np.conjugate(pb)).sum(axis=(0, 1))
+    zc = (ab * np.conjugate(ba)).sum(axis=(0, 1))
+    values = np.stack(
         [
             za,
             zb,
@@ -175,6 +186,7 @@ def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
+    return values.reshape(shape + (9,))
 
 
 def character_reals(values: np.ndarray) -> np.ndarray:

@@ -11,9 +11,11 @@ gather-matmul-scatter flow step and walk that the planar su3lab.flows
 engine replaced, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
 Kronecker su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
-su3lab.traces.angles_have_relation replaced, real coordinates on the
-algebra in su3lab.su3.ALGEBRA_BASIS with a Gaussian sampler over them, and
-the holonomy matrix of each named curve.
+su3lab.traces.angles_have_relation replaced, the matmul character values,
+fiber residual and Gram defect that the planar ones in su3lab.traces,
+su3lab.fiber and su3lab.su3 replaced, with the stacked trace they took,
+real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS with a
+Gaussian sampler over them, and the holonomy matrix of each named curve.
 
 Plain LAPACK formulations with no branches and a plain table loop, kept
 only for the tests to check the package against; nothing in the package
@@ -253,3 +255,29 @@ def angles_have_relation_grid(angles: np.ndarray) -> np.ndarray:
     hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
     hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
     return hit.any(axis=-1)
+
+
+def trace(m: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes."""
+    return np.trace(m, axis1=-2, axis2=-1)
+
+
+def character_values_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The nine character coordinates, (..., 9), by matmul and np.trace,
+    with a and b broadcast against each other first."""
+    a, b = np.broadcast_arrays(a, b)
+    ab = a @ b
+    zab_inv = trace(a @ dagger(b))
+    za, zb, zab, zc = trace(a), trace(b), trace(ab), trace(ab @ dagger(b @ a))
+    first = [za, zb, zab, zab_inv]
+    return np.stack(first + [zc] + [np.conjugate(z) for z in first], axis=-1)
+
+
+def fiber_residual_matmul(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """max |a b a^H b^H - c| over each matrix, by matmul."""
+    return np.abs(a @ b @ dagger(b @ a) - c).max(axis=(-2, -1))
+
+
+def gram_defect_matmul(u: np.ndarray) -> np.ndarray:
+    """u^H u - Id by matmul, over the last two axes."""
+    return dagger(u) @ u - IDENTITY

@@ -14,7 +14,7 @@ import pytest
 from scipy.special import kolmogi
 
 from conftest import make_rng
-from oracle_kernels import curve_holonomy, random_algebra
+from oracle_kernels import curve_holonomy, random_algebra, trace
 from su3lab.cli import main
 from su3lab.errors import NonHyperbolicWordError
 from su3lab.experiments import (
@@ -46,7 +46,6 @@ from su3lab.su3 import (
     eigenvalue_angles,
     exp_algebra,
     haar_random,
-    trace,
 )
 from su3lab.traces import char_poly_roots, delta_defect
 

@@ -28,10 +28,15 @@ with the spectral exponential on every curve and trace part, the planar
 flow walk against the matmul walk with SVD renormalization on 0, 1 and
 1000 rows, and the planar word-stack engine against the four-mask matmul
 one.  They also check that a word stack applied in pieces cut at
-multiples of the renormalization cadence gives the bits of one call,
-that the word engine renormalizes through the public renormalize, that
+multiples of the renormalization cadence gives the bits of one call, that
+its row blocks give the bits of separate calls on row slices across the
+block boundaries, that the word engine renormalizes through the public
+renormalize, that
 no engine writes to its inputs, and that both refuse a NaN or inf entry
-and malformed stacks.
+and malformed stacks.  The planar character values, fiber residual and
+Gram defect are checked against their matmul forms on 0, 1 and 1000
+rows, on broadcast inputs and on a lone pair, and the Gram defect is
+checked to be exactly Hermitian.
 """
 
 import warnings
@@ -49,11 +54,14 @@ from oracle_kernels import (
     angles_have_relation_grid,
     apply_word_matmul,
     apply_word_stack_matmul,
+    character_values_matmul,
     dagger_conjugate,
     det3_numpy,
     exp_algebra_eigh,
+    fiber_residual_matmul,
     flow_step_matmul,
     flow_walk_matmul,
+    gram_defect_matmul,
     renormalize_matmul,
     renormalize_svd,
     unitary_eigensystem_schur,
@@ -80,6 +88,7 @@ from su3lab.su3 import (
     exp_algebra,
     _det3,
     _from_planes,
+    _gram_defect_planes,
     _planar_product,
     _planes_view,
     _stack_view,
@@ -816,3 +825,114 @@ def test_engines_refuse_malformed_stacks(case):
     else:
         with pytest.raises(InvalidGroupElementError):
             flows.flow_walk_stack(a, b, 1, rng)
+
+
+def test_word_engine_blocks_give_the_bits_of_row_slices():
+    """Rows are independent, so the blocks of WORD_BLOCK_ROWS rows give the
+    bits of separate calls on row slices, here cut across both block
+    boundaries of a stack two blocks and three rows long, and they match the
+    four-mask matmul engine."""
+    n = 2 * mcg.WORD_BLOCK_ROWS + 3
+    rng = make_rng(21)
+    a, b = haar_random(rng, size=n), haar_random(rng, size=n)
+    indices = mcg.random_word_indices(n, 16, rng)
+    whole = mcg.apply_word_stack(indices, a, b)
+    cuts = [0, 100, mcg.WORD_BLOCK_ROWS + 5, 2 * mcg.WORD_BLOCK_ROWS + 1, n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        part = mcg.apply_word_stack(indices[lo:hi], a[lo:hi], b[lo:hi])
+        for x, y in zip(part, whole):
+            assert np.array_equal(bits(x), bits(y[lo:hi]))
+    slow = apply_word_stack_matmul(indices, a, b, renormalize_svd)
+    for x, y in zip(whole, slow):
+        assert np.abs(x - y).max() <= ENGINE_TOL
+
+
+def test_word_engine_returns_the_stack_view_of_planes():
+    rng = make_rng(22)
+    a, b = haar_random(rng, size=5), haar_random(rng, size=5)
+    for out in mcg.apply_word_stack(mcg.random_word_indices(5, 9, rng), a, b):
+        assert out.shape == (5, 3, 3) and _planes_view(out).flags.c_contiguous
+
+
+# The planar character values, fiber residual and Gram defect against
+# their matmul forms.  Both add the same few products of unit-size entries
+# in another order, so they agree to a few ulps of 3.
+PLANAR_TOL = 1e-15
+
+
+def stack_pairs(rows: int):
+    """Haar stacks a and b of `rows` rows, and the fiber label of row 0."""
+    rng = make_rng(23)
+    a, b = haar_random(rng, size=rows), haar_random(rng, size=rows)
+    c = fiber.commutator(a[0], b[0]) if rows else IDENTITY
+    return a, b, c
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+def test_planar_characters_and_residual_match_matmul(rows):
+    """On C-contiguous stacks and on the stack view of planes, as the word
+    engine returns them, with the label alone and as a stack."""
+    a, b, c = stack_pairs(rows)
+    want_values = character_values_matmul(a, b)
+    for x, y in ((a, b), (_stack_view(_to_planes(a)), _stack_view(_to_planes(b)))):
+        values = traces.character_values(x, y)
+        assert values.shape == (rows, 9)
+        assert np.abs(values - want_values).max(initial=0.0) <= PLANAR_TOL
+        for label in (c, np.broadcast_to(c, (rows, 3, 3))):
+            got = fiber.fiber_residual(x, y, label)
+            want = fiber_residual_matmul(a, b, label)
+            assert got.shape == (rows,)
+            assert np.abs(got - want).max(initial=0.0) <= PLANAR_TOL
+
+
+def test_planar_characters_and_residual_broadcast():
+    """A lone element against a stack, nested stacks and read-only
+    broadcast views give the matmul values, shaped as matmul shapes them."""
+    a, b, c = stack_pairs(12)
+    nested = a.reshape(3, 4, 3, 3), b.reshape(3, 4, 3, 3)
+    cases = [
+        (a[0], b),
+        (a, b[0]),
+        nested,
+        (nested[0], b[:4]),
+        (np.broadcast_to(a[0], (12, 3, 3)), b),
+    ]
+    for x, y in cases:
+        got = traces.character_values(x, y)
+        want = character_values_matmul(x, y)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= PLANAR_TOL
+        got = fiber.fiber_residual(x, y, c)
+        want = fiber_residual_matmul(x, y, c)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= PLANAR_TOL
+
+
+def test_planar_characters_and_residual_on_a_lone_pair():
+    """A lone pair keeps its scalar-shaped results: nine values, and one
+    numpy float for the residual, with the bits of matmul there (np.dot
+    makes the same zgemm call)."""
+    a, b, c = stack_pairs(2)
+    values = traces.character_values(a[1], b[1])
+    assert values.shape == (9,)
+    assert np.abs(values - character_values_matmul(a[1], b[1])).max() <= PLANAR_TOL
+    r = fiber.fiber_residual(a[1], b[1], c)
+    assert type(r) is np.float64
+    assert r == fiber_residual_matmul(a[1], b[1], c)
+    assert fiber.fiber_residual(a[0], b[0], c) <= FIBER_TOL
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1000])
+@pytest.mark.parametrize("defect", [1e-14, 1e-4])
+def test_planar_gram_is_hermitian_and_matches_matmul(rows, defect):
+    """The planar Gram defect matches u^H u - Id by matmul and is exactly
+    Hermitian: its lower entries are the conjugates of its upper ones, bit
+    for bit, and its diagonal is real."""
+    u = drifted(make_rng(24), defect, rows)
+    p = _to_planes(u)
+    gram = _gram_defect_planes(p)
+    want = _planes_view(gram_defect_matmul(u))
+    assert np.abs(gram - want).max(initial=0.0) <= PLANAR_TOL
+    assert np.array_equal(gram, np.conjugate(gram.transpose(1, 0, 2)))
+    for i in range(3):
+        assert not gram[i, i].imag.any()

@@ -90,17 +90,20 @@ def test_random_word_indices_shape_and_range(rng):
 def test_random_word_indices_matches_letter_loop(seed):
     # One draw per block of letter positions consumes the stream exactly as
     # one draw per position does: same indices, same generator state after.
-    for count in (1, 2, 3, 7, 1000):
-        for length in (0, 1, 2, 3, 8, 200):
-            fast = np.random.Generator(np.random.PCG64(seed))
-            loop = np.random.Generator(np.random.PCG64(seed))
-            got = random_word_indices(count, length, fast)
-            want = random_word_indices_loop(count, length, loop)
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert np.array_equal(got, want), (count, length)
-            assert fast.integers(1 << 62, size=4).tolist() == loop.integers(
-                1 << 62, size=4
-            ).tolist()
+    # At 10 000 words a block holds 13 letter positions, so the 23 later
+    # letters of a 24-letter word take two blocks and the running maxima
+    # carry a row from one to the next.
+    cases = [(c, n) for c in (1, 2, 3, 7, 1000) for n in (0, 1, 2, 3, 8, 200)]
+    for count, length in cases + [(10_000, 24)]:
+        fast = np.random.Generator(np.random.PCG64(seed))
+        loop = np.random.Generator(np.random.PCG64(seed))
+        got = random_word_indices(count, length, fast)
+        want = random_word_indices_loop(count, length, loop)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want), (count, length)
+        assert fast.integers(1 << 62, size=4).tolist() == loop.integers(
+            1 << 62, size=4
+        ).tolist()
 
 
 def test_apply_word_single_letters(rng):
@@ -159,3 +162,28 @@ def test_apply_word_stack_long_word_residual(rng):
     idx = random_word_indices(8, 1000, rng)
     a2, b2 = apply_word_stack(idx, a, b)
     assert fiber_residual(a2, b2, c).max() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [np.zeros(4, dtype=np.int8), [[[0, 1, 2]]] * 4, np.zeros((4, 2)) + 0.5],
+    ids=["1-D array", "nested 3-D list", "float array"],
+)
+def test_apply_word_stack_refuses_malformed_indices(rng, indices):
+    """Letter indices must be a 2-D integer array: anything else raises
+    ValueError before the engine reads it; a ragged list already fails in
+    np.asarray, with numpy's ValueError."""
+    a, b = haar_random(rng, size=4), haar_random(rng, size=4)
+    with pytest.raises(ValueError, match="letter indices must be a 2-D integer array"):
+        apply_word_stack(indices, a, b)
+    with pytest.raises(ValueError):
+        apply_word_stack([[0, 1, 2], [0, 1], [0], []], a, b)
+
+
+def test_apply_word_stack_takes_a_nested_list(rng):
+    """A well-formed nested list is read as the 2-D integer array it spells."""
+    a, b = haar_random(rng, size=4), haar_random(rng, size=4)
+    got = apply_word_stack([[0, 3, 0]] * 4, a, b)
+    want = apply_word_stack(np.array([[0, 3, 0]] * 4, dtype=np.int8), a, b)
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_kernels import trace
 from su3lab.errors import TraceDomainError
 from su3lab.fiber import RepPoint, central_fiber_point
-from su3lab.su3 import OMEGA, circle_distance, haar_random, trace
+from su3lab.su3 import OMEGA, circle_distance, haar_random
 from su3lab.traces import (
     CHARACTER_NAMES,
     angles_have_relation,

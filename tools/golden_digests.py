@@ -14,7 +14,9 @@ at N = 1 without its manifest (run through `su3lab experiment`), and of
 `c_spec`, so `base_point` runs on a non-diagonal label),
 `flow_walk_stack` on 1000 Haar pairs for 256 steps, `twist_flow` on 400
 Haar points along all eight curve/part pairs, `apply_word_stack` on the
-same 1000 Haar pairs with one random 200-letter word each, the letter
+same 1000 Haar pairs with one random 200-letter word each, and on 9000
+other Haar pairs with one random 64-letter word each (more than two of
+the engine's 4096-row blocks), the letter
 indices of `mcg.random_word_indices` for one 200-letter word and then
 for a stack of 10 000 of them, `su3.renormalize` called on 64 single matrices one
 by one at drift 1e-14 (one Newton-Schulz step, as on the product
@@ -112,6 +114,7 @@ EXPERIMENTS = {
 FLOW_PAIRS, FLOW_STEPS = 1000, 256
 TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
+WORD_BLOCK_PAIRS, WORD_BLOCK_LENGTH = 9000, 64
 RENORM_MATRICES = 64
 RENORM_DRIFTS = {"newton_schulz": 1e-14, "iterated": 1e-4}
 EXP_ELEMENTS = 64
@@ -178,6 +181,16 @@ def engine_digests(seed: int) -> dict[str, str]:
     }
 
 
+def word_block_digests(seed: int) -> dict[str, str]:
+    """apply_word_stack on a stack that spans several row blocks."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    a = su3.haar_random(rng, WORD_BLOCK_PAIRS)
+    b = su3.haar_random(rng, WORD_BLOCK_PAIRS)
+    indices = mcg.random_word_indices(WORD_BLOCK_PAIRS, WORD_BLOCK_LENGTH, rng)
+    wa, wb = mcg.apply_word_stack(indices, a, b)
+    return {"apply_word_stack_blocks": _sha(wa.tobytes() + wb.tobytes())}
+
+
 def word_digests(seed: int) -> dict[str, str]:
     rng = np.random.Generator(np.random.PCG64(seed))
     one = mcg.random_word_indices(1, WORD_LENGTH, rng)
@@ -234,6 +247,7 @@ def table(seeds: list[int]) -> list[str]:
                 **cli_digests(seed, Path(tmp)),
                 **experiment_digests(seed, Path(tmp)),
                 **engine_digests(seed),
+                **word_block_digests(seed),
                 **word_digests(seed),
                 **renormalize_digests(seed),
                 **exp_digests(seed),
