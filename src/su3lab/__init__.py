@@ -45,11 +45,7 @@ from .fiber import (
     fiber_residual,
     is_central,
 )
-from .flows import (
-    CURVES,
-    TWIST_TIME_BOUND,
-    twist_flow,
-)
+from .flows import CURVES, twist_flow
 from .mcg import (
     TwistWord,
     apply_word,
@@ -59,22 +55,13 @@ from .mcg import (
 )
 from .su3 import (
     IDENTITY,
-    OMEGA,
-    adjoint_matrix,
     circle_distance,
     dagger,
-    eigenvalue_angles,
     exp_algebra,
     haar_random,
     renormalize,
     torus_frame,
 )
-from .traces import (
-    CHARACTER_NAMES,
-    angles_have_relation,
-    char_poly_roots,
-    character_values,
-    is_generic,
-)
+from .traces import char_poly_roots, character_values, is_generic
 
 __version__ = "0.6.0"

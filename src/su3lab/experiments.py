@@ -67,7 +67,6 @@ from .traces import (
     GENERICITY_TOL,
     REAL_COLUMN_NAMES,
     char_poly_roots,
-    character_reals,
     character_values,
     is_generic,
 )
@@ -81,6 +80,12 @@ CENSUS_WALK_STEPS = 128
 # trial (its KS threshold follows from N), abelian_hyperbolic_test's gap.
 KS_FAMILY_RATE = 1e-3
 GAP_MAX = 0.01
+
+# mcg_orbit_distribution's gated columns: the re/im parts of tr_a, tr_b,
+# tr_ab and tr_ab_inv.  The tr_inv_* columns are their conjugates, which KS
+# does not see, and tr_comm is constant on the fiber, which the fiber
+# residual enforces.
+GATED_COLUMNS = REAL_COLUMN_NAMES[:8]
 
 # submersion_census's pass limit: the least fraction of full-rank samples.
 RANK8_FRACTION_MIN = 0.99
@@ -232,7 +237,8 @@ def mcg_orbit_distribution(
     Kolmogorov-law threshold at a family-wise rate of 1e-3 per trial.
     Closeness of the two-start distances to the null is evidence for, never
     proof of, the starts sharing an orbit-closure distribution.  Raises
-    ConfigError for n < 1 or word_length < 0, as ExperimentConfig does.
+    ConfigError for n < 1 or word_length < 0, as ExperimentConfig does, and
+    for n <= 10, where the KS threshold is at least 1.
     """
     if n < 1:
         raise ConfigError("N must be at least 1")
@@ -245,42 +251,36 @@ def mcg_orbit_distribution(
             "the starts lie on a central fiber; central_fiber_rigidity covers the"
             " omega Id fibers and abelian_hyperbolic_test commuting pairs"
         )
-
-    ensembles = []
-    residual_worst = 0.0
-    for start in (start_one, start_two, start_one):
-        indices = random_word_indices(n, word_length, rng)
-        a, b = apply_word_stack(
-            indices,
-            np.broadcast_to(start.a, (n, 3, 3)),
-            np.broadcast_to(start.b, (n, 3, 3)),
-        )
-        residual_worst = max(residual_worst, float(fiber_residual(a, b, start.c).max()))
-        ensembles.append(character_reals(character_values(a, b)))
-    ens_one, ens_two, ens_null = ensembles
-
-    # The re/im parts of tr_a, tr_b, tr_ab and tr_ab_inv.  The tr_inv_*
-    # columns are their conjugates, which KS does not see, and tr_comm is
-    # constant on the fiber, which the fiber residual enforces.
-    columns = REAL_COLUMN_NAMES[:8]
-    ks_pair = [ks_statistic(ens_one[:, j], ens_two[:, j]) for j in range(len(columns))]
-    ks_null = [ks_statistic(ens_one[:, j], ens_null[:, j]) for j in range(len(columns))]
     # Two-sample KS with n points a side exceeds sqrt(ln(2 / alpha) / n) with
     # probability alpha by the Kolmogorov law; alpha splits the family rate
-    # over both gates and all columns.
-    alpha = KS_FAMILY_RATE / (2 * len(columns))
+    # over both gates and all gated columns.  A KS distance is at most 1, so
+    # a threshold of 1 or more is a gate that cannot fail.
+    alpha = KS_FAMILY_RATE / (2 * len(GATED_COLUMNS))
     ks_max = float(np.sqrt(np.log(2 / alpha) / n))
+    if ks_max >= 1.0:
+        floor = int(np.log(2 / alpha)) + 1
+        raise ConfigError(
+            f"N = {n} puts the KS threshold at {ks_max:.3f}, which no KS distance"
+            f" can exceed; mcg_orbit_distribution needs N >= {floor}"
+        )
 
-    base_vals = character_values(start_one.a, start_one.b)
-    spread = float(np.abs(ens_one[:, 0::2] + 1j * ens_one[:, 1::2] - base_vals).max())
+    (ens_one, res_one), (ens_two, res_two), (ens_null, res_null) = [
+        _word_ensemble(start, word_length, n, rng) for start in (start_one, start_two, start_one)
+    ]
+
+    ks_pair = [ks_statistic(x, y) for x, y in zip(ens_one.T, ens_two.T)]
+    ks_null = [ks_statistic(x, y) for x, y in zip(ens_one.T, ens_null.T)]
+    residual_worst = max(res_one, res_two, res_null)
+    base_vals = character_values(start_one.a, start_one.b)[: len(GATED_COLUMNS) // 2]
+    spread = float(np.abs(ens_one.view(complex) - base_vals).max())
 
     stats = {
         "n": int(n),
         "word_length": int(word_length),
         "max_ks": max(ks_pair),
         "max_null_ks": max(ks_null),
-        "ks_per_coordinate": dict(zip(columns, ks_pair)),
-        "null_ks_per_coordinate": dict(zip(columns, ks_null)),
+        "ks_per_coordinate": dict(zip(GATED_COLUMNS, ks_pair)),
+        "null_ks_per_coordinate": dict(zip(GATED_COLUMNS, ks_null)),
         "start_one_char_spread": spread,
         "max_fiber_residual": residual_worst,
         "all_on_fiber": residual_worst <= FIBER_TOL,
@@ -289,6 +289,23 @@ def mcg_orbit_distribution(
     thresholds = {"ks_max": ks_max, "ks_family_rate": KS_FAMILY_RATE}
     passed = max(ks_pair + ks_null) <= ks_max and stats["all_on_fiber"]
     return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
+
+
+def _word_ensemble(
+    start: RepPoint, word_length: int, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, float]:
+    """One ensemble of mcg_orbit_distribution: an independent random word of
+    word_length letters on each of n copies of start.  Returns the
+    GATED_COLUMNS reals of the moved pairs as a contiguous (n, 8) array and
+    their worst fiber residual."""
+    a, b = apply_word_stack(
+        random_word_indices(n, word_length, rng),
+        np.broadcast_to(start.a, (n, 3, 3)),
+        np.broadcast_to(start.b, (n, 3, 3)),
+    )
+    # re/im interleaved, as in character_reals.
+    values = np.ascontiguousarray(character_values(a, b)[:, : len(GATED_COLUMNS) // 2])
+    return values.view(float), float(fiber_residual(a, b, start.c).max())
 
 
 def _abelian_modulus(angles: tuple[float, ...]) -> tuple[int, bool]:

@@ -21,14 +21,14 @@ flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step, on planes (see su3lab.su3), runs under both twist_flow (a
 stack of one) and flow_walk_stack, which moves its pairs to (3, 3, n)
-planes once on entry and back once on exit; the entry refuses anything
-but an (n, 3, 3) stack without NaN or inf entries.  In a step, a b on
-the alpha_beta rows and a b^H on the alpha_beta_inv rows are one planar
-product over the whole stack, formed only when some row's curve needs
-it; each row's x, and then each row's new a and b, are picked with
-np.where from whole-stack products.  Every planar product, and
-variation, exp_algebra and renormalize on the (n, 3, 3) stack view of
-the planes, return new planes.
+planes once on entry and returns the stack view of new planes, as the
+word engine does; the entry refuses anything but an (n, 3, 3) stack
+without NaN or inf entries.  In a step, a b on the alpha_beta rows and
+a b^H on the alpha_beta_inv rows are one planar product over the whole
+stack, formed only when some row's curve needs it; each row's x, and
+then each row's new a and b, are picked with np.where from whole-stack
+products.  Every planar product, and variation, exp_algebra and
+renormalize on the (n, 3, 3) stack view of the planes, return new planes.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import InvalidGroupElementError, TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
-    _from_planes,
     _planar_product,
     _planes_view,
     _stack_view,
@@ -106,7 +105,7 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
         np.array([part == "im"]),
         np.array([t], dtype=float),
     )
-    return RepPoint(a=_from_planes(a)[0], b=_from_planes(b)[0], c=p.c)
+    return RepPoint(a=_stack_view(a)[0], b=_stack_view(b)[0], c=p.c)
 
 
 def _flow_step(
@@ -159,10 +158,10 @@ def flow_walk_stack(
     Each step, every row draws its own curve (uniform over the four
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
     Renormalizes both stacks every RENORM_CADENCE steps.  Runs on planes,
-    converting once on entry and once on exit.  Returns new stacks; inputs
-    are not modified.  Raises InvalidGroupElementError unless a and b are
-    (n, 3, 3) stacks with the same n and no NaN or inf entry, at any
-    number of steps.
+    converting once on entry, and returns new stacks: the (n, 3, 3) stack
+    views of new planes, as apply_word_stack does.  Inputs are not
+    modified.  Raises InvalidGroupElementError unless a and b are (n, 3, 3)
+    stacks with the same n and no NaN or inf entry, at any number of steps.
     """
     a = _to_planes(a)
     b = _to_planes(b)
@@ -177,4 +176,4 @@ def flow_walk_stack(
         if (step + 1) % RENORM_CADENCE == 0:
             a = _planes_view(renormalize(_stack_view(a)))
             b = _planes_view(renormalize(_stack_view(b)))
-    return _from_planes(a), _from_planes(b)
+    return _stack_view(a), _stack_view(b)

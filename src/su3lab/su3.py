@@ -440,10 +440,10 @@ def _det3(rows):
 # entry (i, k) of every matrix is one contiguous length-n vector and a
 # stacked product is 15 vector operations over (3, n) rows, where matmul
 # makes one small BLAS call per matrix.  Every planar kernel returns new
-# planes and allocates its own output and work rows.  The orbit engines
-# convert once on entry (_to_planes) and once on exit (_from_planes); in
-# between they hand exp_algebra and renormalize the (n, 3, 3) stack view
-# of their planes and take the stack view of new planes back.
+# planes and allocates its own output and work rows.  Both orbit engines
+# convert once on entry (_to_planes) and return the stack view of new
+# planes; in between they hand exp_algebra and renormalize the (n, 3, 3)
+# stack view of their planes and take the stack view of new planes back.
 
 
 def _to_planes(u: np.ndarray) -> np.ndarray:
@@ -466,11 +466,6 @@ def _to_planes(u: np.ndarray) -> np.ndarray:
     if not np.isfinite(p).all():
         raise InvalidGroupElementError("stack has a NaN or inf entry")
     return p
-
-
-def _from_planes(p: np.ndarray) -> np.ndarray:
-    """The (n, 3, 3) stack of planes p, C-contiguous."""
-    return np.ascontiguousarray(p.transpose(2, 0, 1))
 
 
 def _stack_view(p: np.ndarray) -> np.ndarray:

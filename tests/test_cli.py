@@ -1,16 +1,20 @@
 """Command line contract: schemas, determinism, exit codes."""
 
 import json
+import tomllib
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from su3lab import __version__
 from su3lab.cli import main, parse_config_file
 from su3lab.errors import ConfigError
 from su3lab.experiments import REAL_COLUMN_NAMES, ExperimentConfig
 
 EXPECTED_COLUMNS = 1 + 18 + 1
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def read_csv(path):
@@ -254,6 +258,24 @@ def test_experiment_config_errors(tmp_path, capsys):
 
     absent = tmp_path / "does-not-exist.cfg"
     assert main(["experiment", str(absent)]) == 2
+
+
+def test_orbit_distribution_below_its_floor_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "orbit.cfg"
+    cfg.write_text(
+        "kind = mcg_orbit_distribution\nseed = 3\nN = 10\nword_length = 4\n"
+        "c_spec = angles=0.13,0.29\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 2
+    assert "N >= 11" in capsys.readouterr().err
+
+
+def test_pyproject_version_is_the_package_version():
+    """Both are bumped by hand; the manifest records __version__."""
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    assert project["version"] == __version__
 
 
 def test_parse_config_file_full(tmp_path):

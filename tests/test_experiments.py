@@ -229,14 +229,19 @@ def test_abelian_rejects_parabolic_word(rng):
         )
 
 
-def test_mcg_orbit_distribution_small(rng):
+def walked_starts(rng):
+    """Two starts on a Haar fiber, walked 64 flow steps from its base point
+    as one 2-row stack."""
     c = commutator(haar_random(rng), haar_random(rng))
     base = base_point(c)
     a, b = flow_walk_stack(
         np.broadcast_to(base.a, (2, 3, 3)), np.broadcast_to(base.b, (2, 3, 3)), 64, rng
     )
-    s1 = RepPoint(a=a[0], b=b[0], c=base.c)
-    s2 = RepPoint(a=a[1], b=b[1], c=base.c)
+    return RepPoint(a=a[0], b=b[0], c=base.c), RepPoint(a=a[1], b=b[1], c=base.c)
+
+
+def test_mcg_orbit_distribution_small(rng):
+    s1, s2 = walked_starts(rng)
     report = mcg_orbit_distribution(s1, s2, 30, 300, rng)
     assert report.stats["all_on_fiber"]
     assert report.stats["start_one_char_spread"] > 1e-3
@@ -248,6 +253,31 @@ def test_mcg_orbit_distribution_small(rng):
     assert report.thresholds["ks_max"] == pytest.approx(law, rel=1e-12)
     for key in ("ks_per_coordinate", "null_ks_per_coordinate"):
         assert list(report.stats[key]) == list(REAL_COLUMN_NAMES[:8])
+
+
+def test_mcg_orbit_distribution_zero_letters_keeps_each_start(rng):
+    """Without letters every ensemble is N copies of its start: the null
+    ensemble equals the first, and two distinct starts differ in every
+    gated column, so the two-start KS distance is 1 and the run fails.
+    The spread is roundoff, not 0: character_values adds the nine terms of
+    tr_ab_inv in another order on a lone pair than on a stack."""
+    s1, s2 = walked_starts(rng)
+    report = mcg_orbit_distribution(s1, s2, 0, 50, rng)
+    assert report.stats["max_null_ks"] == 0.0
+    assert report.stats["start_one_char_spread"] <= 1e-15
+    assert report.stats["max_ks"] == 1.0
+    assert report.stats["all_on_fiber"]
+    assert not report.passed
+
+
+def test_mcg_orbit_distribution_refuses_a_gate_that_cannot_fail(rng):
+    """For N <= 10 the threshold sqrt(ln(32 000)/N) is above 1, the largest
+    KS distance; N = 11 is the floor."""
+    s1, s2 = walked_starts(rng)
+    with pytest.raises(ConfigError, match="N >= 11"):
+        mcg_orbit_distribution(s1, s2, 4, 10, rng)
+    report = mcg_orbit_distribution(s1, s2, 4, 11, rng)
+    assert report.thresholds["ks_max"] < 1.0
 
 
 def test_inverse_columns_repeat_their_partners_ks(rng):

@@ -87,7 +87,6 @@ from su3lab.su3 import (
     eigenvalue_angles,
     exp_algebra,
     _det3,
-    _from_planes,
     _gram_defect_planes,
     _planar_product,
     _planes_view,
@@ -695,7 +694,7 @@ def test_flow_step_matches_reference_step(haar_pairs, curve, part_im):
     slow = a.copy(), b.copy()
     flow_step_matmul(*slow, curves, parts, t)
     for x, y in zip(fast, slow):
-        assert np.abs(_from_planes(x) - y).max() <= STEP_TOL
+        assert np.abs(_stack_view(x) - y).max() <= STEP_TOL
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])
@@ -706,7 +705,7 @@ def test_flow_walk_matches_reference_walk(haar_pairs, rows):
     fast = flows.flow_walk_stack(a, b, 8, make_rng(11))
     slow = flow_walk_matmul(a, b, 8, make_rng(11))
     for x, y in zip(fast, slow):
-        assert x.shape == (rows, 3, 3) and x.flags.c_contiguous
+        assert x.shape == (rows, 3, 3) and _planes_view(x).flags.c_contiguous
         assert np.abs(x - y).max(initial=0.0) <= ENGINE_TOL
 
 
@@ -847,11 +846,22 @@ def test_word_engine_blocks_give_the_bits_of_row_slices():
         assert np.abs(x - y).max() <= ENGINE_TOL
 
 
-def test_word_engine_returns_the_stack_view_of_planes():
+@pytest.mark.parametrize(
+    "engine",
+    [
+        lambda a, b, rng: mcg.apply_word_stack(mcg.random_word_indices(5, 9, rng), a, b),
+        lambda a, b, rng: flows.flow_walk_stack(a, b, 9, rng),
+    ],
+    ids=["word", "flow"],
+)
+def test_word_engine_returns_the_stack_view_of_planes(engine):
+    """Both engines: the stack view of new planes, which the planar kernels
+    take back without a copy, sharing no memory with the input."""
     rng = make_rng(22)
     a, b = haar_random(rng, size=5), haar_random(rng, size=5)
-    for out in mcg.apply_word_stack(mcg.random_word_indices(5, 9, rng), a, b):
+    for x, out in zip((a, b), engine(a, b, rng)):
         assert out.shape == (5, 3, 3) and _planes_view(out).flags.c_contiguous
+        assert not np.shares_memory(out, x)
 
 
 # The planar character values, fiber residual and Gram defect against
