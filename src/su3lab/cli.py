@@ -38,7 +38,7 @@ from .experiments import (
     run_experiment,
 )
 from .fiber import base_point, commutator, fiber_residual, is_central
-from .flows import flow_walk_stack
+from .flows import walk_from
 from .mcg import apply_word, random_word
 from .su3 import haar_random
 from .traces import REAL_COLUMN_NAMES, character_reals, character_values
@@ -115,13 +115,7 @@ def cmd_sample(args) -> int:
         sampler = "haar pairs"
     else:
         fiber = matrix_from_c_spec(spec)
-        p0 = base_point(fiber)
-        a, b = flow_walk_stack(
-            np.broadcast_to(p0.a, (count, 3, 3)),
-            np.broadcast_to(p0.b, (count, 3, 3)),
-            args.walk_steps,
-            rng,
-        )
+        a, b = walk_from(base_point(fiber), count, args.walk_steps, rng)
         c = fiber
         sampler = "fiber flow walks"
 

@@ -52,7 +52,7 @@ from .fiber import (
     fiber_residual,
     is_central,
 )
-from .flows import flow_walk_stack
+from .flows import walk_from
 from .mcg import (
     TwistWord,
     apply_word,
@@ -67,6 +67,7 @@ from .traces import (
     GENERICITY_TOL,
     REAL_COLUMN_NAMES,
     char_poly_roots,
+    character_reals,
     character_values,
     is_generic,
 )
@@ -303,9 +304,9 @@ def _word_ensemble(
         np.broadcast_to(start.a, (n, 3, 3)),
         np.broadcast_to(start.b, (n, 3, 3)),
     )
-    # re/im interleaved, as in character_reals.
-    values = np.ascontiguousarray(character_values(a, b)[:, : len(GATED_COLUMNS) // 2])
-    return values.view(float), float(fiber_residual(a, b, start.c).max())
+    # Nothing keeps the sliced values: the full (n, 9) array is freed first.
+    reals = character_reals(character_values(a, b)[:, : len(GATED_COLUMNS) // 2])
+    return reals, float(fiber_residual(a, b, start.c).max())
 
 
 def _abelian_modulus(angles: tuple[float, ...]) -> tuple[int, bool]:
@@ -358,7 +359,7 @@ def abelian_hyperbolic_test(
         state[i, 0] = round((float(angles[i]) % 1.0) * modulus) % modulus
         state[i, 1] = round((float(angles[2 + i]) % 1.0) * modulus) % modulus
 
-    step = np.asarray(m, dtype=np.int64) % modulus
+    step = (m % modulus).astype(np.int64)
     n = int(n)
     traj = np.empty((n, 2, 2), dtype=np.int64)
     traj[0] = state
@@ -506,12 +507,7 @@ def submersion_census(
             " omega Id fibers or abelian_hyperbolic_test for commuting pairs"
         )
     p0 = base_point(c)
-    a, b = flow_walk_stack(
-        np.broadcast_to(p0.a, (samples, 3, 3)),
-        np.broadcast_to(p0.b, (samples, 3, 3)),
-        CENSUS_WALK_STEPS,
-        rng,
-    )
+    a, b = walk_from(p0, samples, CENSUS_WALK_STEPS, rng)
     residuals = fiber_residual(a, b, c)
     ranks = d_kappa_rank(d_kappa_matrix(a, b))
     inters = centralizer_intersection(a, b)
@@ -644,12 +640,7 @@ def _run_single(config: ExperimentConfig, rng: np.random.Generator) -> Experimen
         c = matrix_from_c_spec(config.c_spec) if config.c_spec else haar_random(rng)
         base = base_point(c)
         # Both starts walk from the base point as one 2-row stack.
-        a, b = flow_walk_stack(
-            np.broadcast_to(base.a, (2, 3, 3)),
-            np.broadcast_to(base.b, (2, 3, 3)),
-            START_WALK_STEPS,
-            rng,
-        )
+        a, b = walk_from(base, 2, START_WALK_STEPS, rng)
         start_one = RepPoint(a=a[0], b=b[0], c=base.c)
         start_two = RepPoint(a=a[1], b=b[1], c=base.c)
         report = mcg_orbit_distribution(

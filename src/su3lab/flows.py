@@ -177,3 +177,12 @@ def flow_walk_stack(
             a = _planes_view(renormalize(_stack_view(a)))
             b = _planes_view(renormalize(_stack_view(b)))
     return _stack_view(a), _stack_view(b)
+
+
+def walk_from(
+    p: RepPoint, count: int, steps: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The fiber sampler: flow_walk_stack on count read-only broadcast copies
+    of p.  Returns (count, 3, 3) stacks a and b; p is not modified."""
+    a, b = (np.broadcast_to(m, (count, 3, 3)) for m in (p.a, p.b))
+    return flow_walk_stack(a, b, steps, rng)

@@ -108,9 +108,10 @@ def homology_action(word: TwistWord) -> np.ndarray:
     """Image of a word in the determinant-one 2x2 integer matrices.
 
     Left-to-right product of the letter matrices, matching apply_word's
-    composition order, so the map is a monoid homomorphism.
+    composition order, so the map is a monoid homomorphism.  Entries are
+    exact Python ints (object dtype); int64 would wrap past about 92 letters.
     """
-    m = np.eye(2, dtype=np.int64)
+    m = np.eye(2, dtype=object)
     for letter in word.letters:
         m = m @ _LETTER_MATRIX[letter]
     return m
@@ -119,10 +120,11 @@ def homology_action(word: TwistWord) -> np.ndarray:
 def is_hyperbolic(m: np.ndarray) -> bool:
     """Whether a determinant-one integer matrix has off-circle eigenvalues,
     equivalently |trace| > 2."""
-    m = np.asarray(m)
-    if round(float(np.linalg.det(m))) != 1:
+    (p, q), (r, t) = np.asarray(m).tolist()
+    # Exact: a float determinant loses entries past 2**26 or so.
+    if p * t - q * r != 1:
         raise ValueError("homology matrices must have determinant 1")
-    return abs(int(m[0, 0]) + int(m[1, 1])) > 2
+    return abs(p + t) > 2
 
 
 def random_word(length: int, rng: np.random.Generator) -> TwistWord:

@@ -190,9 +190,8 @@ def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def character_reals(values: np.ndarray) -> np.ndarray:
-    """(..., 9) complex character values to (..., 18) reals, in
-    REAL_COLUMN_NAMES order."""
-    out = np.empty(values.shape[:-1] + (18,), dtype=float)
-    out[..., 0::2] = values.real
-    out[..., 1::2] = values.imag
-    return out
+    """(..., k) complex character values to (..., 2k) reals, re/im
+    interleaved: REAL_COLUMN_NAMES order for all nine coordinates.  The
+    result is a float view of the contiguous values, so it shares memory
+    with values when they are already C-contiguous."""
+    return np.ascontiguousarray(values, dtype=complex).view(float)

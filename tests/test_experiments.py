@@ -14,7 +14,7 @@ from su3lab.errors import (
     NonHyperbolicWordError,
 )
 from su3lab.fiber import RepPoint, base_point, central_fiber_point, commutator
-from su3lab.flows import flow_walk_stack
+from su3lab.flows import walk_from
 from su3lab.mcg import TwistWord
 from su3lab.su3 import haar_random
 from su3lab.traces import character_reals, character_values
@@ -229,14 +229,20 @@ def test_abelian_rejects_parabolic_word(rng):
         )
 
 
+def test_abelian_runs_a_word_past_float_determinants(rng):
+    """(ab)^20 has homology entries up to 165 580 141, where a float
+    determinant reads 0; the exact one reads 1."""
+    word = TwistWord(tuple("ab" * 20))
+    report = abelian_hyperbolic_test((1 / 3, 1 / 5, 0.0, 0.0), word, 50, rng)
+    assert report.stats["homology_trace"] == 228_826_127
+
+
 def walked_starts(rng):
     """Two starts on a Haar fiber, walked 64 flow steps from its base point
     as one 2-row stack."""
     c = commutator(haar_random(rng), haar_random(rng))
     base = base_point(c)
-    a, b = flow_walk_stack(
-        np.broadcast_to(base.a, (2, 3, 3)), np.broadcast_to(base.b, (2, 3, 3)), 64, rng
-    )
+    a, b = walk_from(base, 2, 64, rng)
     return RepPoint(a=a[0], b=b[0], c=base.c), RepPoint(a=a[1], b=b[1], c=base.c)
 
 

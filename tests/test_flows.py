@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import make_rng
 from oracle_kernels import curve_holonomy, random_algebra
 from su3lab.errors import InvalidGroupElementError, TrivialFlowError
 from su3lab.fiber import RepPoint, base_point, commutator, fiber_residual
@@ -13,6 +14,7 @@ from su3lab.flows import (
     flow_walk_stack,
     twist_flow,
     variation,
+    walk_from,
 )
 from su3lab.su3 import (
     algebra_defect,
@@ -140,6 +142,31 @@ def test_flow_walk_stack_matches_constants(rng):
     a2, b2 = flow_walk_stack(a, b, 150, rng)
     assert fiber_residual(a2, b2, c).max() < 1e-10
     assert unitarity_defect(a2) < 1e-12
+
+
+def test_walk_from_gives_the_bits_of_a_broadcast_walk(rng):
+    """walk_from is flow_walk_stack on broadcast copies of one point: the
+    same bits and the same generator state after, past a renormalization;
+    the point is not written."""
+    p = base_point(commutator(haar_random(rng), haar_random(rng)))
+    a0, b0 = p.a.copy(), p.b.copy()
+    mine, theirs = make_rng(3), make_rng(3)
+    a, b = walk_from(p, 5, 70, mine)
+    ref_a, ref_b = flow_walk_stack(
+        np.broadcast_to(p.a, (5, 3, 3)), np.broadcast_to(p.b, (5, 3, 3)), 70, theirs
+    )
+    assert a.shape == b.shape == (5, 3, 3)
+    assert np.array_equal(a, ref_a) and np.array_equal(b, ref_b)
+    assert mine.bit_generator.state == theirs.bit_generator.state
+    assert np.array_equal(p.a, a0) and np.array_equal(p.b, b0)
+    # Five walks, not one copied five times.
+    assert np.abs(a[0] - a[1]).max() > 1e-3
+
+
+def test_walk_from_zero_count(rng):
+    p = base_point(commutator(haar_random(rng), haar_random(rng)))
+    a, b = walk_from(p, 0, 8, rng)
+    assert a.shape == b.shape == (0, 3, 3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -58,6 +58,18 @@ def test_is_hyperbolic():
         is_hyperbolic(np.array([[2, 0], [0, 1]]))  # det 2, not in the group
 
 
+def test_homology_action_is_exact_past_int64():
+    """Entries of (ab)^k are Fibonacci numbers; at k = 50 they pass 2**63,
+    where int64 products wrap and a float determinant is far from 1."""
+    m = homology_action(TwistWord(tuple("ab" * 20)))
+    assert m[0, 0] + m[1, 1] == 228_826_127
+    assert is_hyperbolic(m)
+    m = homology_action(TwistWord(tuple("ab" * 50)))
+    assert m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0] == 1
+    assert m[0, 0] + m[1, 1] == 792_070_839_848_372_253_127
+    assert is_hyperbolic(m)
+
+
 def test_twist_word_parsing():
     w = TwistWord.parse("abA")
     assert w.letters == ("a", "b", "A")

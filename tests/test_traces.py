@@ -127,6 +127,22 @@ def test_character_as_reals_order(rng):
         assert reals[2 * k + 1] == pytest.approx(z.imag)
 
 
+def test_character_reals_is_the_interleaved_view(rng):
+    """The reals are the bits of the re/im interleave; on contiguous values
+    they are a view, and a column slice of them is copied first."""
+    values = character_values(haar_random(rng, size=5), haar_random(rng, size=5))
+    interleave = np.empty((5, 18))
+    interleave[:, 0::2] = values.real
+    interleave[:, 1::2] = values.imag
+    reals = character_reals(values)
+    assert reals.shape == (5, 18)
+    assert np.array_equal(reals, interleave)
+    assert np.shares_memory(reals, values)
+    gated = character_reals(values[:, :4])
+    assert gated.flags.c_contiguous and not np.shares_memory(gated, values)
+    assert np.array_equal(gated, interleave[:, :8])
+
+
 def test_character_conjugation_invariant(rng):
     from su3lab.su3 import dagger
 
