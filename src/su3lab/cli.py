@@ -221,14 +221,12 @@ def cmd_experiment(args) -> int:
     config = parse_config_file(args.config)
     report = run_experiment(config)
     report.manifest.update(_run_manifest("experiment", started, config.out))
-    # Reports may hold numpy scalars; .item() gives the Python value.
-    text = json.dumps(
-        report.to_json_dict(), sort_keys=True, indent=2, default=lambda v: v.item()
-    ) + "\n"
-    sys.stdout.write(text)
+    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    # The copy first: a report that cannot be saved is not printed either.
     if config.out is not None:
         with open(config.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+    sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

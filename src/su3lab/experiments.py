@@ -66,6 +66,7 @@ from .traces import (
     GENERICITY_HEIGHT,
     GENERICITY_TOL,
     REAL_COLUMN_NAMES,
+    angles_have_relation,
     char_poly_roots,
     character_reals,
     character_values,
@@ -78,9 +79,11 @@ START_WALK_STEPS = 256
 CENSUS_WALK_STEPS = 128
 
 # Pass limits: mcg_orbit_distribution's family-wise KS false-alarm rate per
-# trial (its KS threshold follows from N), abelian_hyperbolic_test's gap.
+# trial (its KS threshold follows from N), abelian_hyperbolic_test's gap,
+# and coset_twist_orbit's roundoff slack over its geometric-series bound.
 KS_FAMILY_RATE = 1e-3
 GAP_MAX = 0.01
+WEYL_BOUND_SLACK = 1e-9
 
 # mcg_orbit_distribution's gated columns: the re/im parts of tr_a, tr_b,
 # tr_ab and tr_ab_inv.  The tr_inv_* columns are their conjugates, which KS
@@ -177,7 +180,8 @@ def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
     if n < 1:
         raise ConfigError("N must be at least 1")
     theta, v = torus_frame(p.a)  # NonRegularElementError for degenerate anchors
-    generic = bool(is_generic(p.a))
+    # torus_frame has checked regularity, so genericity is the relation test.
+    generic = not angles_have_relation(theta)
     d = np.diagonal(dagger(v) @ p.b @ v)
 
     k = np.arange(int(n))
@@ -217,7 +221,7 @@ def coset_twist_orbit(p: RepPoint, n: int) -> ExperimentReport:
         "re_trace_std": float(re_values.std()),
         "re_trace_hist": [int(c) for c in hist],
     }
-    thresholds = {"abs_weyl_avg_max": bound + 1e-9}
+    thresholds = {"abs_weyl_avg_max": bound + WEYL_BOUND_SLACK}
     passed = stats["abs_weyl_avg"] <= thresholds["abs_weyl_avg_max"]
     return ExperimentReport(stats=stats, thresholds=thresholds, passed=passed)
 
@@ -342,10 +346,13 @@ def abelian_hyperbolic_test(
     arithmetic modulo a fixed denominator, so period detection is exact and
     there is no drift at any orbit length.  Birkhoff averages of the
     character coordinates are compared against a Monte Carlo average over
-    the angle torus.  Raises ConfigError for n < 1, as ExperimentConfig does.
+    the angle torus.  Raises ConfigError for n < 1, as ExperimentConfig does,
+    and for a NaN or inf angle.
     """
     if n < 1:
         raise ConfigError("N must be at least 1")
+    if not np.isfinite(np.asarray(angles, dtype=float)).all():
+        raise ConfigError("abelian angles must be finite")
     m = homology_action(word)
     htrace = int(m[0, 0] + m[1, 1])
     if not is_hyperbolic(m):

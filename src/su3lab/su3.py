@@ -71,6 +71,13 @@ _EXP_TAYLOR_TERMS = 8
 # |t| <= TWIST_TIME_BOUND = 2 pi.
 EXP_SQUARING_C1 = 64.0
 
+# exp_algebra refuses c1 above this.  Each squaring doubles the error it
+# squares, so the unitarity defect grows like eps sqrt(c1 / EXP_SQUARING_C1):
+# over 2000 Gaussian and near-degenerate elements it was at most 2.7e-10 at
+# c1 = 1e11 but 1.3e-9, above UNITARITY_TOL, at 1e12; c1 = 7.5e20 gave a
+# matrix 8.6e-7 off the group and 7.5e100 gave NaN.
+EXP_MAX_C1 = 1e11
+
 # sin(w)/w switches to its series below this w; the truncation error of the
 # four-term series there is at most w^8/9! = 1.1e-16.
 _SINC_SERIES_W = 0.05
@@ -149,7 +156,8 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
 
     The result is a polynomial in x, so it commutes with x by
     construction.  Raises InvalidAlgebraError for inputs off the algebra,
-    NaN and inf entries included.  Accepts stacks.
+    NaN and inf entries included, and for c1 above EXP_MAX_C1, where the
+    squarings would carry the result off the group.  Accepts stacks.
 
     Runs on planes, a lone matrix as a stack of one (see _exp_planes), and
     returns the stack view of new planes.
@@ -169,6 +177,11 @@ def _exp_planes(p: np.ndarray) -> np.ndarray:
     # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
     c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
     c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
+    # Written as `not <=` so that a NaN c1 is refused too.
+    if not (c1 <= EXP_MAX_C1).all():
+        raise InvalidAlgebraError(
+            f"exp_algebra needs c1 = tr(Q^2)/2 at most {EXP_MAX_C1:.0e}, got {c1.max():.3e}"
+        )
     f0, f1, f2 = _exp_coefficients(c0, c1)
     # exp(x) = f0 Id + f1 Q + f2 Q^2 with Q = -i x and Q^2 = -x^2, formed
     # over x^2.

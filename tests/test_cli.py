@@ -210,6 +210,23 @@ def test_experiment_writes_out_file(tmp_path, capsys):
     assert dest.read_text(encoding="utf-8") == stdout
 
 
+def test_experiment_out_in_a_missing_directory_prints_nothing(tmp_path, capsys):
+    dest = tmp_path / "missing" / "report.json"
+    cfg = tmp_path / "census.cfg"
+    cfg.write_text(
+        "kind = submersion_census\n"
+        "seed = 11\n"
+        "N = 12\n"
+        "c_spec = angles=0.13,0.29\n"
+        f"out = {dest}\n",
+        encoding="utf-8",
+    )
+    assert main(["experiment", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(dest) in captured.err
+
+
 def test_experiment_deterministic_outside_manifest(tmp_path, capsys):
     cfg = tmp_path / "census.cfg"
     cfg.write_text(

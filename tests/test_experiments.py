@@ -1,5 +1,7 @@
 """Experiment drivers at desk scale; the acceptance module runs them large."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -222,6 +224,14 @@ def test_abelian_hyperbolic_irrational_gap(rng):
     assert report.stats["max_gap"] <= 0.2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_abelian_refuses_non_finite_angles(rng, bad):
+    with pytest.raises(ConfigError, match="finite"):
+        abelian_hyperbolic_test(
+            (bad, 1 / 5, 0.0, 0.0), DEFAULT_HYPERBOLIC_WORD, 50, rng
+        )
+
+
 def test_abelian_rejects_parabolic_word(rng):
     with pytest.raises(NonHyperbolicWordError):
         abelian_hyperbolic_test(
@@ -329,6 +339,25 @@ def test_run_experiment_deterministic():
     assert r1.stats == r2.stats
     assert r1.manifest == r2.manifest
     assert r1.manifest["config"]["N"] == 16
+
+
+@pytest.mark.parametrize("trials", [1, 2])
+@pytest.mark.parametrize(
+    "kind, n",
+    [
+        ("central_fiber_rigidity", 1),
+        ("coset_twist_orbit", 50),
+        ("abelian_hyperbolic_test", 50),
+        ("submersion_census", 8),
+        ("mcg_orbit_distribution", 11),
+    ],
+)
+def test_reports_are_plain_json(kind, n, trials):
+    # No numpy scalar reaches a report: json.dumps needs no default=.
+    config = ExperimentConfig(
+        kind=kind, seed=5, n=n, word_length=4, trials=trials, c_spec="angles=0.13,0.29"
+    )
+    json.dumps(run_experiment(config).to_json_dict())
 
 
 def test_run_experiment_trials_nest():

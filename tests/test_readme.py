@@ -1,11 +1,15 @@
 """The README's library example runs against the package in src, which
-loads no module that the Installation section does not list."""
+loads no module that the Installation section does not list, and su3lab
+re-exports the names that the example imports and no others."""
 
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
+
+import su3lab
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -23,12 +27,37 @@ def run_python(code: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_readme_library_example_runs():
+def library_example() -> str:
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", text, re.M | re.S)
     assert len(blocks) == 1
-    result = run_python(blocks[0])
+    return blocks[0]
+
+
+def test_readme_library_example_runs():
+    result = run_python(library_example())
     assert result.returncode == 0, result.stderr
+
+
+def test_package_names_are_the_library_example_imports():
+    """Plus exp_algebra, which bench/test_bench.py reads through su3lab."""
+    imports = re.search(r"^from su3lab import \((.*?)\)", library_example(), re.M | re.S)
+    example = {name.strip() for name in imports.group(1).split(",") if name.strip()}
+    public = {
+        name
+        for name, value in vars(su3lab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == example | {"exp_algebra"}
+
+
+def test_import_loads_neither_experiments_nor_cli():
+    result = run_python(
+        "import sys, su3lab\n"
+        "print(sorted(m for m in sys.modules if m in ('su3lab.experiments', 'su3lab.cli')))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_package_never_loads_scipy():

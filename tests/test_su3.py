@@ -17,6 +17,7 @@ from oracle_kernels import algebra_coords, random_algebra
 from su3lab.fiber import RepPoint
 from su3lab.su3 import (
     ALGEBRA_BASIS,
+    EXP_MAX_C1,
     IDENTITY,
     OMEGA,
     UNITARITY_TOL,
@@ -80,6 +81,34 @@ def test_exp_algebra_diagonal_gives_central_element():
 def test_exp_algebra_rejects_non_algebra():
     with pytest.raises(InvalidAlgebraError):
         exp_algebra(np.diag([1.0, 2.0, -3.0]).astype(complex))  # Hermitian
+
+
+# Exactly traceless and anti-Hermitian at every scale: a real scale factor
+# keeps x_ji = -conj(x_ij), and the diagonal (i, -i, 0) sums to 0.  c1 = 7.5.
+EXACT_ALGEBRA = np.array([[1j, 2 + 1j, 0.5], [-2 + 1j, -1j, 1 - 0.5j], [-0.5, -1 - 0.5j, 0]])
+
+
+@pytest.mark.parametrize("scale", [1e10, 1e50])
+def test_exp_algebra_refuses_c1_above_its_bound(scale):
+    x = scale * EXACT_ALGEBRA
+    assert algebra_defect(x) == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidAlgebraError, match="c1"):
+            exp_algebra(x)
+
+
+def test_exp_algebra_stays_on_the_group_just_under_its_bound(rng):
+    # Gaussian elements and spectra (1 + d, 1 - d, -2) with d down to 1e-12,
+    # where the squarings lose the most, scaled to c1 just under the bound.
+    d = 10.0 ** rng.uniform(-12, -2, 64)
+    q = np.stack([1 + d, 1 - d, np.full(64, -2.0)], axis=1)
+    v = haar_random(rng, size=64)
+    near = (v * (1j * q)[:, None, :]) @ dagger(v)
+    x = np.concatenate([random_algebra(rng, 64), (near - dagger(near)) / 2])
+    c1 = -np.einsum("nij,nji->n", x, x).real / 2
+    x *= np.sqrt(EXP_MAX_C1 * (1 - 1e-9) / c1)[:, None, None]
+    assert unitarity_defect(exp_algebra(x)) <= UNITARITY_TOL
 
 
 def test_exp_algebra_matches_scipy(rng):
