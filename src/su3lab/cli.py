@@ -290,6 +290,10 @@ def main(argv=None) -> int:
     except (Su3LabError, OSError) as exc:
         print(f"su3lab: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # A size too large to allocate is an input error, not a failed run.
+        print(f"su3lab: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

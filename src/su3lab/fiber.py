@@ -22,11 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberMismatchError
+from .errors import FiberMismatchError, InvalidGroupElementError
 from .su3 import (
     IDENTITY,
     OMEGA,
     _broadcast_planes,
+    _check_layout,
     _planar_product,
     _stack_view,
     adjoint_matrix,
@@ -65,6 +66,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Inverses are conjugate transposes, exact for unitary input.
     """
+    _check_layout(a, b)
     return renormalize(a @ b @ dagger(b @ a))
 
 
@@ -77,6 +79,7 @@ def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     renormalize does: on planes it cost 9x as much, and every RepPoint
     pays it once.
     """
+    _check_layout(a, b, c)
     if np.ndim(a) == 2 and np.ndim(b) == 2:
         return np.abs(np.dot(np.dot(a, b), dagger(np.dot(b, a))) - c).max(axis=(-2, -1))
     (pa, pb), shape = _broadcast_planes(a, b)
@@ -90,8 +93,8 @@ def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
 class RepPoint:
     """A pair (a, b) of special unitary matrices with its fiber label c.
 
-    Construction validates that all three matrices are special unitary and
-    that kappa(a, b) matches c within FIBER_TOL.
+    Construction validates that all three are single 3x3 special unitary
+    matrices and that kappa(a, b) matches c within FIBER_TOL.
     """
 
     a: np.ndarray
@@ -100,6 +103,10 @@ class RepPoint:
 
     def __post_init__(self):
         for m in (self.a, self.b, self.c):
+            if np.shape(m) != (3, 3):
+                raise InvalidGroupElementError(
+                    f"a RepPoint holds single 3x3 matrices, got shape {np.shape(m)}"
+                )
             assert_special_unitary(m)
         r = fiber_residual(self.a, self.b, self.c)
         # Written as `not <=` so that a NaN residual is refused too.

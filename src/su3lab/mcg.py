@@ -43,11 +43,6 @@ from .su3 import (
 # can afford a longer cadence because its factors are exactly unitary.
 WORD_RENORM_CADENCE = 8
 
-# Letters per random_word_indices draw.  One draw for a 10 000 x 200 stack
-# raised the peak memory of an mcg_orbit_distribution run by a quarter;
-# blocks of consecutive letter positions keep its temporaries to a few MB.
-DRAW_BLOCK = 1 << 17
-
 # Rows per block of apply_word_stack: a block's planes and the letter
 # step's temporaries, a few MB at 4096 rows, stay in cache through all of
 # its letters.  On 26 000 rows, blocks of 1024 to 4096 rows cost 0.19 to
@@ -57,6 +52,10 @@ DRAW_BLOCK = 1 << 17
 WORD_BLOCK_ROWS = 4096
 
 LETTERS = ("a", "A", "b", "B")
+
+# _NEXT[i] lists, in index order, the three letters that may follow letter i:
+# every letter but its inverse i ^ 1.
+_NEXT = np.array([[j for j in range(4) if j != i ^ 1] for i in range(4)], dtype=np.int8)
 
 _LETTER_MATRIX = {
     "a": np.array([[1, 1], [0, 1]], dtype=np.int64),
@@ -128,74 +127,37 @@ def is_hyperbolic(m: np.ndarray) -> bool:
 
 
 def random_word(length: int, rng: np.random.Generator) -> TwistWord:
-    """Uniform random word with no letter followed by its own inverse."""
-    idx = random_word_indices(1, length, rng)[0]
-    return TwistWord(tuple(LETTERS[i] for i in idx))
+    """Uniform random word with no letter followed by its own inverse.
+
+    The letters of random_word_indices(1, length, rng), from the same draws
+    with the same generator state afterwards, walked through _NEXT in
+    Python: a numpy step per letter costs more than the draws on one word.
+    """
+    if length <= 0:
+        return TwistWord(())
+    nxt = _NEXT.tolist()
+    indices = [int(rng.integers(4, size=1)[0])]
+    for r in rng.integers(3, size=length - 1).tolist():
+        indices.append(nxt[indices[-1]][r])
+    return TwistWord(tuple(LETTERS[i] for i in indices))
 
 
 def random_word_indices(count: int, length: int, rng: np.random.Generator) -> np.ndarray:
     """Letter-index arrays for `count` independent random words.
 
     Shape (count, length); the first letter is uniform over all four, each
-    later letter uniform over the three that do not cancel the previous one.
-
-    The first letters are one draw rng.integers(4, size=count); the later
-    ones are rng.integers(3, size=(rows, count)) draws over consecutive
-    letter positions, rows = DRAW_BLOCK // count, so one draw covers a
-    whole word or any stack of up to DRAW_BLOCK later letters.  The
-    generator fills each draw in C order, so the stream is the one that a
-    draw of size `count` per letter position gives: the same indices and
-    the same generator state afterwards.
-
-    With letter = 2 pair + sign (pair 0 is "a"/"A", pair 1 is "b"/"B"), a
-    draw r of 0 sets pair 0, a draw of 2 sets pair 1 and a draw of 1 switches
-    the pair.  The letter repeats while the pair stays; where the pair
-    changes, the letter is r + pair.  So pair XOR (step & 1) is carried
-    forward from the last step whose draw is 0 or 2, and the sign from the
-    last step that changed the pair: each is one running maximum
-    (_running_max) over (step << 1) | bit codes, which are zero at the steps
-    that carry.
+    later letter uniform over the three in _NEXT that do not cancel the
+    previous one.  One draw per letter position: rng.integers(4, size=count)
+    for the first letters, then rng.integers(3, size=count) for each later
+    position.  The words are drawn position-major and returned as the
+    transposed view.
     """
-    out = np.empty((count, max(length, 0)), dtype=np.int8)
-    if length <= 0:
-        return out
-    first = rng.integers(4, size=count)
-    out[:, 0] = first
-    # The codes of the last step so far; row 0 of each block below.
-    pair_code, sign_code = first >> 1, first & 1
-    rows = max(1, DRAW_BLOCK // max(count, 1))
-    for j in range(1, length, rows):
-        # int32 draws take the same 32-bit bounded path as the default int64.
-        r = rng.integers(3, size=(min(rows, length - j), count), dtype=np.int32)
-        step = np.arange(j - 1, j + len(r), dtype=np.int32)[:, None]
-        parity = step & 1
-        code = np.empty((len(r) + 1, count), dtype=np.int32)
-        code[0] = pair_code
-        code[1:] = (r != 1) * ((step[1:] << 1) | ((r >> 1) ^ parity[1:]))
-        pair_code = _running_max(code)
-        pair = (pair_code & 1) ^ parity
-        code = np.empty_like(pair_code)
-        code[0] = sign_code
-        code[1:] = (pair[1:] != pair[:-1]) * ((step[1:] << 1) | (r - pair[1:]))
-        sign_code = _running_max(code)
-        out.T[j : j + len(r)] = 2 * pair[1:] + (sign_code[1:] & 1)
-        pair_code, sign_code = pair_code[-1], sign_code[-1]
-    return out
-
-
-def _running_max(code: np.ndarray) -> np.ndarray:
-    """The running maximum of code down axis 0, written in place.
-
-    A doubling scan: after the pass with shift s each row holds the maximum
-    of the 2 s rows ending at it.  Maxima are exact, so the values are those
-    of np.maximum.accumulate, which runs one short strided lane per column
-    and took 3.5x as long on a (14, 10 000) block.
-    """
-    s = 1
-    while s < len(code):
-        code[s:] = np.maximum(code[s:], code[:-s])
-        s *= 2
-    return code
+    out = np.empty((max(length, 0), count), dtype=np.int8)
+    if length > 0:
+        out[0] = rng.integers(4, size=count)
+    for j in range(1, length):
+        out[j] = _NEXT[out[j - 1], rng.integers(3, size=count)]
+    return out.T
 
 
 def apply_word_stack(

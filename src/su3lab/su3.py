@@ -97,6 +97,7 @@ def unitarity_defect(u: np.ndarray) -> float:
     """Largest entrywise deviation of u dagger(u) from Id, plus the
     determinant's distance from 1, maximized over any batch (0 when empty)."""
     u = np.asarray(u, dtype=complex)
+    _check_layout(u)
     gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
     det = np.abs(np.linalg.det(u) - 1.0).max(initial=0.0)
     return float(max(gram, det))
@@ -115,7 +116,7 @@ def assert_special_unitary(u: np.ndarray) -> None:
 def algebra_defect(x: np.ndarray) -> float:
     """Largest deviation from being traceless anti-Hermitian, over any batch
     (0 when empty, NaN when an entry is NaN or inf).  Runs on planes."""
-    p = _planes_view(np.asarray(x, dtype=complex))
+    p = _planes_view(np.asarray(x, dtype=complex), InvalidAlgebraError)
     # An inf entry makes inf - inf; the NaN is refused by the callers, so
     # numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
@@ -156,8 +157,9 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
 
     The result is a polynomial in x, so it commutes with x by
     construction.  Raises InvalidAlgebraError for inputs off the algebra,
-    NaN and inf entries included, and for c1 above EXP_MAX_C1, where the
-    squarings would carry the result off the group.  Accepts stacks.
+    NaN and inf entries included, for inputs whose last two axes are not
+    (3, 3), and for c1 above EXP_MAX_C1, where the squarings would carry
+    the result off the group.  Accepts stacks.
 
     Runs on planes, a lone matrix as a stack of one (see _exp_planes), and
     returns the stack view of new planes.
@@ -172,11 +174,14 @@ def _exp_planes(p: np.ndarray) -> np.ndarray:
     """exp_algebra on planes: x^2 is one planar product, c1 and c0 come from
     the diagonals of x^2 and x^3, and the f_j multiply the planes row by
     row.  Returns new planes; p is not written."""
-    out = _planar_product(p, p)
-    # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
-    # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
-    c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
-    c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
+    # An element too large for the c1 refusal below overflows x^2 into inf
+    # and c0 into NaN; the refusal covers both, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _planar_product(p, p)
+        # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
+        # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
+        c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
+        c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
     # Written as `not <=` so that a NaN c1 is refused too.
     if not (c1 <= EXP_MAX_C1).all():
         raise InvalidAlgebraError(
@@ -402,7 +407,8 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     (3/8) d^2, below roundoff.  The orbit engines drift by about 1e-14
     between renormalizations, so on their path only that last step runs.
     DriftExplosionError is raised when the input's Gram defect is above
-    RENORM_GUARD or is not finite (a NaN or inf entry).
+    RENORM_GUARD or is not finite (a NaN or inf entry), and
+    InvalidGroupElementError when the last two axes are not (3, 3).
 
     A stack runs on planes, as in exp_algebra, and returns the stack view
     of new planes.  A lone matrix takes one np.dot per product, which
@@ -413,6 +419,7 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     if u.ndim > 2:
         p = np.ascontiguousarray(_planes_view(u))
         return _stack_view(_renormalize_planes(p)).reshape(u.shape)
+    _check_layout(u)
     gram = np.dot(dagger(u), u)
     defect = np.abs(gram - IDENTITY).max()
     _check_drift(defect)
@@ -486,9 +493,21 @@ def _stack_view(p: np.ndarray) -> np.ndarray:
     return p.transpose(2, 0, 1)
 
 
-def _planes_view(x: np.ndarray) -> np.ndarray:
+def _check_layout(*arrays, error: type[Exception] = InvalidGroupElementError) -> None:
+    """Refuse, with `error`, any array whose last two axes are not (3, 3): the
+    planar views and the lone-matrix paths call it before they read a layout,
+    so a malformed shape is neither reinterpreted nor left to fail in numpy."""
+    for u in arrays:
+        if np.shape(u)[-2:] != (3, 3):
+            raise error(f"expected 3x3 matrices in the last two axes, got shape {np.shape(u)}")
+
+
+def _planes_view(
+    x: np.ndarray, error: type[Exception] = InvalidGroupElementError
+) -> np.ndarray:
     """The (3, 3, n) view of a (..., 3, 3) stack: the planes themselves when
-    x is their _stack_view."""
+    x is their _stack_view.  Other shapes are refused with `error`."""
+    _check_layout(x, error=error)
     return x.reshape(-1, 3, 3).transpose(1, 2, 0)
 
 
@@ -497,6 +516,7 @@ def _broadcast_planes(*stacks: np.ndarray) -> tuple[list[np.ndarray], tuple[int,
     one another, and their common batch shape.  The stack view of planes
     gives its planes without a copy; any other layout is copied, as
     exp_algebra and renormalize copy theirs."""
+    _check_layout(*stacks)
     stacks = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
     planes = [np.ascontiguousarray(_planes_view(s)) for s in stacks]
     return planes, stacks[0].shape[:-2]

@@ -414,6 +414,15 @@ def test_negative_word_length_is_a_config_error(capsys):
     assert "word length" in capsys.readouterr().err
 
 
+def test_unallocatable_count_exits_two(capsys):
+    # 10**13 Haar pairs need 655 TiB, past the 2**47-byte (128 TiB) address
+    # space, so the allocation is refused before it can begin.
+    assert main(["sample", "--count", str(10**13), "--seed", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("su3lab: out of memory")
+
+
 def test_negative_walk_steps_is_a_config_error(capsys):
     argv = ["sample", "--count", "2", "--seed", "1", "--angles", "0.1,0.3", "--walk-steps", "-5"]
     assert main(argv) == 2

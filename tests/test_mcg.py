@@ -100,13 +100,11 @@ def test_random_word_indices_shape_and_range(rng):
 
 @pytest.mark.parametrize("seed", range(5))
 def test_random_word_indices_matches_letter_loop(seed):
-    # One draw per block of letter positions consumes the stream exactly as
-    # one draw per position does: same indices, same generator state after.
-    # At 10 000 words a block holds 13 letter positions, so the 23 later
-    # letters of a 24-letter word take two blocks and the running maxima
-    # carry a row from one to the next.
+    # The position-major table loop gives the reference's indices and leaves
+    # the generator where the reference does, for empty stacks and empty
+    # words too.
     cases = [(c, n) for c in (1, 2, 3, 7, 1000) for n in (0, 1, 2, 3, 8, 200)]
-    for count, length in cases + [(10_000, 24)]:
+    for count, length in cases + [(10_000, 24), (0, 5)]:
         fast = np.random.Generator(np.random.PCG64(seed))
         loop = np.random.Generator(np.random.PCG64(seed))
         got = random_word_indices(count, length, fast)
@@ -116,6 +114,19 @@ def test_random_word_indices_matches_letter_loop(seed):
         assert fast.integers(1 << 62, size=4).tolist() == loop.integers(
             1 << 62, size=4
         ).tolist()
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("length", [0, 1, 2, 3, 200])
+def test_random_word_matches_one_row_letter_loop(seed, length):
+    # random_word walks the table in Python over the draws that a one-row
+    # stack makes: the same letters and the same generator state after.
+    fast = np.random.Generator(np.random.PCG64(seed))
+    loop = np.random.Generator(np.random.PCG64(seed))
+    word = random_word(length, fast)
+    want = random_word_indices_loop(1, length, loop)[0]
+    assert word.letters == tuple(LETTERS[i] for i in want)
+    assert fast.bit_generator.state == loop.bit_generator.state
 
 
 def test_apply_word_single_letters(rng):

@@ -14,7 +14,7 @@ from su3lab.errors import (
     NonRegularElementError,
 )
 from oracle_kernels import algebra_coords, random_algebra
-from su3lab.fiber import RepPoint
+from su3lab.fiber import RepPoint, commutator, fiber_residual
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     EXP_MAX_C1,
@@ -36,6 +36,7 @@ from su3lab.su3 import (
     unitarity_defect,
     unitary_eigensystem,
 )
+from su3lab.traces import character_values
 
 
 def test_identity_and_omega():
@@ -88,7 +89,8 @@ def test_exp_algebra_rejects_non_algebra():
 EXACT_ALGEBRA = np.array([[1j, 2 + 1j, 0.5], [-2 + 1j, -1j, 1 - 0.5j], [-0.5, -1 - 0.5j, 0]])
 
 
-@pytest.mark.parametrize("scale", [1e10, 1e50])
+# At 1e200, x^2 overflows to inf and c0 to NaN before the c1 refusal.
+@pytest.mark.parametrize("scale", [1e10, 1e50, 1e200])
 def test_exp_algebra_refuses_c1_above_its_bound(scale):
     x = scale * EXACT_ALGEBRA
     assert algebra_defect(x) == 0.0
@@ -225,6 +227,55 @@ def test_checks_refuse_non_finite_input(rng, bad):
             assert_algebra_element(args)
         with pytest.raises(InvalidAlgebraError):
             exp_algebra(args)
+
+
+def _fits_when_reshaped(shape, rng, algebra):
+    """An array of a malformed shape whose entries, read as 3x3 matrices
+    where they fit, are valid inputs: zeros in the algebra; identities, or
+    a Haar stack reshaped, in the group."""
+    if algebra:
+        return np.zeros(shape, dtype=complex)
+    if len(shape) == 3:
+        return haar_random(rng, size=2).reshape(shape)
+    return np.eye(*shape, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "shape", [(2, 2), (4, 3), (3, 3, 2)], ids=lambda s: "x".join(map(str, s))
+)
+@pytest.mark.parametrize(
+    "kernel, error",
+    [
+        (exp_algebra, InvalidAlgebraError),
+        (assert_algebra_element, InvalidAlgebraError),
+        (renormalize, InvalidGroupElementError),
+        (assert_special_unitary, InvalidGroupElementError),
+        (lambda u: commutator(u, u), InvalidGroupElementError),
+        (lambda u: fiber_residual(u, u, u), InvalidGroupElementError),
+        (lambda u: character_values(u, u), InvalidGroupElementError),
+    ],
+    ids=[
+        "exp_algebra",
+        "assert_algebra_element",
+        "renormalize",
+        "assert_special_unitary",
+        "commutator",
+        "fiber_residual",
+        "character_values",
+    ],
+)
+def test_kernels_refuse_last_axes_other_than_3x3(kernel, error, shape, rng):
+    u = _fits_when_reshaped(shape, rng, error is InvalidAlgebraError)
+    with pytest.raises(error, match="3x3"):
+        kernel(u)
+
+
+def test_rep_point_refuses_stacks(rng):
+    a, b = haar_random(rng, size=2), haar_random(rng, size=2)
+    with pytest.raises(InvalidGroupElementError, match="single 3x3"):
+        RepPoint(a=a, b=b, c=commutator(a, b))
+    with pytest.raises(InvalidGroupElementError, match="single 3x3"):
+        RepPoint.from_pair(a, b)
 
 
 def test_exp_algebra_empty_stack():
