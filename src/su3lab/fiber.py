@@ -26,10 +26,9 @@ from .errors import FiberMismatchError, InvalidGroupElementError
 from .su3 import (
     IDENTITY,
     OMEGA,
-    _broadcast_planes,
     _check_layout,
     _planar_product,
-    _stack_view,
+    _plane_major,
     adjoint_matrix,
     assert_special_unitary,
     dagger,
@@ -62,31 +61,35 @@ _SHIFT.setflags(write=False)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kappa(a, b) = a b a^-1 b^-1, renormalized; accepts stacks.
+    """kappa(a, b) = a b a^-1 b^-1, renormalized; a and b share one shape.
 
     Inverses are conjugate transposes, exact for unitary input.
     """
     _check_layout(a, b)
-    return renormalize(a @ b @ dagger(b @ a))
+    # renormalize refuses the NaN of an inf entry; numpy need not warn first.
+    with np.errstate(invalid="ignore"):
+        return renormalize(a @ b @ dagger(b @ a))
 
 
 def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Entrywise max distance of the raw product a b a^-1 b^-1 from c;
-    accepts stacks that broadcast, and a single pair gives a numpy scalar.
+    accepts two stacks of one shape, with labels c that broadcast against
+    them, and a single pair gives a numpy scalar.
 
-    Stacks run on planes (su3._broadcast_planes): three planar products,
-    ab, ba and ab (ba)^H.  A lone pair takes one np.dot per product, as
-    renormalize does: on planes it cost 9x as much, and every RepPoint
-    pays it once.
+    Stacks run on planes: three planar products, ab, ba and ab (ba)^H.  A
+    lone pair takes one np.dot per product, as renormalize does: on planes
+    it cost 9x as much, and every RepPoint pays it once.
     """
-    _check_layout(a, b, c)
-    if np.ndim(a) == 2 and np.ndim(b) == 2:
+    _check_layout(a, b)
+    _check_layout(c)
+    if np.ndim(a) == 2:
         return np.abs(np.dot(np.dot(a, b), dagger(np.dot(b, a))) - c).max(axis=(-2, -1))
-    (pa, pb), shape = _broadcast_planes(a, b)
-    ab = _planar_product(pa, pb)
-    ba = _planar_product(pb, pa)
-    comm = _planar_product(ab, np.conjugate(ba.transpose(1, 0, 2)))
-    return np.abs(_stack_view(comm).reshape(shape + (3, 3)) - c).max(axis=(-2, -1))
+    shape = np.shape(a)
+    a, b = _plane_major(a), _plane_major(b)
+    ab = _planar_product(a, b)
+    ba = _planar_product(b, a)
+    comm = _planar_product(ab, dagger(ba))
+    return np.abs(comm.reshape(shape) - c).max(axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,9 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Columns 0..7 act on the first-slot direction X, columns 8..15 on the
     second-slot direction Y.  In the orthonormal basis, Ad of an inverse is
-    the transpose.  Accepts stacks.
+    the transpose.  Accepts two stacks of one shape.
     """
+    _check_layout(a, b)
     ad_a = adjoint_matrix(a)
     ad_b = adjoint_matrix(b)
     ad_ba = ad_b @ ad_a
@@ -159,9 +163,10 @@ def d_kappa_rank(m: np.ndarray) -> np.ndarray:
 def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dimension of the joint fixed space of Ad(a) and Ad(b).
 
-    Computed as the joint nullspace of the stacked 16x8 matrix; accepts
-    stacks (returns an integer array; a single pair gives a numpy integer).
+    Computed as the joint nullspace of the stacked 16x8 matrix; a and b
+    share one shape (an integer array results; a pair gives a numpy integer).
     """
+    _check_layout(a, b)
     stacked = np.concatenate(
         [adjoint_matrix(a) - _EYE8, adjoint_matrix(b) - _EYE8], axis=-2
     )
@@ -201,6 +206,8 @@ def central_fiber_point() -> RepPoint:
 def is_central(u: np.ndarray) -> bool:
     """Whether one group element is omega^k Id, within CENTRAL_LABEL_TOL."""
     u = np.asarray(u, dtype=complex)
+    if u.shape != (3, 3):
+        raise InvalidGroupElementError("is_central takes a single 3x3 matrix")
     d = u[0, 0]
     off = max(np.abs(u - d * IDENTITY).max(), abs(d**3 - 1.0))
     return bool(off <= CENTRAL_LABEL_TOL)

@@ -19,16 +19,14 @@ The four flowable curves and the holonomy they centralize:
 The boundary curve's trace is constant on every fiber, so requesting its
 flow raises TrivialFlowError instead of silently doing nothing.
 
-One flow step, on planes (see su3lab.su3), runs under both twist_flow (a
-stack of one) and flow_walk_stack, which moves its pairs to (3, 3, n)
-planes once on entry and returns the stack view of new planes, as the
-word engine does; the entry refuses anything but an (n, 3, 3) stack
-without NaN or inf entries.  In a step, a b on the alpha_beta rows and
-a b^H on the alpha_beta_inv rows are one planar product over the whole
-stack, formed only when some row's curve needs it; each row's x, and
-then each row's new a and b, are picked with np.where from whole-stack
-products.  Every planar product, and variation, exp_algebra and
-renormalize on the (n, 3, 3) stack view of the planes, return new planes.
+One flow step runs under both twist_flow (a stack of one) and
+flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): the
+walk copies its pairs once on entry, which refuses anything but an
+(n, 3, 3) stack without NaN or inf entries, and returns new stacks, as
+the word engine does.  In a step, a b on the alpha_beta rows and a b^H
+on the alpha_beta_inv rows are one planar product over the whole stack,
+formed only when some row's curve needs it; each row's x, and then each
+row's new a and b, are picked with np.where from whole-stack products.
 """
 
 from __future__ import annotations
@@ -39,10 +37,11 @@ from .errors import InvalidGroupElementError, TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
+    _check_layout,
     _planar_product,
-    _planes_view,
-    _stack_view,
-    _to_planes,
+    _plane_major,
+    _plane_major_copy,
+    dagger,
     exp_algebra,
     renormalize,
 )
@@ -63,20 +62,20 @@ def variation(x: np.ndarray) -> np.ndarray:
     representing the directional derivative of the trace observable against
     the invariant pairing.  The gradient of Im Tr at x is variation(-1j * x).
     Commutes with x when x is unitary, so exp(t variation(x)) does too.
-    Accepts stacks.  Runs on planes: the result is the stack view of new
-    planes, and the stack view of planes, as the flow step passes it, is
-    read in place.
+    Accepts stacks, and returns a new plane-major stack; the flow step's
+    plane-major x is read in place.
     """
     x = np.asarray(x, dtype=complex)
-    p = _planes_view(x)
-    f = np.empty(p.shape, dtype=complex)
-    np.conjugate(p.transpose(1, 0, 2), out=f)
+    _check_layout(x)
+    p = _plane_major(x)
+    f = np.empty_like(p)
+    np.conjugate(p.swapaxes(1, 2), out=f)
     np.subtract(p, f, out=f)
     f *= 0.5
-    mean = (f[0, 0] + f[1, 1] + f[2, 2]) / 3
+    mean = (f[:, 0, 0] + f[:, 1, 1] + f[:, 2, 2]) / 3
     for i in range(3):
-        f[i, i] -= mean
-    return _stack_view(f).reshape(x.shape)
+        f[:, i, i] -= mean
+    return f.reshape(x.shape)
 
 
 def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
@@ -99,13 +98,13 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             " every point"
         )
     a, b = _flow_step(
-        _to_planes(np.asarray(p.a)[None]),
-        _to_planes(np.asarray(p.b)[None]),
+        _plane_major_copy(np.asarray(p.a)[None]),
+        _plane_major_copy(np.asarray(p.b)[None]),
         np.array([CURVES.index(curve)]),
         np.array([part == "im"]),
         np.array([t], dtype=float),
     )
-    return RepPoint(a=_stack_view(a)[0], b=_stack_view(b)[0], c=p.c)
+    return RepPoint(a=a[0], b=b[0], c=p.c)
 
 
 def _flow_step(
@@ -115,25 +114,25 @@ def _flow_step(
     part_im: np.ndarray,
     t: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Flow each row of the planes a and b along its own observable.
+    """Flow each row of the plane-major stacks a and b along its observable.
 
     curve holds indices into CURVES, part_im selects the imaginary trace
     part, t the flow time; all three have one entry per row.  Returns new
-    planes (a, b); a and b are not written.
+    stacks (a, b); a and b are not written.
     """
+    curve, part_im, t = (v[:, None, None] for v in (curve, part_im, t))
     x = np.where(curve == 0, a, b)
     on_product = curve >= 2
     if on_product.any():
         # u = a b on alpha_beta rows and a b^H on alpha_beta_inv rows: one
         # planar product for both.
-        b_or_dagger = np.where(curve == 3, np.conjugate(b.transpose(1, 0, 2)), b)
-        u = _planar_product(a, b_or_dagger)
+        u = _planar_product(a, np.where(curve == 3, dagger(b), b))
         x = np.where(on_product, u, x)
     # Im Tr x = Re Tr(-i x); x is this step's own array.
     x *= np.where(part_im, -1j, 1.0)
-    f = _planes_view(variation(_stack_view(x)))
+    f = variation(x)
     f *= t
-    z = _planes_view(exp_algebra(_stack_view(f)))
+    z = exp_algebra(f)
 
     # The table in the module docstring.  On alpha_beta rows a = u v^-1
     # with u = a b and v = b z, so a reads the pre-step b through bz.
@@ -142,7 +141,7 @@ def _flow_step(
     new_a = np.where((curve == 1) | (curve == 3), az, a)
     m_ab = curve == 2
     if m_ab.any():
-        a_ab = _planar_product(u, np.conjugate(bz.transpose(1, 0, 2)))
+        a_ab = _planar_product(u, dagger(bz))
         new_a = np.where(m_ab, a_ab, new_a)
     return new_a, np.where(curve != 1, bz, b)
 
@@ -157,26 +156,26 @@ def flow_walk_stack(
 
     Each step, every row draws its own curve (uniform over the four
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
-    Renormalizes both stacks every RENORM_CADENCE steps.  Runs on planes,
-    converting once on entry, and returns new stacks: the (n, 3, 3) stack
-    views of new planes, as apply_word_stack does.  Inputs are not
-    modified.  Raises InvalidGroupElementError unless a and b are (n, 3, 3)
-    stacks with the same n and no NaN or inf entry, at any number of steps.
+    Renormalizes both stacks every RENORM_CADENCE steps.  Copies its pairs
+    once on entry and returns new plane-major stacks, as apply_word_stack
+    does.  Inputs are not modified.  Raises InvalidGroupElementError unless
+    a and b are (n, 3, 3) stacks with the same n and no NaN or inf entry,
+    at any number of steps.
     """
-    a = _to_planes(a)
-    b = _to_planes(b)
-    n = a.shape[2]
-    if b.shape[2] != n:
-        raise InvalidGroupElementError(f"a has {n} rows and b has {b.shape[2]}")
+    a = _plane_major_copy(a)
+    b = _plane_major_copy(b)
+    n = len(a)
+    if len(b) != n:
+        raise InvalidGroupElementError(f"a has {n} rows and b has {len(b)}")
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
         part_im = rng.integers(2, size=n).astype(bool)
         t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
         a, b = _flow_step(a, b, curve, part_im, t)
         if (step + 1) % RENORM_CADENCE == 0:
-            a = _planes_view(renormalize(_stack_view(a)))
-            b = _planes_view(renormalize(_stack_view(b)))
-    return _stack_view(a), _stack_view(b)
+            a = renormalize(a)
+            b = renormalize(b)
+    return a, b
 
 
 def walk_from(

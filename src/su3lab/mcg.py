@@ -26,14 +26,7 @@ import numpy as np
 
 from .errors import InvalidGroupElementError
 from .fiber import RepPoint
-from .su3 import (
-    _planar_product,
-    _planes_view,
-    _stack_view,
-    _to_planes,
-    dagger,
-    renormalize,
-)
+from .su3 import _planar_product, _plane_major_copy, dagger, renormalize
 
 # Letter products feed each element's norm deviation into the other, so the
 # distance from the group compounds near-geometrically with word length
@@ -43,7 +36,7 @@ from .su3 import (
 # can afford a longer cadence because its factors are exactly unitary.
 WORD_RENORM_CADENCE = 8
 
-# Rows per block of apply_word_stack: a block's planes and the letter
+# Rows per block of apply_word_stack: a block's stacks and the letter
 # step's temporaries, a few MB at 4096 rows, stay in cache through all of
 # its letters.  On 26 000 rows, blocks of 1024 to 4096 rows cost 0.19 to
 # 0.22 us per row-letter and blocks of 8192 cost 0.23 us, against 0.39 us
@@ -171,12 +164,9 @@ def apply_word_stack(
     NaN or inf entry, and ValueError unless indices is a 2-D integer array
     with entries in 0..3.
 
-    Returns new stacks: the (n, 3, 3) stack views (su3._stack_view) of two
-    contiguous (3, 3, n) planes, which su3._planes_view hands back to the
-    planar kernels without a copy.
-
-    The rows run in blocks of WORD_BLOCK_ROWS, all letters per block (see
-    _apply_word_planes), and each block is written into the output planes.
+    Returns new plane-major stacks (see su3lab.su3).  The rows run in
+    blocks of WORD_BLOCK_ROWS, all letters per block (see
+    _apply_word_block), and each block is written into the output stacks.
     """
     indices = np.asarray(indices)
     if indices.ndim != 2 or not np.issubdtype(indices.dtype, np.integer):
@@ -185,37 +175,36 @@ def apply_word_stack(
             f" and dtype {indices.dtype}"
         )
     n = len(indices)
-    x = _to_planes(a)
-    y = _to_planes(b)
-    if x.shape[2] != n or y.shape[2] != n:
+    x = _plane_major_copy(a)
+    y = _plane_major_copy(b)
+    if len(x) != n or len(y) != n:
         raise InvalidGroupElementError(
-            f"indices have {n} rows, a has {x.shape[2]} and b has {y.shape[2]}"
+            f"indices have {n} rows, a has {len(x)} and b has {len(y)}"
         )
     if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
         raise ValueError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
-    # _to_planes copied a and b, so their planes take the blocks' results.
+    # a and b were copied on entry, so their copies take the blocks' results.
     for lo in range(0, n, WORD_BLOCK_ROWS):
         rows = slice(lo, lo + WORD_BLOCK_ROWS)
-        x[:, :, rows], y[:, :, rows] = _apply_word_planes(
-            indices[rows], x[:, :, rows], y[:, :, rows]
-        )
-    return _stack_view(x), _stack_view(y)
+        x[rows], y[rows] = _apply_word_block(indices[rows], x[rows], y[rows])
+    return x, y
 
 
-def _apply_word_planes(
+def _apply_word_block(
     indices: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """apply_word_stack on the planes of a block of rows; returns new planes.
+    """apply_word_stack on a block of rows; returns new stacks.
 
-    Two slots, which start as the planes x of a and y of b: x holds each
+    Two slots, which start as the stacks x of a and y of b: x holds each
     row's last target, the element its last letter multiplied (b for
-    "a"/"A", a for "b"/"B"), and y the other one.  A letter swaps the slots on the rows whose target changes, then sets
-    x = x y, or x y^H on the inverse letters: one planar product over the
-    block.  Every WORD_RENORM_CADENCE letters both slots go through
-    renormalize as the (rows, 3, 3) stack view of their planes.
+    "a"/"A", a for "b"/"B"), and y the other one.  A letter swaps the
+    slots on the rows whose target changes, then sets x = x y, or x y^H on
+    the inverse letters: one planar product over the block.  Every
+    WORD_RENORM_CADENCE letters both slots go through renormalize.
     """
-    x_is_b = np.zeros(len(indices), dtype=bool)
-    for j, col in enumerate(np.ascontiguousarray(indices.T)):
+    # Each letter column is shaped (rows, 1, 1) to pick whole matrices.
+    x_is_b = np.zeros((len(indices), 1, 1), dtype=bool)
+    for j, col in enumerate(np.ascontiguousarray(indices.T)[:, :, None, None]):
         to_b = col < 2
         swap = to_b != x_is_b
         x_is_b = to_b
@@ -224,11 +213,11 @@ def _apply_word_planes(
         # below, so that the engine peaks no higher than the matmul one did.
         # A bool condition: np.where took about 1.5x as long on int8 col & 1.
         inverse = (col & 1).astype(bool)
-        factor = np.where(inverse, np.conjugate(y.transpose(1, 0, 2)), y)
+        factor = np.where(inverse, dagger(y), y)
         x = _planar_product(x, factor)
         del factor
         if (j + 1) % WORD_RENORM_CADENCE == 0:
-            x = _planes_view(renormalize(_stack_view(x)))
-            y = _planes_view(renormalize(_stack_view(y)))
+            x = renormalize(x)
+            y = renormalize(y)
     # The same swap as a letter that targets a everywhere: then x = a, y = b.
     return np.where(x_is_b, y, x), np.where(x_is_b, x, y)

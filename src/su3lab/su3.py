@@ -98,8 +98,10 @@ def unitarity_defect(u: np.ndarray) -> float:
     determinant's distance from 1, maximized over any batch (0 when empty)."""
     u = np.asarray(u, dtype=complex)
     _check_layout(u)
-    gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
-    det = np.abs(np.linalg.det(u) - 1.0).max(initial=0.0)
+    # The callers refuse the NaN of a NaN or inf entry; numpy need not warn.
+    with np.errstate(invalid="ignore"):
+        gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
+        det = np.abs(np.linalg.det(u) - 1.0).max(initial=0.0)
     return float(max(gram, det))
 
 
@@ -115,13 +117,14 @@ def assert_special_unitary(u: np.ndarray) -> None:
 
 def algebra_defect(x: np.ndarray) -> float:
     """Largest deviation from being traceless anti-Hermitian, over any batch
-    (0 when empty, NaN when an entry is NaN or inf).  Runs on planes."""
-    p = _planes_view(np.asarray(x, dtype=complex), InvalidAlgebraError)
+    (0 when empty, NaN when an entry is NaN or inf)."""
+    x = np.asarray(x, dtype=complex)
+    _check_layout(x, error=InvalidAlgebraError)
     # An inf entry makes inf - inf; the NaN is refused by the callers, so
     # numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
-        herm = np.abs(p + np.conjugate(p.transpose(1, 0, 2))).max(initial=0.0)
-        tr = np.abs(p[0, 0] + p[1, 1] + p[2, 2]).max(initial=0.0)
+        herm = np.abs(x + dagger(x)).max(initial=0.0)
+        tr = np.abs(x[..., 0, 0] + x[..., 1, 1] + x[..., 2, 2]).max(initial=0.0)
     return float(max(herm, tr))
 
 
@@ -159,25 +162,24 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     construction.  Raises InvalidAlgebraError for inputs off the algebra,
     NaN and inf entries included, for inputs whose last two axes are not
     (3, 3), and for c1 above EXP_MAX_C1, where the squarings would carry
-    the result off the group.  Accepts stacks.
-
-    Runs on planes, a lone matrix as a stack of one (see _exp_planes), and
-    returns the stack view of new planes.
+    the result off the group.  Accepts stacks, and returns a new
+    plane-major stack (a lone matrix runs as a stack of one).
     """
     x = np.asarray(x, dtype=complex)
     assert_algebra_element(x)
-    p = np.ascontiguousarray(_planes_view(x))
-    return _stack_view(_exp_planes(p)).reshape(x.shape)
+    return _exp_planes(_plane_major(x)).reshape(x.shape)
 
 
-def _exp_planes(p: np.ndarray) -> np.ndarray:
-    """exp_algebra on planes: x^2 is one planar product, c1 and c0 come from
-    the diagonals of x^2 and x^3, and the f_j multiply the planes row by
-    row.  Returns new planes; p is not written."""
+def _exp_planes(x: np.ndarray) -> np.ndarray:
+    """exp_algebra on an (n, 3, 3) stack, run on its planes: x^2 is one
+    planar product, c1 and c0 come from the diagonals of x^2 and x^3, and
+    the f_j multiply the planes row by row.  Returns a new stack laid out
+    like x; x is not written."""
+    p = x.transpose(1, 2, 0)
     # An element too large for the c1 refusal below overflows x^2 into inf
     # and c0 into NaN; the refusal covers both, so numpy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _planar_product(p, p)
+        out = _planar_product(x, x).transpose(1, 2, 0)
         # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
         # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
         c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
@@ -197,9 +199,11 @@ def _exp_planes(p: np.ndarray) -> np.ndarray:
         out[i, i] += f0
     squaring = c1 > EXP_SQUARING_C1
     if squaring.any():
-        half = _exp_planes(p[:, :, squaring] / 2)
-        out[:, :, squaring] = _planar_product(half, half)
-    return out
+        # x[squaring] is a C-ordered stack, as the planes' p[:, :, squaring]
+        # was, so the nested c0 sum keeps its order.
+        half = _exp_planes(x[squaring] / 2)
+        out[:, :, squaring] = _planar_product(half, half).transpose(1, 2, 0)
+    return out.transpose(2, 0, 1)
 
 
 def _exp_coefficients(c0: np.ndarray, c1: np.ndarray):
@@ -303,6 +307,7 @@ def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     (returns ...x8x8).
     """
     g = np.asarray(g, dtype=complex)
+    _check_layout(g)
     kron = g[..., :, None, :, None] * np.conjugate(g)[..., None, :, None, :]
     kron = kron.reshape(g.shape[:-2] + (9, 9))
     return -np.real(_ADJ_LEFT @ kron @ _ADJ_RIGHT)
@@ -410,16 +415,15 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     RENORM_GUARD or is not finite (a NaN or inf entry), and
     InvalidGroupElementError when the last two axes are not (3, 3).
 
-    A stack runs on planes, as in exp_algebra, and returns the stack view
-    of new planes.  A lone matrix takes one np.dot per product, which
+    A stack runs on planes, as in exp_algebra, and returns a new
+    plane-major stack.  A lone matrix takes one np.dot per product, which
     makes the same zgemm call as matmul without matmul's per-call gufunc
     setup.
     """
     u = np.asarray(u, dtype=complex)
-    if u.ndim > 2:
-        p = np.ascontiguousarray(_planes_view(u))
-        return _stack_view(_renormalize_planes(p)).reshape(u.shape)
     _check_layout(u)
+    if u.ndim > 2:
+        return _renormalize_planes(_plane_major(u)).reshape(u.shape)
     gram = np.dot(dagger(u), u)
     defect = np.abs(gram - IDENTITY).max()
     _check_drift(defect)
@@ -456,18 +460,20 @@ def _det3(rows):
     return (e * i - f * h) * a - (d * i - f * g) * b + (d * h - e * g) * c
 
 
-# Planes: a stack of n 3x3 matrices stored with shape (3, 3, n), so that
-# entry (i, k) of every matrix is one contiguous length-n vector and a
-# stacked product is 15 vector operations over (3, n) rows, where matmul
-# makes one small BLAS call per matrix.  Every planar kernel returns new
-# planes and allocates its own output and work rows.  Both orbit engines
-# convert once on entry (_to_planes) and return the stack view of new
-# planes; in between they hand exp_algebra and renormalize the (n, 3, 3)
-# stack view of their planes and take the stack view of new planes back.
+# Plane-major stacks: every stack that crosses a module boundary is an
+# ordinary (n, 3, 3) array whose memory holds (3, 3, n) planes, so that
+# entry (i, k) of every matrix is one contiguous length-n row.  Only the
+# kernels below form the planes view x.transpose(1, 2, 0): on it a stacked
+# product is 15 vector operations over (3, n) rows, where matmul makes one
+# small BLAS call per matrix.  Every planar kernel allocates its own output
+# and work rows and returns a new stack.  Both orbit engines copy their
+# pairs once on entry (_plane_major_copy) and hand exp_algebra and
+# renormalize their stacks as they are.  A .copy() of such a stack is
+# C-ordered: the same values in the slow layout.
 
 
-def _to_planes(u: np.ndarray) -> np.ndarray:
-    """A fresh contiguous (3, 3, n) copy of an (n, 3, 3) stack, refused with
+def _plane_major_copy(u: np.ndarray) -> np.ndarray:
+    """A fresh plane-major copy of an (n, 3, 3) stack, refused with
     InvalidGroupElementError when it has another shape or an entry is NaN
     or inf.
 
@@ -475,9 +481,8 @@ def _to_planes(u: np.ndarray) -> np.ndarray:
     exp_algebra checks only each row's x and renormalize runs only on
     cadence, so without this check a NaN could ride to the end of a short
     walk or word.
-    Always a copy, so planes never share the caller's memory: at n = 1 the
-    transposed view is already contiguous, and np.ascontiguousarray would
-    return it.
+    Always a copy, so the engines never write the caller's memory: a
+    C-ordered 1-row stack is plane-major already.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 3 or u.shape[1:] != (3, 3):
@@ -485,82 +490,73 @@ def _to_planes(u: np.ndarray) -> np.ndarray:
     p = u.transpose(1, 2, 0).copy()
     if not np.isfinite(p).all():
         raise InvalidGroupElementError("stack has a NaN or inf entry")
-    return p
-
-
-def _stack_view(p: np.ndarray) -> np.ndarray:
-    """The (n, 3, 3) view of planes p, without a copy."""
     return p.transpose(2, 0, 1)
 
 
+def _plane_major(x: np.ndarray) -> np.ndarray:
+    """A (..., 3, 3) array as an (n, 3, 3) plane-major stack: x's own memory
+    when it is laid out so already, a copy otherwise.  Callers check the
+    layout first (_check_layout)."""
+    planes = np.asarray(x, dtype=complex).reshape(-1, 3, 3).transpose(1, 2, 0)
+    return np.ascontiguousarray(planes).transpose(2, 0, 1)
+
+
 def _check_layout(*arrays, error: type[Exception] = InvalidGroupElementError) -> None:
-    """Refuse, with `error`, any array whose last two axes are not (3, 3): the
-    planar views and the lone-matrix paths call it before they read a layout,
-    so a malformed shape is neither reinterpreted nor left to fail in numpy."""
-    for u in arrays:
-        if np.shape(u)[-2:] != (3, 3):
-            raise error(f"expected 3x3 matrices in the last two axes, got shape {np.shape(u)}")
-
-
-def _planes_view(
-    x: np.ndarray, error: type[Exception] = InvalidGroupElementError
-) -> np.ndarray:
-    """The (3, 3, n) view of a (..., 3, 3) stack: the planes themselves when
-    x is their _stack_view.  Other shapes are refused with `error`."""
-    _check_layout(x, error=error)
-    return x.reshape(-1, 3, 3).transpose(1, 2, 0)
-
-
-def _broadcast_planes(*stacks: np.ndarray) -> tuple[list[np.ndarray], tuple[int, ...]]:
-    """Contiguous (3, 3, n) planes of (..., 3, 3) stacks broadcast against
-    one another, and their common batch shape.  The stack view of planes
-    gives its planes without a copy; any other layout is copied, as
-    exp_algebra and renormalize copy theirs."""
-    _check_layout(*stacks)
-    stacks = np.broadcast_arrays(*(np.asarray(s, dtype=complex) for s in stacks))
-    planes = [np.ascontiguousarray(_planes_view(s)) for s in stacks]
-    return planes, stacks[0].shape[:-2]
+    """Refuse, with `error`, an array whose last two axes are not (3, 3), and
+    further arrays of another shape: the kernels call it before they read
+    a layout, so a malformed shape or pair is neither reinterpreted,
+    broadcast, nor left to fail in numpy."""
+    shape = np.shape(arrays[0])
+    if shape[-2:] != (3, 3):
+        raise error(f"expected 3x3 matrices in the last two axes, got shape {shape}")
+    for u in arrays[1:]:
+        if np.shape(u) != shape:
+            raise error(f"expected stacks of one shape, got {shape} and {np.shape(u)}")
 
 
 def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y on planes, as new planes laid out like x.
+    """x y for (n, 3, 3) stacks, run on their planes, as a new stack laid
+    out like x.
 
-    Row i is sum_j x[i, j] y[j], added left to right: 15 vector operations
-    over (3, n) rows.  x and y may be strided views of planes.
+    Row i of the product's planes is sum_j x[i, j] y[j], added left to
+    right: 15 vector operations over (3, n) rows.  x and y may be strided.
     """
-    out = np.empty_like(x)
-    t = np.empty(x.shape[1:], dtype=complex)
-    y0, y1, y2 = y
-    for (x0, x1, x2), out_i in zip(x, out):
+    stack = np.empty_like(x)
+    out = stack.transpose(1, 2, 0)
+    t = np.empty(out.shape[1:], dtype=complex)
+    y0, y1, y2 = y.transpose(1, 2, 0)
+    for (x0, x1, x2), out_i in zip(x.transpose(1, 2, 0), out):
         np.multiply(x0, y0, out=out_i)
         np.multiply(x1, y1, out=t)
         out_i += t
         np.multiply(x2, y2, out=t)
         out_i += t
-    return out
+    return stack
 
 
-def _renormalize_planes(p: np.ndarray) -> np.ndarray:
-    """renormalize on planes: the same guard, Newton-Schulz steps and
-    first-column phase, with the cofactor determinant taken on the planes.
-    Returns new planes; p is not written."""
+def _renormalize_planes(u: np.ndarray) -> np.ndarray:
+    """renormalize on an (n, 3, 3) stack, run on its planes: the same guard,
+    Newton-Schulz steps and first-column phase, with the cofactor
+    determinant taken on the plane rows.  Returns a new stack; u is not
+    written."""
     # An inf entry makes inf * 0 in the Gram product; the guard refuses
     # the result, so numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
-        gram = _gram_defect_planes(p)
+        gram = _gram_defect_planes(u)
         defect = np.abs(gram).max(initial=0.0)
     _check_drift(defect)
     while defect > NEWTON_SCHULZ_DEFECT:
-        p = _planar_product(p, _newton_schulz_factor(gram))
-        gram = _gram_defect_planes(p)
+        u = _planar_product(u, _newton_schulz_factor(gram))
+        gram = _gram_defect_planes(u)
         defect = np.abs(gram).max()
-    q = _planar_product(p, _newton_schulz_factor(gram))
+    q = _planar_product(u, _newton_schulz_factor(gram)).transpose(1, 2, 0)
     q[:, 0] /= _det3(q)
-    return q
+    return q.transpose(2, 0, 1)
 
 
-def _gram_defect_planes(p: np.ndarray) -> np.ndarray:
-    """p^H p - Id on planes, exactly Hermitian.
+def _gram_defect_planes(u: np.ndarray) -> np.ndarray:
+    """u^H u - Id for an (n, 3, 3) stack, run on its planes p, exactly
+    Hermitian; a new stack laid out like u.
 
     Entry (i, j) is sum_k conj(p_ki) p_kj, added left to right, for the
     three entries above the diagonal; the three below are their
@@ -571,6 +567,7 @@ def _gram_defect_planes(p: np.ndarray) -> np.ndarray:
     complex multiply is not bitwise conjugate symmetric (conj(z) z has an
     imaginary part in the last bits).
     """
+    p = u.transpose(1, 2, 0)
     gram = np.empty_like(p)
     conj = np.conjugate(p[:, :2])
     t = np.empty(p.shape[2:], dtype=complex)
@@ -584,12 +581,12 @@ def _gram_defect_planes(p: np.ndarray) -> np.ndarray:
     norms = np.square(p.real) + np.square(p.imag)
     for i in range(3):
         gram[i, i] = norms[0, i] + norms[1, i] + norms[2, i] - 1.0
-    return gram
+    return gram.transpose(2, 0, 1)
 
 
 def _newton_schulz_factor(gram_defect: np.ndarray) -> np.ndarray:
-    """(3 Id - p^H p) / 2 on planes, written over p^H p - Id."""
+    """(3 Id - u^H u) / 2 for an (n, 3, 3) stack, written over u^H u - Id."""
     gram_defect *= -0.5
     for i in range(3):
-        gram_defect[i, i] += 1.0
+        gram_defect[:, i, i] += 1.0
     return gram_defect

@@ -22,8 +22,9 @@ import numpy as np
 from .errors import TraceDomainError
 from .su3 import (
     REGULARITY_GAP,
-    _broadcast_planes,
+    _check_layout,
     _planar_product,
+    _plane_major,
     angle_gap,
     eigenvalue_angles,
 )
@@ -150,28 +151,30 @@ def is_generic(u: np.ndarray) -> np.ndarray:
     height above the bound, invisible at orbit lengths this package runs.
     Accepts stacks; a single element gives a numpy bool.
     """
+    _check_layout(u)
     angles = eigenvalue_angles(u)
     return (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation(angles)
 
 
 def character_values(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The nine character coordinates as a (..., 9) complex array; a and b
-    broadcast against each other, and a lone pair gives shape (9,).
+    are two stacks of one shape, and a lone pair gives shape (9,).
 
-    Runs on planes (su3._broadcast_planes).  A trace needs only the
-    diagonal of a product, tr(x y) = sum_ij x_ij y_ji and tr(x y^H) =
-    sum_ij x_ij conj(y_ij), so the only planar products are ab and ba:
-    tr(comm) = tr(ab (ba)^H).  The inverse-holonomy traces are the
-    conjugates of their partners, which is exact for the conjugate-transpose
-    inverse, so they are computed that way rather than through four extra
-    products.
+    Runs on plane-major stacks.  A trace needs only the diagonal of a
+    product, tr(x y) = sum_ij x_ij y_ji and tr(x y^H) = sum_ij x_ij
+    conj(y_ij), so the only planar products are ab and ba: tr(comm) =
+    tr(ab (ba)^H).  The inverse-holonomy traces are the conjugates of their
+    partners, which is exact for the conjugate-transpose inverse, so they
+    are computed that way rather than through four extra products.
     """
-    (pa, pb), shape = _broadcast_planes(a, b)
-    ab = _planar_product(pa, pb)
-    ba = _planar_product(pb, pa)
-    za, zb, zab = (p[0, 0] + p[1, 1] + p[2, 2] for p in (pa, pb, ab))
-    zabinv = (pa * np.conjugate(pb)).sum(axis=(0, 1))
-    zc = (ab * np.conjugate(ba)).sum(axis=(0, 1))
+    _check_layout(a, b)
+    shape = np.shape(a)[:-2]
+    a, b = _plane_major(a), _plane_major(b)
+    ab = _planar_product(a, b)
+    ba = _planar_product(b, a)
+    za, zb, zab = (m[:, 0, 0] + m[:, 1, 1] + m[:, 2, 2] for m in (a, b, ab))
+    zabinv = (a * np.conjugate(b)).sum(axis=(1, 2))
+    zc = (ab * np.conjugate(ba)).sum(axis=(1, 2))
     values = np.stack(
         [
             za,

@@ -6,10 +6,11 @@ on both sides of the Taylor-branch threshold.  renormalize, one path of
 Newton-Schulz steps, is checked against SVD polar projection on both sides
 of the Gram defect above which it iterates and just under its drift guard,
 on lone matrices and on stacks of every shape (stacks run on planes:
-renormalize and exp_algebra return the stack view of new planes, with
-the same bits for a C-contiguous stack and for the stack view of planes,
-the planar product matches matmul on strided operands, and the cofactor
-determinant on plane rows matches LAPACK's); the guard is checked on both
+renormalize, exp_algebra and variation return new plane-major stacks,
+and they, the character values and the fiber residual give the same bits
+for a C-ordered stack and for its plane-major copy; the planar product
+matches matmul on strided operands, and the cofactor determinant on
+plane rows matches LAPACK's); the guard is checked on both
 sides of RENORM_GUARD and on inputs with a singular value farther than
 0.1 from 1, alone and inside a stack, and the CLI and experiment paths
 are checked never to iterate.  The
@@ -31,12 +32,14 @@ one.  They also check that a word stack applied in pieces cut at
 multiples of the renormalization cadence gives the bits of one call, that
 its row blocks give the bits of separate calls on row slices across the
 block boundaries, that the word engine renormalizes through the public
-renormalize, that
-no engine writes to its inputs, and that both refuse a NaN or inf entry
-and malformed stacks.  The planar character values, fiber residual and
-Gram defect are checked against their matmul forms on 0, 1 and 1000
-rows, on broadcast inputs and on a lone pair, and the Gram defect is
-checked to be exactly Hermitian.
+renormalize, that both engines hand exp_algebra and renormalize their own
+plane-major stacks, that no engine writes to its inputs, and that both
+refuse a NaN or inf entry and malformed stacks.  The planar character
+values, fiber residual and Gram defect are checked against their matmul
+forms on 0, 1 and 1000 rows, on nested stacks, read-only broadcast views
+and a lone pair, the five pair kernels are checked to refuse two stacks
+of different shapes, and the Gram defect is checked to be exactly
+Hermitian.
 """
 
 import warnings
@@ -89,9 +92,7 @@ from su3lab.su3 import (
     _det3,
     _gram_defect_planes,
     _planar_product,
-    _planes_view,
-    _stack_view,
-    _to_planes,
+    _plane_major_copy,
     haar_random,
     renormalize,
     unitary_eigensystem,
@@ -117,6 +118,11 @@ def assert_exp_exact(x: np.ndarray) -> None:
     assert np.abs(u @ dagger(u) - IDENTITY).max() <= EXP_TOL
     assert np.abs(np.linalg.det(u) - 1).max() <= EXP_TOL
     assert np.abs(u @ x - x @ u).max() <= EXP_TOL * max(1.0, np.abs(x).max())
+
+
+def is_plane_major(x: np.ndarray) -> bool:
+    """Whether a (..., 3, 3) stack's memory holds its (3, 3, n) planes."""
+    return x.reshape(-1, 3, 3).transpose(1, 2, 0).flags.c_contiguous
 
 
 def with_spectrum(rng: np.random.Generator, q: np.ndarray) -> np.ndarray:
@@ -323,7 +329,7 @@ def test_stacked_renormalize_matches_svd_polar(shape, defect):
     size = int(np.prod(shape[:-2]))
     u = drifted(rng, defect, size).reshape(shape)
     out = renormalize(u)
-    assert out.shape == shape and _planes_view(out).flags.c_contiguous
+    assert out.shape == shape and is_plane_major(out)
     assert np.abs(out - renormalize_svd(u)).max(initial=0.0) <= POLAR_TOL
     assert np.abs(out @ dagger(out) - IDENTITY).max(initial=0.0) <= POLAR_TOL
     assert np.abs(np.linalg.det(out) - 1).max(initial=0.0) <= POLAR_TOL
@@ -333,56 +339,71 @@ def algebra_at_scale(rng: np.random.Generator, scale: float, size: int) -> np.nd
     return algebra_from_coords(scale * rng.standard_normal((size, 8)))
 
 
+def haar_pair(rng: np.random.Generator, scale, size: int):
+    """Two Haar stacks; scale is unused."""
+    return haar_random(rng, size=size), haar_random(rng, size=size)
+
+
 # The stacked planar kernels and their inputs: renormalize at the drift of
 # the product paths and iterating (ids are the drifts), exp_algebra with c1
-# below EXP_TAYLOR_C1, in between and above EXP_SQUARING_C1.
+# below EXP_TAYLOR_C1, in between and above EXP_SQUARING_C1, variation,
+# and the two pair kernels on Haar pairs.
 PLANAR_KERNELS = [
     pytest.param(renormalize, drifted, 1e-14, id="1e-14"),
     pytest.param(renormalize, drifted, 1e-4, id="0.0001"),
     pytest.param(exp_algebra, algebra_at_scale, 1e-3, id="exp_taylor"),
     pytest.param(exp_algebra, algebra_at_scale, 1.0, id="exp_closed"),
     pytest.param(exp_algebra, algebra_at_scale, 12.0, id="exp_squaring"),
+    pytest.param(flows.variation, drifted, 1e-14, id="variation"),
+    pytest.param(traces.character_values, haar_pair, None, id="characters"),
+    pytest.param(
+        lambda a, b: fiber.fiber_residual(a, b, IDENTITY), haar_pair, None, id="residual"
+    ),
 ]
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])
 @pytest.mark.parametrize("kernel, draw, scale", PLANAR_KERNELS)
 def test_renormalize_returns_planes_for_planes(rows, kernel, draw, scale):
-    """Given a C-contiguous stack or the (n, 3, 3) stack view of planes, as
-    both orbit engines pass it, renormalize and exp_algebra return the
-    stack view of new planes, with the same bits for both layouts, and
-    leave their input as it was."""
-    u = draw(make_rng(16), scale, rows)
+    """Given C-ordered stacks or their plane-major copies, as both orbit
+    engines pass them, each kernel gives the same bits for both layouts
+    and leaves its input as it was; a kernel that returns a stack returns
+    a new plane-major one."""
+    args = draw(make_rng(16), scale, rows)
+    args = args if isinstance(args, tuple) else (args,)
     results = []
-    for x in (u, _stack_view(_to_planes(u))):
-        saved = x.copy()
-        out = kernel(x)
-        assert out.shape == (rows, 3, 3) and _planes_view(out).flags.c_contiguous
-        assert not np.shares_memory(out, x)
-        assert np.array_equal(bits(x), bits(saved))
+    for xs in (args, tuple(_plane_major_copy(u) for u in args)):
+        saved = [x.copy() for x in xs]
+        out = kernel(*xs)
+        assert len(out) == rows
+        if out.shape[1:] == (3, 3):
+            assert is_plane_major(out)
+        for x, x0 in zip(xs, saved):
+            assert not np.shares_memory(out, x)
+            assert np.array_equal(bits(x), bits(x0))
         results.append(out)
     assert np.array_equal(bits(results[0]), bits(results[1]))
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])
 def test_planar_product_returns_new_planes_laid_out_like_x(rows):
-    """_planar_product(x, y) is x y to 1e-15 on strided operands, the planar
-    dagger view and the planes view of a C-contiguous stack, as new planes
-    laid out like x that share no memory with x or y."""
+    """_planar_product(x, y) is x y to 1e-15 on strided operands, the
+    dagger view of a plane-major stack and a C-ordered stack, as a new
+    stack laid out like x that shares no memory with x or y."""
     rng = make_rng(21)
     u, v = haar_random(rng, size=rows), haar_random(rng, size=rows)
-    planes = _to_planes(v)
+    planes = _plane_major_copy(v)
     # Each operand with the axis order that is C-contiguous in memory.
-    stack_of_u = (_planes_view(u), lambda m: m.transpose(2, 0, 1))
-    dagger_of_v = (np.conjugate(planes).transpose(1, 0, 2), lambda m: m.transpose(1, 0, 2))
-    v_itself = (planes, lambda m: m)
+    c_ordered_u = (u, lambda m: m)
+    dagger_of_v = (np.conjugate(planes).swapaxes(1, 2), lambda m: m.transpose(2, 1, 0))
+    v_itself = (planes, lambda m: m.transpose(1, 2, 0))
     for (x, x_order), (y, _), ref in (
-        (stack_of_u, dagger_of_v, u @ dagger(v)),
-        (dagger_of_v, stack_of_u, dagger(v) @ u),
-        (v_itself, stack_of_u, v @ u),
+        (c_ordered_u, dagger_of_v, u @ dagger(v)),
+        (dagger_of_v, c_ordered_u, dagger(v) @ u),
+        (v_itself, c_ordered_u, v @ u),
     ):
         out = _planar_product(x, y)
-        assert np.abs(_stack_view(out) - ref).max(initial=0.0) <= 1e-15
+        assert np.abs(out - ref).max(initial=0.0) <= 1e-15
         assert x_order(x).flags.c_contiguous and x_order(out).flags.c_contiguous
         assert not np.shares_memory(out, x) and not np.shares_memory(out, y)
 
@@ -416,7 +437,8 @@ def test_det3_on_plane_rows_matches_lapack_det():
     rng = make_rng(23)
     gauss = rng.standard_normal((1000, 3, 3)) + 1j * rng.standard_normal((1000, 3, 3))
     for m in (haar_random(rng, size=1000), gauss):
-        assert np.abs(_det3(_to_planes(m)) - np.linalg.det(m)).max() <= 1e-13
+        rows = _plane_major_copy(m).transpose(1, 2, 0)
+        assert np.abs(_det3(rows) - np.linalg.det(m)).max() <= 1e-13
 
 
 def bits(m) -> np.ndarray:
@@ -688,13 +710,13 @@ def test_flow_step_matches_reference_step(haar_pairs, curve, part_im):
     curves = np.full(n, curve)
     parts = np.full(n, part_im)
     t = make_rng(15).uniform(-flows.TWIST_TIME_BOUND, flows.TWIST_TIME_BOUND, n)
-    pa, pb = _to_planes(a), _to_planes(b)
+    pa, pb = _plane_major_copy(a), _plane_major_copy(b)
     fast = flows._flow_step(pa, pb, curves, parts, t)
-    assert np.array_equal(pa, _to_planes(a)) and np.array_equal(pb, _to_planes(b))
+    assert np.array_equal(pa, a) and np.array_equal(pb, b)
     slow = a.copy(), b.copy()
     flow_step_matmul(*slow, curves, parts, t)
     for x, y in zip(fast, slow):
-        assert np.abs(_stack_view(x) - y).max() <= STEP_TOL
+        assert np.abs(x - y).max() <= STEP_TOL
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])
@@ -705,7 +727,7 @@ def test_flow_walk_matches_reference_walk(haar_pairs, rows):
     fast = flows.flow_walk_stack(a, b, 8, make_rng(11))
     slow = flow_walk_matmul(a, b, 8, make_rng(11))
     for x, y in zip(fast, slow):
-        assert x.shape == (rows, 3, 3) and _planes_view(x).flags.c_contiguous
+        assert x.shape == (rows, 3, 3) and is_plane_major(x)
         assert np.abs(x - y).max(initial=0.0) <= ENGINE_TOL
 
 
@@ -855,13 +877,37 @@ def test_word_engine_blocks_give_the_bits_of_row_slices():
     ids=["word", "flow"],
 )
 def test_word_engine_returns_the_stack_view_of_planes(engine):
-    """Both engines: the stack view of new planes, which the planar kernels
-    take back without a copy, sharing no memory with the input."""
+    """Both engines: new plane-major stacks, which the planar kernels take
+    back without a copy, sharing no memory with the input."""
     rng = make_rng(22)
     a, b = haar_random(rng, size=5), haar_random(rng, size=5)
     for x, out in zip((a, b), engine(a, b, rng)):
-        assert out.shape == (5, 3, 3) and _planes_view(out).flags.c_contiguous
+        assert out.shape == (5, 3, 3) and is_plane_major(out)
         assert not np.shares_memory(out, x)
+
+
+def test_engines_hand_their_own_stacks_to_exp_and_renormalize(monkeypatch):
+    """The flow walk and the word engine pass exp_algebra and renormalize
+    their plane-major stacks as they are, so neither copies them again."""
+    seen = []
+
+    def plane_major_only(kernel):
+        def checked(x):
+            assert is_plane_major(x)
+            seen.append(kernel.__name__)
+            return kernel(x)
+
+        return checked
+
+    monkeypatch.setattr(flows, "exp_algebra", plane_major_only(exp_algebra))
+    monkeypatch.setattr(flows, "renormalize", plane_major_only(renormalize))
+    monkeypatch.setattr(mcg, "renormalize", plane_major_only(renormalize))
+    rng = make_rng(25)
+    a, b = haar_random(rng, size=6), haar_random(rng, size=6)
+    flows.flow_walk_stack(a, b, flows.RENORM_CADENCE, rng)
+    mcg.apply_word_stack(mcg.random_word_indices(6, mcg.WORD_RENORM_CADENCE, rng), a, b)
+    assert seen.count("exp_algebra") == flows.RENORM_CADENCE
+    assert seen.count("renormalize") == 4
 
 
 # The planar character values, fiber residual and Gram defect against
@@ -880,11 +926,11 @@ def stack_pairs(rows: int):
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])
 def test_planar_characters_and_residual_match_matmul(rows):
-    """On C-contiguous stacks and on the stack view of planes, as the word
-    engine returns them, with the label alone and as a stack."""
+    """On C-ordered stacks and on plane-major ones, as the word engine
+    returns them, with the label alone and as a stack."""
     a, b, c = stack_pairs(rows)
     want_values = character_values_matmul(a, b)
-    for x, y in ((a, b), (_stack_view(_to_planes(a)), _stack_view(_to_planes(b)))):
+    for x, y in ((a, b), (_plane_major_copy(a), _plane_major_copy(b))):
         values = traces.character_values(x, y)
         assert values.shape == (rows, 9)
         assert np.abs(values - want_values).max(initial=0.0) <= PLANAR_TOL
@@ -895,17 +941,28 @@ def test_planar_characters_and_residual_match_matmul(rows):
             assert np.abs(got - want).max(initial=0.0) <= PLANAR_TOL
 
 
+# The pair kernels, each called on two stacks a and b.
+PAIR_KERNELS = [
+    traces.character_values,
+    lambda a, b: fiber.fiber_residual(a, b, IDENTITY),
+    fiber.commutator,
+    d_kappa_matrix,
+    centralizer_intersection,
+]
+
+
 def test_planar_characters_and_residual_broadcast():
-    """A lone element against a stack, nested stacks and read-only
-    broadcast views give the matmul values, shaped as matmul shapes them."""
+    """Nested stacks, read-only broadcast views and a lone pair give the
+    matmul values, shaped as matmul shapes them.  A lone element against a
+    stack, a nested stack against a stack, or two stacks of different
+    lengths is refused by every pair kernel with InvalidGroupElementError:
+    nothing is broadcast."""
     a, b, c = stack_pairs(12)
     nested = a.reshape(3, 4, 3, 3), b.reshape(3, 4, 3, 3)
     cases = [
-        (a[0], b),
-        (a, b[0]),
         nested,
-        (nested[0], b[:4]),
         (np.broadcast_to(a[0], (12, 3, 3)), b),
+        (a[0], b[0]),
     ]
     for x, y in cases:
         got = traces.character_values(x, y)
@@ -916,6 +973,10 @@ def test_planar_characters_and_residual_broadcast():
         want = fiber_residual_matmul(x, y, c)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= PLANAR_TOL
+    for x, y in ((a[0], b), (a, b[0]), (nested[0], b[:4]), (a[:2], b[:4])):
+        for kernel in PAIR_KERNELS:
+            with pytest.raises(InvalidGroupElementError):
+                kernel(x, y)
 
 
 def test_planar_characters_and_residual_on_a_lone_pair():
@@ -939,10 +1000,9 @@ def test_planar_gram_is_hermitian_and_matches_matmul(rows, defect):
     Hermitian: its lower entries are the conjugates of its upper ones, bit
     for bit, and its diagonal is real."""
     u = drifted(make_rng(24), defect, rows)
-    p = _to_planes(u)
-    gram = _gram_defect_planes(p)
-    want = _planes_view(gram_defect_matmul(u))
-    assert np.abs(gram - want).max(initial=0.0) <= PLANAR_TOL
-    assert np.array_equal(gram, np.conjugate(gram.transpose(1, 0, 2)))
+    gram = _gram_defect_planes(_plane_major_copy(u))
+    assert is_plane_major(gram)
+    assert np.abs(gram - gram_defect_matmul(u)).max(initial=0.0) <= PLANAR_TOL
+    assert np.array_equal(gram, np.conjugate(gram.swapaxes(1, 2)))
     for i in range(3):
-        assert not gram[i, i].imag.any()
+        assert not gram[:, i, i].imag.any()

@@ -14,7 +14,15 @@ from su3lab.errors import (
     NonRegularElementError,
 )
 from oracle_kernels import algebra_coords, random_algebra
-from su3lab.fiber import RepPoint, commutator, fiber_residual
+from su3lab.fiber import (
+    RepPoint,
+    base_point,
+    centralizer_intersection,
+    commutator,
+    d_kappa_matrix,
+    fiber_residual,
+    is_central,
+)
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     EXP_MAX_C1,
@@ -36,7 +44,7 @@ from su3lab.su3 import (
     unitarity_defect,
     unitary_eigensystem,
 )
-from su3lab.traces import character_values
+from su3lab.traces import character_values, is_generic
 
 
 def test_identity_and_omega():
@@ -192,36 +200,41 @@ def test_renormalize_empty_stack():
 def test_renormalize_refuses_non_finite_input(rng, bad):
     """A NaN or inf entry, in a lone matrix, in one row of a stack, or in a
     pair wrapped as a RepPoint (whose commutator is renormalized), raises
-    the typed drift error rather than a LinAlgError.  A stack raises it
-    without a RuntimeWarning first; on a lone matrix numpy's warning about
-    inf * 0 in the Gram product is left as it is."""
+    the typed drift error rather than a LinAlgError.  A stack and a pair
+    raise it without a RuntimeWarning first; on a lone matrix numpy's
+    warning about inf * 0 in the Gram product is left as it is."""
     u = haar_random(rng, size=4)
     u[2, 1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DriftExplosionError):
             renormalize(u)
+        with pytest.raises(DriftExplosionError):
+            RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
     with np.errstate(invalid="ignore"):
         with pytest.raises(DriftExplosionError):
             renormalize(u[2])
-        with pytest.raises(DriftExplosionError):
-            RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_checks_refuse_non_finite_input(rng, bad):
     """A NaN or inf entry gives a NaN or inf defect, and each check refuses
-    both: a lone matrix and a stack of algebra elements, a RepPoint, and
-    exp_algebra on a stack and on a lone matrix."""
+    both, without a RuntimeWarning first: a lone group element (checked
+    alone, in a RepPoint, by base_point and by torus_frame), and a lone
+    matrix and a stack of algebra elements (checked alone and by
+    exp_algebra)."""
     u = haar_random(rng)
     u[1, 0] = bad
     x = random_algebra(rng, 4)
     x[2, 0, 1] = bad
-    with np.errstate(invalid="ignore"):
+    for check in (
+        assert_special_unitary,
+        lambda m: RepPoint(a=m, b=IDENTITY, c=IDENTITY),
+        base_point,
+        torus_frame,
+    ):
         with pytest.raises(InvalidGroupElementError):
-            assert_special_unitary(u)
-        with pytest.raises(InvalidGroupElementError):
-            RepPoint(a=u, b=IDENTITY, c=IDENTITY)
+            check(u)
     for args in (x, x[2]):
         with pytest.raises(InvalidAlgebraError):
             assert_algebra_element(args)
@@ -253,6 +266,11 @@ def _fits_when_reshaped(shape, rng, algebra):
         (lambda u: commutator(u, u), InvalidGroupElementError),
         (lambda u: fiber_residual(u, u, u), InvalidGroupElementError),
         (lambda u: character_values(u, u), InvalidGroupElementError),
+        (adjoint_matrix, InvalidGroupElementError),
+        (lambda u: d_kappa_matrix(u, u), InvalidGroupElementError),
+        (lambda u: centralizer_intersection(u, u), InvalidGroupElementError),
+        (is_generic, InvalidGroupElementError),
+        (is_central, InvalidGroupElementError),
     ],
     ids=[
         "exp_algebra",
@@ -262,6 +280,11 @@ def _fits_when_reshaped(shape, rng, algebra):
         "commutator",
         "fiber_residual",
         "character_values",
+        "adjoint_matrix",
+        "d_kappa_matrix",
+        "centralizer_intersection",
+        "is_generic",
+        "is_central",
     ],
 )
 def test_kernels_refuse_last_axes_other_than_3x3(kernel, error, shape, rng):
