@@ -22,12 +22,12 @@ class NonRegularElementError(Su3LabError):
 
 
 class DriftExplosionError(Su3LabError):
-    """A matrix drifted too far from the group to be renormalized, or has
-    a non-finite (NaN or inf) entry.
+    """A matrix handed to renormalize is farther from the group than its
+    Gram-defect guard RENORM_GUARD, or has a non-finite (NaN or inf) entry.
 
-    This signals a bug in an orbit engine, not a need for more frequent
-    renormalization: the per-step drift budget keeps honest orbits many
-    orders of magnitude inside the guard threshold.
+    renormalize removes roundoff only.  The orbit engines reach it about
+    four decades inside the guard, so this error means the input was not
+    on SU(3): a caller's matrix off the group, or a broken engine.
     """
 
 
@@ -59,3 +59,10 @@ class CentralFiberError(Su3LabError):
 
 class ConfigError(Su3LabError):
     """A command line flag or experiment config file could not be used."""
+
+
+class InvalidArgumentError(Su3LabError, ValueError):
+    """An argument outside its documented domain: an unknown letter, curve
+    or trace part, a non-finite flow time, malformed letter indices, or a
+    homology matrix without determinant 1.  Also a ValueError, as these
+    refusals were before they were typed."""

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidGroupElementError, TrivialFlowError
+from .errors import InvalidArgumentError, InvalidGroupElementError, TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
@@ -87,11 +87,11 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
     trivially for alpha and beta (their holonomy matrix is unchanged).
     """
     if curve not in CURVES + (BOUNDARY,):
-        raise ValueError(f"unknown curve {curve!r}")
+        raise InvalidArgumentError(f"unknown curve {curve!r}")
     if part not in PARTS:
-        raise ValueError(f"unknown part {part!r}")
+        raise InvalidArgumentError(f"unknown part {part!r}")
     if not np.isfinite(t):
-        raise ValueError("flow time must be finite")
+        raise InvalidArgumentError("flow time must be finite")
     if curve == BOUNDARY:
         raise TrivialFlowError(
             "the boundary trace is constant on each fiber; its flow fixes"

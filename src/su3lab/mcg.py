@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidGroupElementError
+from .errors import InvalidArgumentError, InvalidGroupElementError
 from .fiber import RepPoint
 from .su3 import _planar_product, _plane_major_copy, dagger, renormalize
 
@@ -67,7 +67,7 @@ class TwistWord:
     def __post_init__(self):
         bad = [l for l in self.letters if l not in LETTERS]
         if bad:
-            raise ValueError(f"unknown letters {bad!r}; alphabet is {LETTERS}")
+            raise InvalidArgumentError(f"unknown letters {bad!r}; alphabet is {LETTERS}")
 
     def __str__(self) -> str:
         return "".join(self.letters)
@@ -115,7 +115,7 @@ def is_hyperbolic(m: np.ndarray) -> bool:
     (p, q), (r, t) = np.asarray(m).tolist()
     # Exact: a float determinant loses entries past 2**26 or so.
     if p * t - q * r != 1:
-        raise ValueError("homology matrices must have determinant 1")
+        raise InvalidArgumentError("homology matrices must have determinant 1")
     return abs(p + t) > 2
 
 
@@ -161,8 +161,8 @@ def apply_word_stack(
     indices has shape (n, length), integer letter indices over the order
     "a", "A", "b", "B"; rows evolve independently.  Raises
     InvalidGroupElementError unless a and b are (n, 3, 3) stacks with no
-    NaN or inf entry, and ValueError unless indices is a 2-D integer array
-    with entries in 0..3.
+    NaN or inf entry, and InvalidArgumentError unless indices is a 2-D
+    integer array with entries in 0..3.
 
     Returns new plane-major stacks (see su3lab.su3).  The rows run in
     blocks of WORD_BLOCK_ROWS, all letters per block (see
@@ -170,7 +170,7 @@ def apply_word_stack(
     """
     indices = np.asarray(indices)
     if indices.ndim != 2 or not np.issubdtype(indices.dtype, np.integer):
-        raise ValueError(
+        raise InvalidArgumentError(
             f"letter indices must be a 2-D integer array, got shape {indices.shape}"
             f" and dtype {indices.dtype}"
         )
@@ -182,7 +182,7 @@ def apply_word_stack(
             f"indices have {n} rows, a has {len(x)} and b has {len(y)}"
         )
     if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
-        raise ValueError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
+        raise InvalidArgumentError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
     # a and b were copied on entry, so their copies take the blocks' results.
     for lo in range(0, n, WORD_BLOCK_ROWS):
         rows = slice(lo, lo + WORD_BLOCK_ROWS)

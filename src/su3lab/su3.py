@@ -40,20 +40,9 @@ REGULARITY_GAP = 1e-8
 RENORM_CADENCE = 64
 
 # renormalize refuses inputs whose Gram defect d = max |u^H u - Id| is
-# above this.  The eigenvalues s^2 - 1 of the Hermitian u^H u - Id are at
-# most its largest row sum, 3 d, in size (Gershgorin), so d <= 0.06 puts
-# every singular value s in [sqrt(0.82), sqrt(1.18)] = [0.906, 1.086],
-# inside the Newton-Schulz convergence region (0, sqrt 3).  Conversely a
-# singular value farther than 0.1 from 1 gives |s^2 - 1| >= 0.19, and the
-# largest entry of a 3x3 matrix is at least a third of its spectral norm,
-# so then d >= 0.063 and the input is refused.
-RENORM_GUARD = 0.06
-
-# renormalize repeats Newton-Schulz steps until the Gram defect is at most
-# this, then takes one last step, whose error (3/8) d^2 < 4e-17 is below
-# roundoff.  Product paths reach renormalize with Gram defects below
-# 1e-12, so on them only the last step runs.
-NEWTON_SCHULZ_DEFECT = 1e-8
+# above this.  Its one Newton-Schulz step is off by about (3/8) d^2, below
+# roundoff at this d; product paths reach it with d below 1e-12.
+RENORM_GUARD = 1e-8
 
 # Below this c1 = tr(Q^2)/2 exp_algebra sums its Taylor series: there the
 # closed form's f2 carries an error of about eps/c1, while _EXP_TAYLOR_TERMS
@@ -405,14 +394,12 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     The unitary factor of the polar decomposition, then the determinant
     phase divided out of the first column.  Idempotent to roundoff.
 
-    The polar factor comes from Newton-Schulz steps u (3 Id - u^H u) / 2
-    (Higham, "Functions of Matrices", SIAM 2008, ch. 8): they are repeated
-    while the Gram defect d = max |u^H u - Id| is above
-    NEWTON_SCHULZ_DEFECT, and one more step follows, which is off by about
-    (3/8) d^2, below roundoff.  The orbit engines drift by about 1e-14
-    between renormalizations, so on their path only that last step runs.
-    DriftExplosionError is raised when the input's Gram defect is above
-    RENORM_GUARD or is not finite (a NaN or inf entry), and
+    The polar factor is one Newton-Schulz step u (3 Id - u^H u) / 2
+    (Higham, "Functions of Matrices", SIAM 2008, ch. 8), which is off by
+    about (3/8) d^2 for the Gram defect d = max |u^H u - Id|.  This removes
+    roundoff only: the orbit engines drift by about 1e-14 between
+    renormalizations.  DriftExplosionError is raised when the input's Gram
+    defect is above RENORM_GUARD or is not finite (a NaN or inf entry), and
     InvalidGroupElementError when the last two axes are not (3, 3).
 
     A stack runs on planes, as in exp_algebra, and returns a new
@@ -425,12 +412,7 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     if u.ndim > 2:
         return _renormalize_planes(_plane_major(u)).reshape(u.shape)
     gram = np.dot(dagger(u), u)
-    defect = np.abs(gram - IDENTITY).max()
-    _check_drift(defect)
-    while defect > NEWTON_SCHULZ_DEFECT:
-        u = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
-        gram = np.dot(dagger(u), u)
-        defect = np.abs(gram - IDENTITY).max()
+    _check_drift(np.abs(gram - IDENTITY).max())
     q = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
     q[:, 0] /= _det3(q.T.tolist())
     return q
@@ -440,8 +422,8 @@ def _check_drift(defect) -> None:
     # Written as `not <=` so that a NaN defect is refused too.
     if not defect <= RENORM_GUARD:
         raise DriftExplosionError(
-            f"Gram defect {defect:.3e} is beyond the guard {RENORM_GUARD};"
-            " an orbit engine upstream is broken"
+            f"Gram defect {defect:.3e} is beyond RENORM_GUARD = {RENORM_GUARD:.0e};"
+            " renormalize removes roundoff only, so its input was not on SU(3)"
         )
 
 
@@ -536,20 +518,20 @@ def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _renormalize_planes(u: np.ndarray) -> np.ndarray:
     """renormalize on an (n, 3, 3) stack, run on its planes: the same guard,
-    Newton-Schulz steps and first-column phase, with the cofactor
+    Newton-Schulz step and first-column phase, with the cofactor
     determinant taken on the plane rows.  Returns a new stack; u is not
     written."""
     # An inf entry makes inf * 0 in the Gram product; the guard refuses
     # the result, so numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
-        gram = _gram_defect_planes(u)
-        defect = np.abs(gram).max(initial=0.0)
+        factor = _gram_defect_planes(u)
+        defect = np.abs(factor).max(initial=0.0)
     _check_drift(defect)
-    while defect > NEWTON_SCHULZ_DEFECT:
-        u = _planar_product(u, _newton_schulz_factor(gram))
-        gram = _gram_defect_planes(u)
-        defect = np.abs(gram).max()
-    q = _planar_product(u, _newton_schulz_factor(gram)).transpose(1, 2, 0)
+    # (3 Id - u^H u) / 2, written over u^H u - Id.
+    factor *= -0.5
+    for i in range(3):
+        factor[:, i, i] += 1.0
+    q = _planar_product(u, factor).transpose(1, 2, 0)
     q[:, 0] /= _det3(q)
     return q.transpose(2, 0, 1)
 
@@ -582,11 +564,3 @@ def _gram_defect_planes(u: np.ndarray) -> np.ndarray:
     for i in range(3):
         gram[i, i] = norms[0, i] + norms[1, i] + norms[2, i] - 1.0
     return gram.transpose(2, 0, 1)
-
-
-def _newton_schulz_factor(gram_defect: np.ndarray) -> np.ndarray:
-    """(3 Id - u^H u) / 2 for an (n, 3, 3) stack, written over u^H u - Id."""
-    gram_defect *= -0.5
-    for i in range(3):
-        gram_defect[:, i, i] += 1.0
-    return gram_defect

@@ -32,8 +32,8 @@ from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
-    NEWTON_SCHULZ_DEFECT,
     RENORM_CADENCE,
+    RENORM_GUARD,
     assert_algebra_element,
     dagger,
 )
@@ -131,12 +131,13 @@ def det3_numpy(m: np.ndarray) -> np.ndarray:
 
 def renormalize_matmul(u: np.ndarray) -> np.ndarray:
     """One matrix onto SU(3) by matmul: Newton-Schulz steps while the Gram
-    defect is above NEWTON_SCHULZ_DEFECT, one more step, then the
-    numpy-scalar determinant divided out of the first column; no drift
-    guard."""
+    defect is above RENORM_GUARD, where renormalize refuses the input
+    instead, one more step, then the numpy-scalar determinant divided out
+    of the first column; no drift guard.  On the inputs renormalize takes,
+    this is its one step."""
     u = np.asarray(u, dtype=complex)
     gram = dagger_conjugate(u) @ u
-    while np.abs(gram - IDENTITY).max() > NEWTON_SCHULZ_DEFECT:
+    while np.abs(gram - IDENTITY).max() > RENORM_GUARD:
         u = u @ (1.5 * IDENTITY - 0.5 * gram)
         gram = dagger_conjugate(u) @ u
     q = u @ (1.5 * IDENTITY - 0.5 * gram)

@@ -1,4 +1,8 @@
-"""Twist flows: gradients, centralizing factors, fiber preservation."""
+"""Twist flows: gradients, centralizing factors, fiber preservation, and
+the bridge to the word engine: each letter is a time-(s1, s2) map of its
+curve's two flows."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -16,12 +20,15 @@ from su3lab.flows import (
     variation,
     walk_from,
 )
+from su3lab.mcg import TwistWord, apply_word
 from su3lab.su3 import (
+    EXP_SQUARING_C1,
     algebra_defect,
     dagger,
     exp_algebra,
     haar_random,
     unitarity_defect,
+    unitary_eigensystem,
 )
 
 
@@ -180,3 +187,103 @@ def test_short_flow_walk_refuses_non_finite_input(rng, bad, element):
     pair[element][3, 0, 0] = bad
     with pytest.raises(InvalidGroupElementError):
         flow_walk_stack(*pair, 8, rng)
+
+
+# Integer shifts of the three eigenvalue angles (in turns); those that make
+# the angles sum to 0 give the logarithms of the element in its torus.
+_LOG_SHIFTS = np.array(list(itertools.product(range(-2, 2), repeat=3)), dtype=float)
+
+# The letters whose holonomy curve is each flow curve, with the sign of the
+# flow times.
+BRIDGE_LETTERS = (("a", "alpha", 1), ("A", "alpha", -1), ("b", "beta", 1), ("B", "beta", -1))
+
+# Letter against flows, largest entry difference.  The largest observed
+# was 2.6e-14 on the Haar points (times up to 75.6) and 1.0e-14 on the
+# near-degenerate ones (times up to 12.8).
+BRIDGE_TOL = 1e-13
+
+
+def bridge_times(u: np.ndarray) -> np.ndarray:
+    """Every (s1, s2) with s1 F_re(u) + s2 F_im(u) a logarithm of u, for the
+    logarithms whose angles are u's, shifted by integers in -2..1 to sum to
+    0; rows sorted by max |s|.
+
+    In u's eigenframe the variations are diagonal: F_re(u) has entries
+    i (sin phi_k - mean) and F_im(u) = variation(-i u) has entries
+    -i (cos phi_k - mean), for phi = 2 pi angles.  Each (s1, s2) is the
+    least-squares solution on the three diagonal entries, which is exact
+    when u is regular.
+    """
+    angles = unitary_eigensystem(u)[0]
+    phi = 2 * np.pi * angles
+    columns = np.stack([np.sin(phi) - np.sin(phi).mean(), np.cos(phi).mean() - np.cos(phi)], 1)
+    logs = angles + _LOG_SHIFTS[np.abs((angles + _LOG_SHIFTS).sum(axis=1)) < 0.5]
+    times = np.array([np.linalg.lstsq(columns, 2 * np.pi * x, rcond=None)[0] for x in logs])
+    return times[np.argsort(np.abs(times).max(axis=1))]
+
+
+def near_degenerate(rng: np.random.Generator, gap: float) -> np.ndarray:
+    """V diag(exp(2 pi i (x, x + gap, -2x - gap))) V^H with Haar V and x in
+    [0.05, 0.28], so that only the first two angles are close."""
+    x = rng.uniform(0.05, 0.28)
+    v = haar_random(rng)
+    return (v * np.exp(2j * np.pi * np.array([x, x + gap, -2 * x - gap]))) @ dagger(v)
+
+
+def algebra_c1(x: np.ndarray) -> float:
+    """c1 = tr(Q^2)/2 for Q = -i x, the quantity exp_algebra branches on."""
+    return -np.trace(x @ x).real / 2
+
+
+# Haar points try two logarithms per element: the smallest times and the
+# largest times up to this bound, where the flows' exponentials reach
+# exp_algebra's squaring branch.
+BRIDGE_MAX_TIME = 80.0
+
+
+def letter_against_flows(p: RepPoint, letter: str, curve: str, times) -> tuple[float, bool]:
+    """The largest entry difference between the letter and the Re-then-Im
+    flows over each row (s1, s2) of times, and whether any flow took
+    exp_algebra's squaring branch."""
+    want = apply_word(TwistWord((letter,)), p)
+    held = p.a if curve == "alpha" else p.b
+    worst, squaring = 0.0, False
+    for s1, s2 in times:
+        got = twist_flow(twist_flow(p, curve, "re", s1), curve, "im", s2)
+        worst = max(worst, np.abs(got.a - want.a).max(), np.abs(got.b - want.b).max())
+        c1 = max(algebra_c1(s1 * variation(held)), algebra_c1(s2 * variation(-1j * held)))
+        squaring |= c1 > EXP_SQUARING_C1
+    return worst, squaring
+
+
+@pytest.mark.parametrize("points", ["haar", "near_degenerate"])
+def test_letters_are_time_s_maps_of_their_curves_flows(points):
+    """Each letter is its curve's Re flow for time s1 followed by its Im flow
+    for time s2, where s1 F_re + s2 F_im is a logarithm of the curve's
+    holonomy (a for "a", b for "b"); the inverse letters take -(s1, s2).
+
+    On Haar points, see BRIDGE_MAX_TIME.  On points whose a and b have two
+    angles 1e-9 to 1e-3 apart, where the least-squares system is
+    ill-conditioned, the smallest times are tried, and stay small.
+    """
+    rng = make_rng(41)
+    worst, squaring = 0.0, False
+    for _ in range(100):
+        if points == "haar":
+            p = haar_point(rng)
+        else:
+            gaps = 10.0 ** rng.uniform(-9, -3, size=2)
+            p = RepPoint.from_pair(near_degenerate(rng, gaps[0]), near_degenerate(rng, gaps[1]))
+        times = {"alpha": bridge_times(p.a), "beta": bridge_times(p.b)}
+        for letter, curve, sign in BRIDGE_LETTERS:
+            tried = times[curve]
+            if points == "haar":
+                last = np.searchsorted(np.abs(tried).max(axis=1), BRIDGE_MAX_TIME) - 1
+                tried = tried[[0, last]]
+            else:
+                tried = tried[:1]
+                assert np.abs(tried).max() < 20
+            diff, squared = letter_against_flows(p, letter, curve, sign * tried)
+            worst, squaring = max(worst, diff), squaring or squared
+    assert worst <= BRIDGE_TOL
+    assert squaring or points != "haar"

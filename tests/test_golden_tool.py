@@ -36,8 +36,6 @@ ROW_NAMES = {
     "random_word_indices_stack",
     "renormalize_single_newton_schulz",
     "renormalize_stack_newton_schulz",
-    "renormalize_single_iterated",
-    "renormalize_stack_iterated",
     "exp_algebra_stack_taylor",
     "exp_algebra_stack_closed",
     "exp_algebra_stack_squaring",
@@ -52,7 +50,7 @@ def test_golden_table_has_every_row(monkeypatch):
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     rows = tool.table([7])
-    assert len(rows) == len(ROW_NAMES) == 30
+    assert len(rows) == len(ROW_NAMES) == 28
     names = set()
     for row in rows:
         match = re.fullmatch(r"seed7/(\w+) [0-9a-f]{64}", row)

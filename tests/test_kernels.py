@@ -2,18 +2,20 @@
 
 exp_algebra is checked against scipy's expm over coordinate scales from
 1e-12 to 20, on repeated eigenvalues of both determinant signs, at zero and
-on both sides of the Taylor-branch threshold.  renormalize, one path of
-Newton-Schulz steps, is checked against SVD polar projection on both sides
-of the Gram defect above which it iterates and just under its drift guard,
-on lone matrices and on stacks of every shape (stacks run on planes:
-renormalize, exp_algebra and variation return new plane-major stacks,
+on both sides of the Taylor-branch threshold.  renormalize, one
+Newton-Schulz step, is checked against SVD polar projection up to just
+under its drift guard, on lone matrices, on stacks of every shape and on
+stacks that mix drifts, where row i has the bits of its 1-row stack
+(stacks run on planes: renormalize, exp_algebra and variation return
+new plane-major stacks,
 and they, the character values and the fiber residual give the same bits
 for a C-ordered stack and for its plane-major copy; the planar product
 matches matmul on strided operands, and the cofactor determinant on
 plane rows matches LAPACK's); the guard is checked on both
 sides of RENORM_GUARD and on inputs with a singular value farther than
-0.1 from 1, alone and inside a stack, and the CLI and experiment paths
-are checked never to iterate.  The
+2 RENORM_GUARD from 1, alone and inside a stack, and the CLI, experiment
+and twist-flow paths are checked to reach renormalize at most
+RENORM_GUARD / 1000 off the group.  The
 single-pair word path (apply_word, and renormalize, _det3 and dagger on
 one matrix) is checked bit for bit against its matmul and numpy-scalar
 form.  unitary_eigensystem is checked against the complex Schur frame:
@@ -83,7 +85,6 @@ from su3lab.fiber import (
 from su3lab.su3 import (
     EXP_TAYLOR_C1,
     IDENTITY,
-    NEWTON_SCHULZ_DEFECT,
     RENORM_GUARD,
     adjoint_matrix,
     dagger,
@@ -211,25 +212,54 @@ def gram_defect(u: np.ndarray) -> float:
 
 
 @settings(max_examples=60, deadline=None)
-@given(SEEDS, st.floats(-16.0, np.log10(NEWTON_SCHULZ_DEFECT)))
+@given(SEEDS, st.floats(-16.0, np.log10(RENORM_GUARD)))
 def test_renormalize_matches_svd_polar_below_threshold(seed, log_defect):
     rng = make_rng(seed)
     u = drifted(rng, 10.0**log_defect, 32)
-    assert gram_defect(u) <= NEWTON_SCHULZ_DEFECT
+    assert gram_defect(u) <= RENORM_GUARD
     out = renormalize(u)
     assert np.abs(out - renormalize_svd(u)).max() <= POLAR_TOL
     assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
     assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
 
 
-def test_renormalize_mixed_stack_iterates():
+# Drifts of the mixed stacks: the product paths' and just under the guard.
+MIXED_DRIFTS = (1e-14, 5e-9)
+
+
+def mixed_drift_stack(rng: np.random.Generator, rows: int) -> np.ndarray:
+    """`rows` drifted matrices, alternating the two MIXED_DRIFTS."""
+    u = drifted(rng, MIXED_DRIFTS[0], rows)
+    u[1::2] = drifted(rng, MIXED_DRIFTS[1], rows // 2)
+    return u
+
+
+def test_renormalize_mixed_stack_matches_svd_polar():
+    """A stack mixing the product paths' drift with drift just under the
+    guard is the SVD polar factor to POLAR_TOL; one row above the guard
+    refuses the whole stack."""
     rng = make_rng(5)
-    u = drifted(rng, 1e-14, 40)
-    u[::5] = drifted(rng, 1e-4, 8)
-    assert gram_defect(u) > NEWTON_SCHULZ_DEFECT
+    u = mixed_drift_stack(rng, 40)
+    assert 1e-9 < gram_defect(u) <= RENORM_GUARD
     out = renormalize(u)
     assert np.abs(out - renormalize_svd(u)).max() <= POLAR_TOL
     assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
+    u[17] = drifted(rng, 1e-4, 1)[0]
+    with pytest.raises(DriftExplosionError):
+        renormalize(u)
+
+
+@pytest.mark.parametrize("rows", [1, 40, 8000])
+@pytest.mark.parametrize("plane_major", [False, True], ids=["c_ordered", "plane_major"])
+def test_stacked_renormalize_is_row_invariant(rows, plane_major):
+    """Row i of a stacked renormalize has the bits of renormalize on the
+    1-row stack u[i:i + 1], on stacks that mix MIXED_DRIFTS, C-ordered or
+    plane-major: one Newton-Schulz step is elementwise on the planes, and
+    the stack-wide Gram defect only gates."""
+    u = mixed_drift_stack(make_rng(31), rows)
+    out = renormalize(_plane_major_copy(u) if plane_major else u)
+    alone = np.concatenate([renormalize(u[i : i + 1]) for i in range(rows)])
+    assert np.array_equal(bits(out), bits(alone))
 
 
 def with_singular_values(rng: np.random.Generator, s: np.ndarray) -> np.ndarray:
@@ -247,8 +277,9 @@ def with_gram_defect(rng: np.random.Generator, defect: float) -> np.ndarray:
 
 
 # renormalize must refuse every input with a singular value farther than
-# this from 1 (see RENORM_GUARD).
-SINGULAR_VALUE_BOUND = 0.1
+# this from 1: then |s^2 - 1| > 3 RENORM_GUARD, and some entry of the 3x3
+# matrix u^H u - Id is at least a third of its spectral norm.
+SINGULAR_VALUE_BOUND = 2 * RENORM_GUARD
 
 
 def in_stack(rng: np.random.Generator, u: np.ndarray) -> np.ndarray:
@@ -263,27 +294,28 @@ def test_renormalize_guard_at_its_threshold(sign):
     for stacked in (False, True):
         rng = make_rng(6)
         wrap = (lambda u: in_stack(rng, u)) if stacked else (lambda u: u)
-        below = with_gram_defect(rng, sign * (RENORM_GUARD - 1e-6))
-        assert RENORM_GUARD - 2e-6 < gram_defect(below) < RENORM_GUARD
+        below = with_gram_defect(rng, sign * RENORM_GUARD * (1 - 1e-4))
+        assert RENORM_GUARD * (1 - 2e-4) < gram_defect(below) < RENORM_GUARD
         below = wrap(below)
         out = renormalize(below)
         assert np.abs(out - renormalize_svd(below)).max() <= POLAR_TOL
         assert np.abs(out @ dagger(out) - IDENTITY).max() <= POLAR_TOL
         assert np.abs(np.linalg.det(out) - 1).max() <= POLAR_TOL
-        over = with_gram_defect(rng, sign * (RENORM_GUARD + 1e-6))
-        assert RENORM_GUARD < gram_defect(over) < RENORM_GUARD + 2e-6
+        over = with_gram_defect(rng, sign * RENORM_GUARD * (1 + 1e-4))
+        assert RENORM_GUARD < gram_defect(over) < RENORM_GUARD * (1 + 2e-4)
         with pytest.raises(DriftExplosionError):
             renormalize(wrap(over))
-        far = np.array([1 + sign * (SINGULAR_VALUE_BOUND + 1e-6), 1.0, 1.0])
+        far = np.array([1 + sign * SINGULAR_VALUE_BOUND * (1 + 1e-3), 1.0, 1.0])
         above = with_singular_values(rng, far)
         with pytest.raises(DriftExplosionError):
             renormalize(wrap(above))
         # In the Fourier frame u^H u - Id spreads evenly over all nine
         # entries, so the Gram defect is the least it can be,
-        # |s0^2 - 1| / 3 >= 0.063.
+        # |s0^2 - 1| / 3 > 1.3e-8 (to its roundoff, about 1e-16).
         fourier = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
         flat = (haar_random(rng) * far) @ fourier
-        assert gram_defect(flat) == pytest.approx(abs(far[0] ** 2 - 1) / 3, rel=1e-12)
+        assert gram_defect(flat) == pytest.approx(abs(far[0] ** 2 - 1) / 3, abs=1e-15)
+        assert gram_defect(flat) > RENORM_GUARD
         with pytest.raises(DriftExplosionError):
             renormalize(wrap(flat))
 
@@ -292,15 +324,15 @@ def test_renormalize_guard_at_its_threshold(sign):
 @given(
     SEEDS,
     st.one_of(
-        st.floats(0.0, 1 - SINGULAR_VALUE_BOUND - 1e-9),
-        st.floats(1 + SINGULAR_VALUE_BOUND + 1e-9, 3.0),
+        st.floats(0.0, 1 - SINGULAR_VALUE_BOUND * (1 + 1e-3)),
+        st.floats(1 + SINGULAR_VALUE_BOUND * (1 + 1e-3), 3.0),
     ),
     st.floats(1 - SINGULAR_VALUE_BOUND, 1 + SINGULAR_VALUE_BOUND),
     st.floats(1 - SINGULAR_VALUE_BOUND, 1 + SINGULAR_VALUE_BOUND),
 )
 def test_renormalize_refuses_far_singular_values(seed, s0, s1, s2):
-    """A singular value farther than SINGULAR_VALUE_BOUND from 1 gives |s^2 - 1| >=
-    0.19, so some entry of u^H u - Id is at least 0.19 / 3 > RENORM_GUARD."""
+    """A singular value farther than SINGULAR_VALUE_BOUND from 1 gives |s^2 - 1|
+    above 3 RENORM_GUARD, so some entry of u^H u - Id is above RENORM_GUARD."""
     rng = make_rng(seed)
     u = with_singular_values(rng, np.array([s0, s1, s2]))
     with pytest.raises(DriftExplosionError):
@@ -311,23 +343,31 @@ def test_renormalize_refuses_far_singular_values(seed, s0, s1, s2):
 
 def test_renormalize_single_matrix_and_empty_stacks():
     rng = make_rng(8)
-    for defect in (1e-15, 1e-4):
+    for defect in (1e-15, 5e-9):
         u = drifted(rng, defect, 1)[0]
         out = renormalize(u)
         assert out.shape == (3, 3)
         assert np.abs(out - renormalize_svd(u)).max() <= POLAR_TOL
+    with pytest.raises(DriftExplosionError):
+        renormalize(drifted(rng, 1e-4, 1)[0])
     for shape in ((0, 3, 3), (2, 0, 3, 3)):
         assert renormalize(np.empty(shape, dtype=complex)).shape == shape
 
 
 @pytest.mark.parametrize("shape", [(0, 3, 3), (1, 3, 3), (2, 5, 3, 3), (1000, 3, 3)])
-@pytest.mark.parametrize("defect", [1e-14, 1e-4])
+@pytest.mark.parametrize("defect", [1e-14, 5e-9, 1e-4])
 def test_stacked_renormalize_matches_svd_polar(shape, defect):
     """Stacks run on planes, with their own determinant: the SVD polar
-    factor to POLAR_TOL at any stack shape, with and without iterating."""
+    factor to POLAR_TOL at any stack shape, at the product paths' drift and
+    just under the guard; a non-empty stack drifted above the guard is
+    refused."""
     rng = make_rng(10)
     size = int(np.prod(shape[:-2]))
     u = drifted(rng, defect, size).reshape(shape)
+    if defect > RENORM_GUARD and size:
+        with pytest.raises(DriftExplosionError):
+            renormalize(u)
+        return
     out = renormalize(u)
     assert out.shape == shape and is_plane_major(out)
     assert np.abs(out - renormalize_svd(u)).max(initial=0.0) <= POLAR_TOL
@@ -345,12 +385,12 @@ def haar_pair(rng: np.random.Generator, scale, size: int):
 
 
 # The stacked planar kernels and their inputs: renormalize at the drift of
-# the product paths and iterating (ids are the drifts), exp_algebra with c1
-# below EXP_TAYLOR_C1, in between and above EXP_SQUARING_C1, variation,
-# and the two pair kernels on Haar pairs.
+# the product paths and just under the guard (ids are the drifts),
+# exp_algebra with c1 below EXP_TAYLOR_C1, in between and above
+# EXP_SQUARING_C1, variation, and the two pair kernels on Haar pairs.
 PLANAR_KERNELS = [
     pytest.param(renormalize, drifted, 1e-14, id="1e-14"),
-    pytest.param(renormalize, drifted, 1e-4, id="0.0001"),
+    pytest.param(renormalize, drifted, 5e-9, id="5e-09"),
     pytest.param(exp_algebra, algebra_at_scale, 1e-3, id="exp_taylor"),
     pytest.param(exp_algebra, algebra_at_scale, 1.0, id="exp_closed"),
     pytest.param(exp_algebra, algebra_at_scale, 12.0, id="exp_squaring"),
@@ -457,21 +497,22 @@ def test_single_pair_word_path_is_bit_identical_to_matmul():
         a, b = apply_word_matmul(word.letters, p.a, p.b)
         assert np.array_equal(bits(q.a), bits(a))
         assert np.array_equal(bits(q.b), bits(b))
-    for defect, iterates in ((1e-15, False), (1e-4, True)):
+    for defect in (1e-15, 5e-9):
         stack = drifted(rng, defect, 64)
         for u in stack:
-            assert (gram_defect(u) > NEWTON_SCHULZ_DEFECT) == iterates
+            assert gram_defect(u) <= RENORM_GUARD
             assert np.array_equal(bits(renormalize(u)), bits(renormalize_matmul(u)))
             assert np.array_equal(bits(_det3(u.T.tolist())), bits(det3_numpy(u)))
             assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
         assert dagger(stack).strides == dagger_conjugate(stack).strides
 
 
-def test_product_paths_never_iterate(monkeypatch, tmp_path):
+def test_product_paths_stay_far_inside_the_guard(monkeypatch, tmp_path):
     """Every matrix that the word engines, the flow walk and the commutator
-    hand to renormalize in `orbit`, `sample --angles` and an
-    mcg_orbit_distribution run has Gram defect at most NEWTON_SCHULZ_DEFECT,
-    so renormalize takes only its last Newton-Schulz step there."""
+    hand to renormalize in `orbit`, `sample --angles`, `sample` on Haar
+    pairs, an mcg_orbit_distribution run and twist flows on a few points
+    has Gram defect at most RENORM_GUARD / 1000: renormalize removes
+    roundoff there, three decades inside its guard."""
     defects = []
 
     def recording(u):
@@ -480,12 +521,15 @@ def test_product_paths_never_iterate(monkeypatch, tmp_path):
 
     for module in (mcg, flows, fiber):
         monkeypatch.setattr(module, "renormalize", recording)
+    counts = []
     label = ["--angles", "0.123,0.456", "--seed", "3"]
     out = ["--out", str(tmp_path / "rows.csv")]
     assert cli.main(["orbit", "--n", "4", "--word-length", "64", *label, *out]) == 0
-    after_orbit = len(defects)
+    counts.append(len(defects))
     assert cli.main(["sample", "--count", "16", "--walk-steps", "256", *label, *out]) == 0
-    after_sample = len(defects)
+    counts.append(len(defects))
+    assert cli.main(["sample", "--count", "64", "--seed", "3", *out]) == 0
+    counts.append(len(defects))
     cfg = tmp_path / "orbit.cfg"
     cfg.write_text(
         "kind = mcg_orbit_distribution\nseed = 3\nN = 50\nword_length = 40\n"
@@ -494,8 +538,19 @@ def test_product_paths_never_iterate(monkeypatch, tmp_path):
     )
     # N = 50 is too few for the KS gate (exit 1); the run is what counts.
     assert cli.main(["experiment", str(cfg)]) in (0, 1)
-    assert 0 < after_orbit < after_sample < len(defects)
-    assert max(defects) <= NEWTON_SCHULZ_DEFECT
+    counts.append(len(defects))
+    # Each flowed pair is wrapped with its own commutator as its label.
+    rng = make_rng(33)
+    for _ in range(4):
+        p = RepPoint.from_pair(haar_random(rng), haar_random(rng))
+        for curve in flows.CURVES:
+            for part in flows.PARTS:
+                t = rng.uniform(-flows.TWIST_TIME_BOUND, flows.TWIST_TIME_BOUND)
+                p = flows.twist_flow(p, curve, part, t)
+                p = RepPoint.from_pair(p.a, p.b)
+    counts.append(len(defects))
+    assert 0 < counts[0] and all(x < y for x, y in zip(counts, counts[1:]))
+    assert max(defects) <= RENORM_GUARD / 1000
 
 
 # The fiber labels of the golden-digest table and the CLI edge labels: all

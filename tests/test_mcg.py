@@ -1,4 +1,5 @@
-"""Dehn twist words: homology images, fiber preservation, batch agreement."""
+"""Dehn twist words: homology images, fiber preservation, batch agreement,
+and the typed refusals of the word and flow arguments."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_kernels import ALLOWED_NEXT, INVERSE_INDEX, random_word_indices_loop
+from su3lab.errors import InvalidArgumentError, Su3LabError
 from su3lab.fiber import RepPoint, commutator, fiber_residual
+from su3lab.flows import twist_flow
 from su3lab.mcg import (
     LETTERS,
     TwistWord,
@@ -210,3 +213,34 @@ def test_apply_word_stack_takes_a_nested_list(rng):
     want = apply_word_stack(np.array([[0, 3, 0]] * 4, dtype=np.int8), a, b)
     for x, y in zip(got, want):
         assert np.array_equal(x, y)
+
+
+def _haar_pairs(n: int):
+    rng = np.random.Generator(np.random.PCG64(43))
+    return haar_random(rng, size=n), haar_random(rng, size=n)
+
+
+def _haar_point():
+    a, b = _haar_pairs(1)
+    return RepPoint.from_pair(a[0], b[0])
+
+
+# The word and flow arguments outside their domains, one per refusal.
+ARGUMENT_REFUSALS = {
+    "twist_word_letter": lambda: TwistWord(("a", "x")),
+    "is_hyperbolic_determinant": lambda: is_hyperbolic(np.array([[2, 0], [0, 1]])),
+    "word_stack_index_shape": lambda: apply_word_stack(np.zeros(2, dtype=np.int8), *_haar_pairs(2)),
+    "word_stack_index_range": lambda: apply_word_stack(np.full((2, 3), 4), *_haar_pairs(2)),
+    "twist_flow_curve": lambda: twist_flow(_haar_point(), "gamma", "re", 1.0),
+    "twist_flow_part": lambda: twist_flow(_haar_point(), "alpha", "abs", 1.0),
+    "twist_flow_time": lambda: twist_flow(_haar_point(), "alpha", "re", np.inf),
+}
+
+
+@pytest.mark.parametrize("case", ARGUMENT_REFUSALS)
+def test_argument_refusals_are_typed(case):
+    """Each refusal is an InvalidArgumentError: a Su3LabError, so the command
+    line front end reports it, and still a ValueError."""
+    with pytest.raises(InvalidArgumentError) as info:
+        ARGUMENT_REFUSALS[case]()
+    assert isinstance(info.value, Su3LabError) and isinstance(info.value, ValueError)

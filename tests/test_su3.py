@@ -28,6 +28,7 @@ from su3lab.su3 import (
     EXP_MAX_C1,
     IDENTITY,
     OMEGA,
+    RENORM_GUARD,
     UNITARITY_TOL,
     adjoint_matrix,
     algebra_defect,
@@ -182,13 +183,34 @@ def test_torus_frame_rejects_non_regular():
 
 
 def test_renormalize_restores_and_guards(rng):
+    """Drift just under RENORM_GUARD is removed; drift above it, as
+    u (1 + 3e-4) + 1e-5 and 2 u, is refused."""
     u = haar_random(rng)
-    drifted = u * (1 + 3e-4) + 1e-5
+    drifted = u * (1 + 1e-9) + 1e-10
+    assert 1e-9 < np.abs(dagger(drifted) @ drifted - IDENTITY).max() <= RENORM_GUARD
     fixed = renormalize(drifted)
     assert unitarity_defect(fixed) < 1e-12
-    assert np.abs(fixed - u).max() < 1e-3
-    with pytest.raises(DriftExplosionError):
-        renormalize(2.0 * u)
+    assert np.abs(fixed - u).max() < 1e-8
+    for off in (u * (1 + 3e-4) + 1e-5, 2.0 * u):
+        with pytest.raises(DriftExplosionError):
+            renormalize(off)
+
+
+def test_pair_off_the_group_is_refused_by_the_guard(rng):
+    """A pair 1e-6 off SU(3) reaches renormalize through the commutator,
+    whose guard refuses it, with a message that names RENORM_GUARD and
+    does not blame an orbit engine."""
+    a = haar_random(rng) * (1 + 1e-6)
+    message = (
+        r"Gram defect 4\.000e-06 is beyond RENORM_GUARD = 1e-08; renormalize removes"
+        r" roundoff only, so its input was not on SU\(3\)"
+    )
+    for call in (
+        lambda: RepPoint.from_pair(a, haar_random(rng)),
+        lambda: commutator(a, haar_random(rng)),
+    ):
+        with pytest.raises(DriftExplosionError, match=message):
+            call()
 
 
 def test_renormalize_empty_stack():

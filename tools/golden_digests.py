@@ -18,11 +18,10 @@ same 1000 Haar pairs with one random 200-letter word each, and on 9000
 other Haar pairs with one random 64-letter word each (more than two of
 the engine's 4096-row blocks), the letter
 indices of `mcg.random_word_indices` for one 200-letter word and then
-for a stack of 10 000 of them, `su3.renormalize` called on 64 single matrices one
-by one at drift 1e-14 (one Newton-Schulz step, as on the product
-paths) and at drift 1e-4 (repeated Newton-Schulz steps), the same 64
-matrices per drift renormalized as one C-contiguous stack (the planar
-path), `su3.exp_algebra` on three stacks of 64 algebra elements, with
+for a stack of 10 000 of them, `su3.renormalize` called on 64 single
+matrices one by one at drift 1e-14, as on the product paths, and on the
+same 64 matrices as one C-contiguous stack (the planar path),
+`su3.exp_algebra` on three stacks of 64 algebra elements, with
 Gaussian `ALGEBRA_BASIS` coordinates scaled by 1e-3, 1 and 12 so that c1
 is below `EXP_TAYLOR_C1`, in between, and above `EXP_SQUARING_C1` (the
 Taylor, closed-form and squaring branches), and the rank layers of the
@@ -116,7 +115,7 @@ TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 WORD_BLOCK_PAIRS, WORD_BLOCK_LENGTH = 9000, 64
 RENORM_MATRICES = 64
-RENORM_DRIFTS = {"newton_schulz": 1e-14, "iterated": 1e-4}
+RENORM_DRIFTS = {"newton_schulz": 1e-14}
 EXP_ELEMENTS = 64
 EXP_SCALES = {"taylor": 1e-3, "closed": 1.0, "squaring": 12.0}
 RANK_PAIRS = 2000
