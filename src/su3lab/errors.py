@@ -25,9 +25,9 @@ class DriftExplosionError(Su3LabError):
     """A matrix handed to renormalize is farther from the group than its
     Gram-defect guard RENORM_GUARD, or has a non-finite (NaN or inf) entry.
 
-    renormalize removes roundoff only.  The orbit engines reach it about
-    four decades inside the guard, so this error means the input was not
-    on SU(3): a caller's matrix off the group, or a broken engine.
+    renormalize takes one Newton-Schulz step, and RENORM_GUARD is above
+    what the orbit engines reach from any pair RepPoint accepts, so this
+    error means a matrix farther off the group, or a broken engine.
     """
 
 

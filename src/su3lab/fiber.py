@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberMismatchError, InvalidGroupElementError
+from .errors import DriftExplosionError, FiberMismatchError, InvalidGroupElementError
 from .su3 import (
     IDENTITY,
     OMEGA,
@@ -124,7 +124,15 @@ class RepPoint:
         """Wrap a pair, computing its own commutator as the fiber label."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        return cls(a=a, b=b, c=commutator(a, b))
+        try:
+            c = commutator(a, b)
+        except DriftExplosionError:
+            # Finite but off SU(3): refused as RepPoint refuses a nearer pair.
+            if np.isfinite(a).all() and np.isfinite(b).all():
+                assert_special_unitary(a)
+                assert_special_unitary(b)
+            raise
+        return cls(a=a, b=b, c=c)
 
     def residual(self) -> float:
         return float(fiber_residual(self.a, self.b, self.c))

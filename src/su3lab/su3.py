@@ -40,9 +40,11 @@ REGULARITY_GAP = 1e-8
 RENORM_CADENCE = 64
 
 # renormalize refuses inputs whose Gram defect d = max |u^H u - Id| is
-# above this.  Its one Newton-Schulz step is off by about (3/8) d^2, below
-# roundoff at this d; product paths reach it with d below 1e-12.
-RENORM_GUARD = 1e-8
+# above this.  Products of exact starts reach it with d below 1e-12.  A
+# RepPoint may sit UNITARITY_TOL off SU(3): each factor then has singular
+# values with |s^2 - 1| <= (1 + sqrt 3) UNITARITY_TOL, and 8 letters
+# multiply at most F(10) = 55 factors, so d <= 1.5e-7 to first order.
+RENORM_GUARD = 2e-7
 
 # Below this c1 = tr(Q^2)/2 exp_algebra sums its Taylor series: there the
 # closed form's f2 carries an error of about eps/c1, while _EXP_TAYLOR_TERMS
@@ -395,11 +397,10 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     phase divided out of the first column.  Idempotent to roundoff.
 
     The polar factor is one Newton-Schulz step u (3 Id - u^H u) / 2
-    (Higham, "Functions of Matrices", SIAM 2008, ch. 8), which is off by
-    about (3/8) d^2 for the Gram defect d = max |u^H u - Id|.  This removes
-    roundoff only: the orbit engines drift by about 1e-14 between
-    renormalizations.  DriftExplosionError is raised when the input's Gram
-    defect is above RENORM_GUARD or is not finite (a NaN or inf entry), and
+    (Higham, "Functions of Matrices", SIAM 2008, ch. 8): it moves each
+    singular value s to 1 - (3/8) x^2 for x = s^2 - 1, |x| <= 3 d for the
+    Gram defect d = max |u^H u - Id|.  DriftExplosionError is raised when
+    d is above RENORM_GUARD or is not finite (a NaN or inf entry), and
     InvalidGroupElementError when the last two axes are not (3, 3).
 
     A stack runs on planes, as in exp_algebra, and returns a new
@@ -423,7 +424,8 @@ def _check_drift(defect) -> None:
     if not defect <= RENORM_GUARD:
         raise DriftExplosionError(
             f"Gram defect {defect:.3e} is beyond RENORM_GUARD = {RENORM_GUARD:.0e};"
-            " renormalize removes roundoff only, so its input was not on SU(3)"
+            " renormalize takes one Newton-Schulz step, so its input was farther"
+            " from SU(3) than a valid pair's products reach"
         )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracle_kernels import ALLOWED_NEXT, INVERSE_INDEX, random_word_indices_loop
+from su3lab import mcg
 from su3lab.errors import InvalidArgumentError, Su3LabError
 from su3lab.fiber import RepPoint, commutator, fiber_residual
 from su3lab.flows import twist_flow
@@ -20,7 +21,14 @@ from su3lab.mcg import (
     random_word,
     random_word_indices,
 )
-from su3lab.su3 import dagger, haar_random, unitarity_defect
+from su3lab.su3 import (
+    RENORM_GUARD,
+    UNITARITY_TOL,
+    dagger,
+    haar_random,
+    renormalize,
+    unitarity_defect,
+)
 
 ST_WORD = st.lists(st.sampled_from("aAbB"), min_size=1, max_size=12).map(
     lambda ls: TwistWord(tuple(ls))
@@ -188,6 +196,53 @@ def test_apply_word_stack_long_word_residual(rng):
     idx = random_word_indices(8, 1000, rng)
     a2, b2 = apply_word_stack(idx, a, b)
     assert fiber_residual(a2, b2, c).max() < 1e-10
+
+
+def edge_pair(rng, kind: str):
+    """A Haar pair moved off SU(3) as far as RepPoint accepts: both scaled
+    by 1 + 2e-10 (determinants 6e-10 off 1, raw commutator 8e-10 off its
+    label), or each times Id + t h for a Hermitian h, with t making the
+    larger unitarity defect and the fiber residual 0.99 UNITARITY_TOL."""
+    u, v = haar_random(rng), haar_random(rng)
+    if kind == "scaled":
+        return u * (1 + 2e-10), v * (1 + 2e-10)
+    h = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    h = (h + dagger(h)) / 2
+
+    def moved(t):
+        a, b = u @ (np.eye(3) + t * h[0]), v @ (np.eye(3) + t * h[1])
+        residual = fiber_residual(a, b, commutator(a, b))
+        return a, b, max(unitarity_defect(a), unitarity_defect(b), residual)
+
+    t = 1e-10 * 0.99 * UNITARITY_TOL / moved(1e-10)[2]
+    return moved(t)[:2]
+
+
+@pytest.mark.parametrize("kind", ["scaled", "hermitian"])
+def test_words_take_pairs_at_the_unitarity_edge(rng, monkeypatch, kind):
+    """A pair UNITARITY_TOL off the group is a RepPoint.  On "babababa" its
+    b multiplies 55 factors before the first renormalization, which gets
+    a Gram defect inside RENORM_GUARD (2.2e-8 on the scaled pair): both
+    word engines take it, alone and on a 64-letter word, and land on the
+    fiber."""
+    defects = []
+
+    def recording(u):
+        defects.append(float(np.abs(dagger(u) @ u - np.eye(3)).max()))
+        return renormalize(u)
+
+    monkeypatch.setattr(mcg, "renormalize", recording)
+    p = RepPoint.from_pair(*edge_pair(rng, kind))
+    for word in (TwistWord.parse("babababa"), random_word(64, rng)):
+        q = apply_word(word, p)
+        assert q.residual() <= 1e-12
+        indices = np.array([[LETTERS.index(l) for l in word.letters]])
+        a, b = apply_word_stack(indices, p.a[None], p.b[None])
+        assert fiber_residual(a, b, p.c).max() <= 1e-12
+        assert unitarity_defect(a) <= 1e-12 and unitarity_defect(b) <= 1e-12
+    assert max(defects) <= RENORM_GUARD
+    if kind == "scaled":
+        assert max(defects) == pytest.approx(2.2e-8, rel=0.01)
 
 
 @pytest.mark.parametrize(

@@ -186,8 +186,8 @@ def test_renormalize_restores_and_guards(rng):
     """Drift just under RENORM_GUARD is removed; drift above it, as
     u (1 + 3e-4) + 1e-5 and 2 u, is refused."""
     u = haar_random(rng)
-    drifted = u * (1 + 1e-9) + 1e-10
-    assert 1e-9 < np.abs(dagger(drifted) @ drifted - IDENTITY).max() <= RENORM_GUARD
+    drifted = u * (1 + 7e-8) + 1e-9
+    assert RENORM_GUARD / 2 < np.abs(dagger(drifted) @ drifted - IDENTITY).max() <= RENORM_GUARD
     fixed = renormalize(drifted)
     assert unitarity_defect(fixed) < 1e-12
     assert np.abs(fixed - u).max() < 1e-8
@@ -199,18 +199,21 @@ def test_renormalize_restores_and_guards(rng):
 def test_pair_off_the_group_is_refused_by_the_guard(rng):
     """A pair 1e-6 off SU(3) reaches renormalize through the commutator,
     whose guard refuses it, with a message that names RENORM_GUARD and
-    does not blame an orbit engine."""
+    does not blame an orbit engine; RepPoint.from_pair refuses it as off
+    the group, as RepPoint does for a pair nearer to it."""
     a = haar_random(rng) * (1 + 1e-6)
     message = (
-        r"Gram defect 4\.000e-06 is beyond RENORM_GUARD = 1e-08; renormalize removes"
-        r" roundoff only, so its input was not on SU\(3\)"
+        r"Gram defect 4\.000e-06 is beyond RENORM_GUARD = 2e-07; renormalize takes"
+        r" one Newton-Schulz step, so its input was farther from SU\(3\) than a"
+        r" valid pair's products reach"
     )
-    for call in (
-        lambda: RepPoint.from_pair(a, haar_random(rng)),
-        lambda: commutator(a, haar_random(rng)),
-    ):
-        with pytest.raises(DriftExplosionError, match=message):
-            call()
+    with pytest.raises(DriftExplosionError, match=message):
+        commutator(a, haar_random(rng))
+    for near in (a, haar_random(rng) * (1 + 1e-8)):
+        with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
+            RepPoint.from_pair(near, haar_random(rng))
+        with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
+            RepPoint.from_pair(haar_random(rng), near)
 
 
 def test_renormalize_empty_stack():
