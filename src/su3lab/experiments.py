@@ -347,10 +347,12 @@ def abelian_hyperbolic_test(
     there is no drift at any orbit length.  Birkhoff averages of the
     character coordinates are compared against a Monte Carlo average over
     the angle torus.  Raises ConfigError for n < 1, as ExperimentConfig does,
-    and for a NaN or inf angle.
+    for angles that are not four numbers, and for a NaN or inf angle.
     """
     if n < 1:
         raise ConfigError("N must be at least 1")
+    if np.shape(angles) != (4,):
+        raise ConfigError(f"abelian angles must be four numbers, got {np.shape(angles)}")
     if not np.isfinite(np.asarray(angles, dtype=float)).all():
         raise ConfigError("abelian angles must be finite")
     m = homology_action(word)

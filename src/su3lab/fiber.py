@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DriftExplosionError, FiberMismatchError, InvalidGroupElementError
+from .errors import FiberMismatchError, InvalidGroupElementError
 from .su3 import (
     IDENTITY,
     OMEGA,
@@ -121,18 +121,14 @@ class RepPoint:
 
     @classmethod
     def from_pair(cls, a: np.ndarray, b: np.ndarray) -> "RepPoint":
-        """Wrap a pair, computing its own commutator as the fiber label."""
+        """Wrap a pair, computing its own commutator as the fiber label; a
+        and b are checked first, so a pair off the group, NaN or inf
+        included, raises InvalidGroupElementError as RepPoint does."""
         a = np.asarray(a, dtype=complex)
         b = np.asarray(b, dtype=complex)
-        try:
-            c = commutator(a, b)
-        except DriftExplosionError:
-            # Finite but off SU(3): refused as RepPoint refuses a nearer pair.
-            if np.isfinite(a).all() and np.isfinite(b).all():
-                assert_special_unitary(a)
-                assert_special_unitary(b)
-            raise
-        return cls(a=a, b=b, c=c)
+        assert_special_unitary(a)
+        assert_special_unitary(b)
+        return cls(a=a, b=b, c=commutator(a, b))
 
     def residual(self) -> float:
         return float(fiber_residual(self.a, self.b, self.c))

@@ -20,27 +20,28 @@ The boundary curve's trace is constant on every fiber, so requesting its
 flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step runs under both twist_flow (a stack of one) and
-flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): the
-walk copies its pairs once on entry, which refuses anything but an
-(n, 3, 3) stack without NaN or inf entries, and returns new stacks, as
-the word engine does.  In a step, a b on the alpha_beta rows and a b^H
-on the alpha_beta_inv rows are one planar product over the whole stack,
-formed only when some row's curve needs it; each row's x, and then each
-row's new a and b, are picked with np.where from whole-stack products.
+flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): both
+take their pairs through su3's one pair check, which refuses anything but
+two (n, 3, 3) stacks of one shape without NaN or inf entries, and return
+new stacks, as the word engine does.  In a step, a b on the alpha_beta
+rows and a b^H on the alpha_beta_inv rows are one planar product over the
+whole stack, formed only when some row's curve needs it; each row's x,
+and then each row's new a and b, are picked with np.where from
+whole-stack products.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidGroupElementError, TrivialFlowError
+from .errors import InvalidArgumentError, TrivialFlowError
 from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
     _check_layout,
+    _pair_stacks,
     _planar_product,
     _plane_major,
-    _plane_major_copy,
     dagger,
     exp_algebra,
     renormalize,
@@ -98,8 +99,7 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             " every point"
         )
     a, b = _flow_step(
-        _plane_major_copy(np.asarray(p.a)[None]),
-        _plane_major_copy(np.asarray(p.b)[None]),
+        *_pair_stacks(np.asarray(p.a)[None], np.asarray(p.b)[None]),
         np.array([CURVES.index(curve)]),
         np.array([part == "im"]),
         np.array([t], dtype=float),
@@ -156,17 +156,16 @@ def flow_walk_stack(
 
     Each step, every row draws its own curve (uniform over the four
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
-    Renormalizes both stacks every RENORM_CADENCE steps.  Copies its pairs
-    once on entry and returns new plane-major stacks, as apply_word_stack
-    does.  Inputs are not modified.  Raises InvalidGroupElementError unless
-    a and b are (n, 3, 3) stacks with the same n and no NaN or inf entry,
-    at any number of steps.
+    Renormalizes both stacks every RENORM_CADENCE steps.  Returns new
+    plane-major stacks, as apply_word_stack does.  Inputs are not modified.
+    Raises InvalidGroupElementError unless a and b are (n, 3, 3) stacks of
+    one shape with no NaN or inf entry, at any number of steps.
     """
-    a = _plane_major_copy(a)
-    b = _plane_major_copy(b)
+    a, b = _pair_stacks(a, b)
+    if int(steps) < 1:
+        # No step made new stacks: hand back none of the caller's memory.
+        return np.copy(a, order="K"), np.copy(b, order="K")
     n = len(a)
-    if len(b) != n:
-        raise InvalidGroupElementError(f"a has {n} rows and b has {len(b)}")
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)
         part_im = rng.integers(2, size=n).astype(bool)

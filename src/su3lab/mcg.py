@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, InvalidGroupElementError
+from .errors import InvalidArgumentError
 from .fiber import RepPoint
-from .su3 import _planar_product, _plane_major_copy, dagger, renormalize
+from .su3 import _pair_stacks, _planar_product, dagger, renormalize
 
 # Letter products feed each element's norm deviation into the other, so the
 # distance from the group compounds near-geometrically with word length
@@ -174,20 +174,14 @@ def apply_word_stack(
             f"letter indices must be a 2-D integer array, got shape {indices.shape}"
             f" and dtype {indices.dtype}"
         )
-    n = len(indices)
-    x = _plane_major_copy(a)
-    y = _plane_major_copy(b)
-    if len(x) != n or len(y) != n:
-        raise InvalidGroupElementError(
-            f"indices have {n} rows, a has {len(x)} and b has {len(y)}"
-        )
+    x, y = _pair_stacks(a, b, rows=len(indices))
     if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
         raise InvalidArgumentError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
-    # a and b were copied on entry, so their copies take the blocks' results.
-    for lo in range(0, n, WORD_BLOCK_ROWS):
+    out_x, out_y = np.empty_like(x), np.empty_like(y)
+    for lo in range(0, len(x), WORD_BLOCK_ROWS):
         rows = slice(lo, lo + WORD_BLOCK_ROWS)
-        x[rows], y[rows] = _apply_word_block(indices[rows], x[rows], y[rows])
-    return x, y
+        out_x[rows], out_y[rows] = _apply_word_block(indices[rows], x[rows], y[rows])
+    return out_x, out_y
 
 
 def _apply_word_block(

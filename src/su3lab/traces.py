@@ -147,9 +147,12 @@ def is_generic(u: np.ndarray) -> np.ndarray:
 
     Generic elements generate dense subgroups of their maximal torus; the
     truncated search can reject a truly generic element (harmless for
-    experiment seeding) but a false positive would need a relation of
-    height above the bound, invisible at orbit lengths this package runs.
-    Accepts stacks; a single element gives a numpy bool.
+    experiment seeding).  It can also accept an element with a relation
+    within the height bound: a relation that involves the third angle is
+    searched at up to twice its height, and missed past the bound (see
+    angles_have_relation, whose sorted angles (0.30641, 0.33717, 0.35641)
+    with 20 (th3 - th1) = 1 pass as generic).  Accepts stacks; a single
+    element gives a numpy bool.
     """
     _check_layout(u)
     angles = eigenvalue_angles(u)

@@ -232,6 +232,14 @@ def test_abelian_refuses_non_finite_angles(rng, bad):
         )
 
 
+@pytest.mark.parametrize("angles", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4, 0.5)])
+def test_abelian_refuses_angles_that_are_not_four(rng, angles):
+    """Two or five angles are refused with the typed config error, not an
+    IndexError from the orbit's start state."""
+    with pytest.raises(ConfigError, match="four numbers"):
+        abelian_hyperbolic_test(angles, DEFAULT_HYPERBOLIC_WORD, 10, rng)
+
+
 def test_abelian_rejects_parabolic_word(rng):
     with pytest.raises(NonHyperbolicWordError):
         abelian_hyperbolic_test(

@@ -1,10 +1,25 @@
 """tools/golden_digests.py, the byte-identity check between commits, still
-runs against the current API and prints every row its docstring lists."""
+runs against the current API and prints every row its docstring lists, and
+the rows that no numpy dispatch can move come out the same with numpy's
+dispatch above its baseline masked.
+
+Run as a script, `python tests/test_golden_tool.py SEED` prints those rows
+as JSON; the dispatch test runs it so in a child process.
+"""
 
 import importlib.util
+import json
+import os
 import re
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_digests.py"
 
@@ -42,14 +57,42 @@ ROW_NAMES = {
     "rank_layers",
 }
 
+# The rows that hold under any numpy or BLAS dispatch: integer letter
+# draws, the rank layers (constant on Haar pairs), the exact-integer
+# abelian orbit, and the empty samples.  Every other row carries the
+# roundoff of numpy's SIMD loops or of the BLAS kernel.
+DISPATCH_INDEPENDENT_CLI = ("sample_haar_empty", "sample_angles_empty")
+DISPATCH_INDEPENDENT_EXPERIMENTS = ("abelian_hyperbolic_test",)
 
-def test_golden_table_has_every_row(monkeypatch):
-    # The tool puts its src directory on sys.path; undo that afterwards.
-    monkeypatch.setattr(sys, "path", list(sys.path))
+
+def load_tool():
+    """A fresh copy of the tool module; it puts its src directory on sys.path."""
     spec = importlib.util.spec_from_file_location("golden_digests", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
-    rows = tool.table([7])
+    return tool
+
+
+def dispatch_independent_rows(seed: int) -> dict[str, str]:
+    """The six dispatch-independent rows, from the tool's own functions run
+    on only those CLI runs and experiments."""
+    tool = load_tool()
+    tool.CLI_RUNS = {name: tool.CLI_RUNS[name] for name in DISPATCH_INDEPENDENT_CLI}
+    tool.EXPERIMENTS = {
+        name: tool.EXPERIMENTS[name] for name in DISPATCH_INDEPENDENT_EXPERIMENTS
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        return {
+            **tool.cli_digests(seed, Path(tmp)),
+            **tool.experiment_digests(seed, Path(tmp)),
+            **tool.word_digests(seed),
+            **tool.rank_layer_digests(seed),
+        }
+
+
+def test_golden_table_has_every_row(monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    rows = load_tool().table([7])
     assert len(rows) == len(ROW_NAMES) == 28
     names = set()
     for row in rows:
@@ -57,3 +100,38 @@ def test_golden_table_has_every_row(monkeypatch):
         assert match, row
         names.add(match.group(1))
     assert names == ROW_NAMES
+
+
+def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
+    """The six rows at seed 7, computed in a child whose numpy runs with
+    every dispatched CPU feature of this machine masked, equal the native
+    ones; on a machine with none above numpy's baseline both runs are
+    native.  No other row is compared: on another dispatch they are
+    another sample of the same law."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    native = dispatch_independent_rows(7)
+    assert len(native) == 6
+    masked = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(masked)}
+    result = subprocess.run(
+        [sys.executable, __file__, "7"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    child = json.loads(result.stdout)
+    assert child["dispatched"] == []
+    assert child["rows"] == native
+
+
+if __name__ == "__main__":
+    print(
+        json.dumps(
+            {
+                "dispatched": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+                "rows": dispatch_independent_rows(int(sys.argv[1])),
+            }
+        )
+    )

@@ -95,7 +95,7 @@ from su3lab.su3 import (
     _det3,
     _gram_defect_planes,
     _planar_product,
-    _plane_major_copy,
+    _plane_major,
     haar_random,
     renormalize,
     unitary_eigensystem,
@@ -272,7 +272,7 @@ def test_stacked_renormalize_is_row_invariant(rows, plane_major):
     plane-major: one Newton-Schulz step is elementwise on the planes, and
     the stack-wide Gram defect only gates."""
     u = mixed_drift_stack(make_rng(31), rows)
-    out = renormalize(_plane_major_copy(u) if plane_major else u)
+    out = renormalize(_plane_major(u) if plane_major else u)
     alone = np.concatenate([renormalize(u[i : i + 1]) for i in range(rows)])
     assert np.array_equal(bits(out), bits(alone))
 
@@ -428,7 +428,7 @@ def test_renormalize_returns_planes_for_planes(rows, kernel, draw, scale):
     args = draw(make_rng(16), scale, rows)
     args = args if isinstance(args, tuple) else (args,)
     results = []
-    for xs in (args, tuple(_plane_major_copy(u) for u in args)):
+    for xs in (args, tuple(_plane_major(u) for u in args)):
         saved = [x.copy() for x in xs]
         out = kernel(*xs)
         assert len(out) == rows
@@ -448,7 +448,7 @@ def test_planar_product_returns_new_planes_laid_out_like_x(rows):
     stack laid out like x that shares no memory with x or y."""
     rng = make_rng(21)
     u, v = haar_random(rng, size=rows), haar_random(rng, size=rows)
-    planes = _plane_major_copy(v)
+    planes = _plane_major(v)
     # Each operand with the axis order that is C-contiguous in memory.
     c_ordered_u = (u, lambda m: m)
     dagger_of_v = (np.conjugate(planes).swapaxes(1, 2), lambda m: m.transpose(2, 1, 0))
@@ -493,7 +493,7 @@ def test_det3_on_plane_rows_matches_lapack_det():
     rng = make_rng(23)
     gauss = rng.standard_normal((1000, 3, 3)) + 1j * rng.standard_normal((1000, 3, 3))
     for m in (haar_random(rng, size=1000), gauss):
-        rows = _plane_major_copy(m).transpose(1, 2, 0)
+        rows = _plane_major(m).transpose(1, 2, 0)
         assert np.abs(_det3(rows) - np.linalg.det(m)).max() <= 1e-13
 
 
@@ -781,7 +781,7 @@ def test_flow_step_matches_reference_step(haar_pairs, curve, part_im):
     curves = np.full(n, curve)
     parts = np.full(n, part_im)
     t = make_rng(15).uniform(-flows.TWIST_TIME_BOUND, flows.TWIST_TIME_BOUND, n)
-    pa, pb = _plane_major_copy(a), _plane_major_copy(b)
+    pa, pb = _plane_major(a), _plane_major(b)
     fast = flows._flow_step(pa, pb, curves, parts, t)
     assert np.array_equal(pa, a) and np.array_equal(pb, b)
     slow = a.copy(), b.copy()
@@ -839,10 +839,12 @@ def test_engines_leave_their_inputs_unchanged():
     inputs = [a, b, p.a, p.b]
     saved = [m.copy() for m in inputs]
     broadcast = np.broadcast_to(a[0], a.shape), np.broadcast_to(b[0], b.shape)
-    # A 1-row stack: its planes view is contiguous already, so an engine
-    # that worked in place without copying on entry would write to a[0]
-    # and b[0].
-    for x, y in ((a, b), broadcast, (a[:1], b[:1])):
+    # A 1-row stack and plane-major stacks: the engines take them without
+    # a copy, so an engine that wrote its inputs would write to them.
+    planes = _plane_major(a), _plane_major(b)
+    inputs += planes
+    saved += [m.copy() for m in planes]
+    for x, y in ((a, b), broadcast, (a[:1], b[:1]), planes):
         flows.flow_walk_stack(x, y, 8, rng)
         mcg.apply_word_stack(indices[: len(x)], x, y)
         renormalize(x)
@@ -944,17 +946,22 @@ def test_word_engine_blocks_give_the_bits_of_row_slices():
     [
         lambda a, b, rng: mcg.apply_word_stack(mcg.random_word_indices(5, 9, rng), a, b),
         lambda a, b, rng: flows.flow_walk_stack(a, b, 9, rng),
+        lambda a, b, rng: mcg.apply_word_stack(np.empty((5, 0), dtype=np.int8), a, b),
+        lambda a, b, rng: flows.flow_walk_stack(a, b, 0, rng),
     ],
-    ids=["word", "flow"],
+    ids=["word", "flow", "word_0", "flow_0"],
 )
 def test_word_engine_returns_the_stack_view_of_planes(engine):
     """Both engines: new plane-major stacks, which the planar kernels take
-    back without a copy, sharing no memory with the input."""
+    back without a copy, sharing no memory with the input, also after no
+    letter or step and on plane-major input, which they take without a
+    copy."""
     rng = make_rng(22)
     a, b = haar_random(rng, size=5), haar_random(rng, size=5)
-    for x, out in zip((a, b), engine(a, b, rng)):
-        assert out.shape == (5, 3, 3) and is_plane_major(out)
-        assert not np.shares_memory(out, x)
+    for pair in ((a, b), (_plane_major(a), _plane_major(b))):
+        for x, out in zip(pair, engine(*pair, rng)):
+            assert out.shape == (5, 3, 3) and is_plane_major(out)
+            assert not np.shares_memory(out, x)
 
 
 def test_engines_hand_their_own_stacks_to_exp_and_renormalize(monkeypatch):
@@ -1001,7 +1008,7 @@ def test_planar_characters_and_residual_match_matmul(rows):
     returns them, with the label alone and as a stack."""
     a, b, c = stack_pairs(rows)
     want_values = character_values_matmul(a, b)
-    for x, y in ((a, b), (_plane_major_copy(a), _plane_major_copy(b))):
+    for x, y in ((a, b), (_plane_major(a), _plane_major(b))):
         values = traces.character_values(x, y)
         assert values.shape == (rows, 9)
         assert np.abs(values - want_values).max(initial=0.0) <= PLANAR_TOL
@@ -1071,7 +1078,7 @@ def test_planar_gram_is_hermitian_and_matches_matmul(rows, defect):
     Hermitian: its lower entries are the conjugates of its upper ones, bit
     for bit, and its diagonal is real."""
     u = drifted(make_rng(24), defect, rows)
-    gram = _gram_defect_planes(_plane_major_copy(u))
+    gram = _gram_defect_planes(_plane_major(u))
     assert is_plane_major(gram)
     assert np.abs(gram - gram_defect_matmul(u)).max(initial=0.0) <= PLANAR_TOL
     assert np.array_equal(gram, np.conjugate(gram.swapaxes(1, 2)))

@@ -12,7 +12,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "su3lab"
 
-RETIRED = re.compile(r"\b(_planes_view|_stack_view|_broadcast_planes)\b")
+RETIRED = re.compile(r"\b(_planes_view|_stack_view|_broadcast_planes|_plane_major_copy)\b")
 
 
 def three_axis_transposes(tree: ast.AST) -> list[int]:

@@ -223,18 +223,19 @@ def test_renormalize_empty_stack():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_renormalize_refuses_non_finite_input(rng, bad):
-    """A NaN or inf entry, in a lone matrix, in one row of a stack, or in a
-    pair wrapped as a RepPoint (whose commutator is renormalized), raises
-    the typed drift error rather than a LinAlgError.  A stack and a pair
-    raise it without a RuntimeWarning first; on a lone matrix numpy's
-    warning about inf * 0 in the Gram product is left as it is."""
+    """A NaN or inf entry, in a lone matrix or in one row of a stack, raises
+    the typed drift error rather than a LinAlgError.  In a pair wrapped as
+    a RepPoint it raises InvalidGroupElementError, because from_pair checks
+    the pair before it forms the commutator.  A stack and a pair raise
+    without a RuntimeWarning first; on a lone matrix numpy's warning about
+    inf * 0 in the Gram product is left as it is."""
     u = haar_random(rng, size=4)
     u[2, 1, 0] = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DriftExplosionError):
             renormalize(u)
-        with pytest.raises(DriftExplosionError):
+        with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
             RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
     with np.errstate(invalid="ignore"):
         with pytest.raises(DriftExplosionError):

@@ -115,7 +115,7 @@ TWIST_POINTS = 400
 WORD_LENGTH, WORD_STACK = 200, 10_000
 WORD_BLOCK_PAIRS, WORD_BLOCK_LENGTH = 9000, 64
 RENORM_MATRICES = 64
-RENORM_DRIFTS = {"newton_schulz": 1e-14}
+RENORM_DRIFT = 1e-14
 EXP_ELEMENTS = 64
 EXP_SCALES = {"taylor": 1e-3, "closed": 1.0, "squaring": 12.0}
 RANK_PAIRS = 2000
@@ -201,19 +201,20 @@ def word_digests(seed: int) -> dict[str, str]:
 
 
 def renormalize_digests(seed: int) -> dict[str, str]:
-    """Haar matrices times Id + e, entries of e at most drift/3, each
-    renormalized as a single matrix, and then all of them as one stack."""
+    """Haar matrices times Id + e, entries of e at most RENORM_DRIFT/3,
+    each renormalized as a single matrix, and then all of them as one
+    stack.  The rows keep their `_newton_schulz` names, so that tables of
+    earlier commits stay comparable."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    out = {}
-    for name, drift in RENORM_DRIFTS.items():
-        shape = (RENORM_MATRICES, 3, 3)
-        e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        e *= drift / (3 * np.abs(e).max(axis=(1, 2), keepdims=True))
-        u = su3.haar_random(rng, RENORM_MATRICES) @ (su3.IDENTITY + e)
-        single = b"".join(su3.renormalize(m).tobytes() for m in u)
-        out[f"renormalize_single_{name}"] = _sha(single)
-        out[f"renormalize_stack_{name}"] = _sha(su3.renormalize(u).tobytes())
-    return out
+    shape = (RENORM_MATRICES, 3, 3)
+    e = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    e *= RENORM_DRIFT / (3 * np.abs(e).max(axis=(1, 2), keepdims=True))
+    u = su3.haar_random(rng, RENORM_MATRICES) @ (su3.IDENTITY + e)
+    single = b"".join(su3.renormalize(m).tobytes() for m in u)
+    return {
+        "renormalize_single_newton_schulz": _sha(single),
+        "renormalize_stack_newton_schulz": _sha(su3.renormalize(u).tobytes()),
+    }
 
 
 def exp_digests(seed: int) -> dict[str, str]:
