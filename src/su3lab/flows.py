@@ -21,13 +21,13 @@ flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step runs under both twist_flow (a stack of one) and
 flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): both
-take their pairs through su3's one pair check, which refuses anything but
-two (n, 3, 3) stacks of one shape without NaN or inf entries, and return
-new stacks, as the word engine does.  In a step, a b on the alpha_beta
-rows and a b^H on the alpha_beta_inv rows are one planar product over the
-whole stack, formed only when some row's curve needs it; each row's x,
-and then each row's new a and b, are picked with np.where from
-whole-stack products.
+copy their pairs once on entry through su3's one pair check, which
+refuses anything but two (n, 3, 3) stacks of one shape without NaN or
+inf entries, and return new stacks, as the word engine does.  In a step,
+a b on the alpha_beta rows and a b^H on the alpha_beta_inv rows are one
+planar product over the whole stack, formed only when some row's curve
+needs it; each row's x, and then each row's new a and b, are picked with
+np.where from whole-stack products.
 """
 
 from __future__ import annotations
@@ -156,15 +156,13 @@ def flow_walk_stack(
 
     Each step, every row draws its own curve (uniform over the four
     flowable ones), trace part, and time uniform in +-TWIST_TIME_BOUND.
-    Renormalizes both stacks every RENORM_CADENCE steps.  Returns new
-    plane-major stacks, as apply_word_stack does.  Inputs are not modified.
-    Raises InvalidGroupElementError unless a and b are (n, 3, 3) stacks of
-    one shape with no NaN or inf entry, at any number of steps.
+    Renormalizes both stacks every RENORM_CADENCE steps.  Copies its pairs
+    once on entry and returns new plane-major stacks, as apply_word_stack
+    does.  Inputs are not modified.  Raises InvalidGroupElementError unless
+    a and b are (n, 3, 3) stacks of one shape with no NaN or inf entry, at
+    any number of steps.
     """
     a, b = _pair_stacks(a, b)
-    if int(steps) < 1:
-        # No step made new stacks: hand back none of the caller's memory.
-        return np.copy(a, order="K"), np.copy(b, order="K")
     n = len(a)
     for step in range(int(steps)):
         curve = rng.integers(4, size=n)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, InvalidGroupElementError
 from .fiber import RepPoint
 from .su3 import _pair_stacks, _planar_product, dagger, renormalize
 
@@ -174,14 +174,16 @@ def apply_word_stack(
             f"letter indices must be a 2-D integer array, got shape {indices.shape}"
             f" and dtype {indices.dtype}"
         )
-    x, y = _pair_stacks(a, b, rows=len(indices))
+    x, y = _pair_stacks(a, b)
+    if len(indices) != len(x):
+        raise InvalidGroupElementError(f"indices have {len(indices)} rows, a and b {len(x)}")
     if indices.size and not 0 <= indices.min() <= indices.max() < len(LETTERS):
         raise InvalidArgumentError(f"letter indices must lie in 0..3; alphabet is {LETTERS}")
-    out_x, out_y = np.empty_like(x), np.empty_like(y)
+    # a and b were copied on entry, so their copies take the blocks' results.
     for lo in range(0, len(x), WORD_BLOCK_ROWS):
         rows = slice(lo, lo + WORD_BLOCK_ROWS)
-        out_x[rows], out_y[rows] = _apply_word_block(indices[rows], x[rows], y[rows])
-    return out_x, out_y
+        x[rows], y[rows] = _apply_word_block(indices[rows], x[rows], y[rows])
+    return x, y
 
 
 def _apply_word_block(

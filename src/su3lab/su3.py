@@ -450,32 +450,30 @@ def _det3(rows):
 # kernels below form the planes view x.transpose(1, 2, 0): on it a stacked
 # product is 15 vector operations over (3, n) rows, where matmul makes one
 # small BLAS call per matrix.  Every planar kernel allocates its own output
-# and work rows and returns a new stack.  Both orbit engines take their
-# pairs through _pair_stacks and hand exp_algebra and renormalize their
-# stacks as they are.  A .copy() of such a stack is C-ordered: the same
-# values in the slow layout.
+# and work rows and returns a new stack.  Both orbit engines copy their
+# pairs once on entry (_pair_stacks) and hand exp_algebra and renormalize
+# their stacks as they are.  A .copy() of such a stack is C-ordered: the
+# same values in the slow layout.
 
 
-def _pair_stacks(
-    a: np.ndarray, b: np.ndarray, rows: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """a and b as plane-major stacks (see _plane_major), refused with
+def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh plane-major copies of a and b, refused with
     InvalidGroupElementError unless they are two (n, 3, 3) stacks of one
-    shape, with n = rows when rows is given, and no NaN or inf entry.
+    shape with no NaN or inf entry.
 
     This is the entry of both orbit engines and of twist_flow.  Past it,
     exp_algebra checks only each row's x and renormalize runs only on
     cadence, so without this check a NaN could ride to the end of a short
-    walk or word.  A stack that is plane-major already is returned as it
-    is: no engine writes its inputs.
+    walk or word.
+    Always copies, so the engines never write the caller's memory: a
+    C-ordered 1-row stack is plane-major already.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     _check_layout(a, b)
-    if a.ndim != 3 or rows not in (None, len(a)):
-        n = "n" if rows is None else rows
-        raise InvalidGroupElementError(f"expected ({n}, 3, 3) stacks, got shape {a.shape}")
-    a, b = _plane_major(a), _plane_major(b)
+    if a.ndim != 3:
+        raise InvalidGroupElementError(f"expected (n, 3, 3) stacks, got shape {a.shape}")
+    a, b = (u.transpose(1, 2, 0).copy().transpose(2, 0, 1) for u in (a, b))
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise InvalidGroupElementError("stack has a NaN or inf entry")
     return a, b

@@ -1,12 +1,14 @@
 """tools/golden_digests.py, the byte-identity check between commits, still
 runs against the current API and prints every row its docstring lists, and
-the rows that no numpy dispatch can move come out the same with numpy's
-dispatch above its baseline masked.
+the rows that no numpy or BLAS dispatch can move come out the same with
+numpy's dispatch above its baseline masked and OpenBLAS on a lower
+kernel.
 
 Run as a script, `python tests/test_golden_tool.py SEED` prints those rows
 as JSON; the dispatch test runs it so in a child process.
 """
 
+import ctypes
 import importlib.util
 import json
 import os
@@ -21,7 +23,14 @@ try:
 except ImportError:  # numpy 1.x
     from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
+import numpy as np
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_digests.py"
+
+# An x86-64 OpenBLAS kernel without AVX, below every machine that runs
+# numpy 2's SSE4.2 baseline; OPENBLAS_CORETYPE selects it in a build with
+# DYNAMIC_ARCH, as numpy's bundled OpenBLAS is.
+LOW_BLAS_CORE = "Nehalem"
 
 ROW_NAMES = {
     # Eight CLI runs.
@@ -65,6 +74,17 @@ DISPATCH_INDEPENDENT_CLI = ("sample_haar_empty", "sample_angles_empty")
 DISPATCH_INDEPENDENT_EXPERIMENTS = ("abelian_hyperbolic_test",)
 
 
+def openblas_core() -> str | None:
+    """The kernel that numpy's bundled scipy-openblas runs, or None when
+    numpy bundles no such library."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
 def load_tool():
     """A fresh copy of the tool module; it puts its src directory on sys.path."""
     spec = importlib.util.spec_from_file_location("golden_digests", TOOL)
@@ -104,15 +124,19 @@ def test_golden_table_has_every_row(monkeypatch):
 
 def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
     """The six rows at seed 7, computed in a child whose numpy runs with
-    every dispatched CPU feature of this machine masked, equal the native
-    ones; on a machine with none above numpy's baseline both runs are
-    native.  No other row is compared: on another dispatch they are
-    another sample of the same law."""
+    every dispatched CPU feature of this machine masked, and whose bundled
+    OpenBLAS, when it reports its kernel, runs LOW_BLAS_CORE, equal the
+    native ones; on a machine with none above numpy's baseline and that
+    kernel both runs are native.  No other row is compared: on another
+    dispatch they are another sample of the same law."""
     monkeypatch.setattr(sys, "path", list(sys.path))
     native = dispatch_independent_rows(7)
     assert len(native) == 6
     masked = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+    low_core = LOW_BLAS_CORE if openblas_core() is not None else None
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(masked)}
+    if low_core is not None:
+        env["OPENBLAS_CORETYPE"] = low_core
     result = subprocess.run(
         [sys.executable, __file__, "7"],
         env=env,
@@ -123,6 +147,7 @@ def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
     assert result.returncode == 0, result.stderr
     child = json.loads(result.stdout)
     assert child["dispatched"] == []
+    assert child["blas_core"] == low_core
     assert child["rows"] == native
 
 
@@ -131,6 +156,7 @@ if __name__ == "__main__":
         json.dumps(
             {
                 "dispatched": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
+                "blas_core": openblas_core(),
                 "rows": dispatch_independent_rows(int(sys.argv[1])),
             }
         )
