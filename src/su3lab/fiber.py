@@ -27,8 +27,12 @@ from .su3 import (
     IDENTITY,
     OMEGA,
     _check_layout,
+    _entries,
+    _matrix,
     _planar_product,
     _plane_major,
+    _product3,
+    _product3_dagger,
     adjoint_matrix,
     assert_special_unitary,
     dagger,
@@ -77,13 +81,16 @@ def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     them, and a single pair gives a numpy scalar.
 
     Stacks run on planes: three planar products, ab, ba and ab (ba)^H.  A
-    lone pair takes one np.dot per product, as renormalize does: on planes
-    it cost 9x as much, and every RepPoint pays it once.
+    lone pair runs the same three products on its entries as Python
+    complex numbers, as renormalize does: on planes it cost 9x as much,
+    and every RepPoint pays it once.
     """
     _check_layout(a, b)
     _check_layout(c)
     if np.ndim(a) == 2:
-        return np.abs(np.dot(np.dot(a, b), dagger(np.dot(b, a))) - c).max(axis=(-2, -1))
+        x, y = _entries(a), _entries(b)
+        comm = _matrix(_product3_dagger(_product3(x, y), _product3(y, x)))
+        return np.abs(comm - c).max(axis=(-2, -1))
     shape = np.shape(a)
     a, b = _plane_major(a), _plane_major(b)
     ab = _planar_product(a, b)

@@ -26,7 +26,17 @@ import numpy as np
 
 from .errors import InvalidArgumentError, InvalidGroupElementError
 from .fiber import RepPoint
-from .su3 import _pair_stacks, _planar_product, dagger, renormalize
+from .su3 import (
+    _entries,
+    _matrix,
+    _pair_stacks,
+    _planar_product,
+    _product3,
+    _product3_dagger,
+    _renormalize3,
+    dagger,
+    renormalize,
+)
 
 # Letter products feed each element's norm deviation into the other, so the
 # distance from the group compounds near-geometrically with word length
@@ -77,23 +87,25 @@ class TwistWord:
         return cls(tuple(text.strip()))
 
 
-# A one-row apply_word_stack call ran `cli orbit` 3x slower and changed its CSV bytes.
+# A one-row apply_word_stack call ran `cli orbit` 3x slower and changed its
+# CSV bytes; the pair runs on its entries as Python complex numbers instead
+# (see su3lab.su3), which skip numpy's per-call dispatch.
 def apply_word(word: TwistWord, p: RepPoint) -> RepPoint:
     """Apply the word's letters left to right, renormalizing on cadence."""
-    a, b = p.a, p.b
+    a, b = _entries(p.a), _entries(p.b)
     for i, letter in enumerate(word.letters):
         if letter == "a":
-            b = np.dot(b, a)
+            b = _product3(b, a)
         elif letter == "A":
-            b = np.dot(b, dagger(a))
+            b = _product3_dagger(b, a)
         elif letter == "b":
-            a = np.dot(a, b)
+            a = _product3(a, b)
         else:
-            a = np.dot(a, dagger(b))
+            a = _product3_dagger(a, b)
         if (i + 1) % WORD_RENORM_CADENCE == 0:
-            a = renormalize(a)
-            b = renormalize(b)
-    return RepPoint(a=a, b=b, c=p.c)
+            a = _renormalize3(a)
+            b = _renormalize3(b)
+    return RepPoint(a=_matrix(a), b=_matrix(b), c=p.c)
 
 
 def homology_action(word: TwistWord) -> np.ndarray:

@@ -19,6 +19,8 @@ this to drive thousands of trajectories in lockstep.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import (
@@ -89,6 +91,20 @@ def unitarity_defect(u: np.ndarray) -> float:
     determinant's distance from 1, maximized over any batch (0 when empty)."""
     u = np.asarray(u, dtype=complex)
     _check_layout(u)
+    if u.ndim == 2:
+        e = _entries(u)
+        g = _product3_dagger(e, e)
+        # The diagonal's real parts sum every squared modulus, so a NaN or
+        # inf entry makes their sum NaN or inf; Python's max skips a NaN
+        # that is not its first argument.
+        if not math.isfinite(g[0].real + g[4].real + g[8].real):
+            return math.nan
+        return max(
+            abs(g[0] - 1.0), abs(g[1]), abs(g[2]),
+            abs(g[3]), abs(g[4] - 1.0), abs(g[5]),
+            abs(g[6]), abs(g[7]), abs(g[8] - 1.0),
+            abs(_det3((e[:3], e[3:6], e[6:])) - 1.0),
+        )
     # The callers refuse the NaN of a NaN or inf entry; numpy need not warn.
     with np.errstate(invalid="ignore"):
         gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
@@ -404,19 +420,15 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     InvalidGroupElementError when the last two axes are not (3, 3).
 
     A stack runs on planes, as in exp_algebra, and returns a new
-    plane-major stack.  A lone matrix takes one np.dot per product, which
-    makes the same zgemm call as matmul without matmul's per-call gufunc
-    setup.
+    plane-major stack.  A lone matrix runs on its entries as Python complex
+    numbers (_renormalize3), with the same formulas, and returns a new
+    3x3 array.
     """
     u = np.asarray(u, dtype=complex)
     _check_layout(u)
     if u.ndim > 2:
         return _renormalize_planes(_plane_major(u)).reshape(u.shape)
-    gram = np.dot(dagger(u), u)
-    _check_drift(np.abs(gram - IDENTITY).max())
-    q = np.dot(u, 1.5 * IDENTITY - 0.5 * gram)
-    q[:, 0] /= _det3(q.T.tolist())
-    return q
+    return _matrix(_renormalize3(_entries(u)))
 
 
 def _check_drift(defect) -> None:
@@ -432,16 +444,105 @@ def _check_drift(defect) -> None:
 def _det3(rows):
     """Determinant of a 3x3 matrix from its rows, by cofactor expansion.
 
-    The rows of planes give the determinant of every matrix at once.  For
-    a lone matrix m, m.T.tolist() gives the rows of its transpose (same
-    determinant) as Python complex numbers: they multiply by the same
-    formula as numpy's complex scalars, so the same bits, without numpy's
-    per-operation dispatch.  Each cofactor is the left operand: numpy's
-    SIMD complex multiply is not bitwise commutative, and this order keeps
-    the planar bits.
+    The rows of planes give the determinant of every matrix at once, and
+    the three rows of a lone matrix's entries (see _entries) give its
+    determinant as a Python complex number.  Each cofactor is the left
+    operand: numpy's SIMD complex multiply is not bitwise commutative, and
+    this order keeps the planar bits.
     """
     (a, b, c), (d, e, f), (g, h, i) = rows
     return (e * i - f * h) * a - (d * i - f * g) * b + (d * h - e * g) * c
+
+
+# Lone matrices: the single-pair paths (apply_word, and renormalize,
+# unitarity_defect and fiber_residual on one matrix) hold a 3x3 matrix as
+# its row-major 9-tuple of Python complex numbers.  Arithmetic on them
+# skips numpy's per-call dispatch, which costs about as much as the 27
+# complex products of a 3x3 product: on a shared 2-core x86_64 host a
+# _product3 took 1.6-1.9 us against 1.8-2.2 us for numpy's zgemm call,
+# and _renormalize3 4-6 us against 10-18 us on zgemm calls.
+# Every sum over an index is added left to right, as on the planes.
+
+
+def _entries(m: np.ndarray) -> tuple:
+    """The row-major entries of one 3x3 matrix as Python complex numbers."""
+    return tuple(np.asarray(m, dtype=complex).ravel().tolist())
+
+
+def _matrix(e) -> np.ndarray:
+    """A new 3x3 complex array from row-major entries."""
+    return np.array(e, dtype=complex).reshape(3, 3)
+
+
+def _product3(x, y) -> tuple:
+    """x y for two lone matrices given by their entries."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    return (
+        x0 * y0 + x1 * y3 + x2 * y6,
+        x0 * y1 + x1 * y4 + x2 * y7,
+        x0 * y2 + x1 * y5 + x2 * y8,
+        x3 * y0 + x4 * y3 + x5 * y6,
+        x3 * y1 + x4 * y4 + x5 * y7,
+        x3 * y2 + x4 * y5 + x5 * y8,
+        x6 * y0 + x7 * y3 + x8 * y6,
+        x6 * y1 + x7 * y4 + x8 * y7,
+        x6 * y2 + x7 * y5 + x8 * y8,
+    )
+
+
+def _product3_dagger(x, y) -> tuple:
+    """x y^H for two lone matrices given by their entries."""
+    x0, x1, x2, x3, x4, x5, x6, x7, x8 = x
+    y0, y1, y2, y3, y4, y5, y6, y7, y8 = y
+    z0, z1, z2 = y0.conjugate(), y1.conjugate(), y2.conjugate()
+    z3, z4, z5 = y3.conjugate(), y4.conjugate(), y5.conjugate()
+    z6, z7, z8 = y6.conjugate(), y7.conjugate(), y8.conjugate()
+    return (
+        x0 * z0 + x1 * z1 + x2 * z2,
+        x0 * z3 + x1 * z4 + x2 * z5,
+        x0 * z6 + x1 * z7 + x2 * z8,
+        x3 * z0 + x4 * z1 + x5 * z2,
+        x3 * z3 + x4 * z4 + x5 * z5,
+        x3 * z6 + x4 * z7 + x5 * z8,
+        x6 * z0 + x7 * z1 + x8 * z2,
+        x6 * z3 + x7 * z4 + x8 * z5,
+        x6 * z6 + x7 * z7 + x8 * z8,
+    )
+
+
+def _renormalize3(u) -> tuple:
+    """renormalize on one matrix's entries, with _renormalize_planes'
+    formulas: the three upper Gram entries sum_k conj(u_ki) u_kj, the
+    squared column norms minus 1 on the diagonal, one Newton-Schulz step
+    and the first column divided by _det3.  Refuses, as _check_drift does,
+    a Gram defect above RENORM_GUARD, and a NaN or inf entry."""
+    u0, u1, u2, u3, u4, u5, u6, u7, u8 = u
+    c0, c1, c2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
+    c3, c4, c5 = u3.conjugate(), u4.conjugate(), u5.conjugate()
+    c6, c7, c8 = u6.conjugate(), u7.conjugate(), u8.conjugate()
+    g01 = c0 * u1 + c3 * u4 + c6 * u7
+    g02 = c0 * u2 + c3 * u5 + c6 * u8
+    g12 = c1 * u2 + c4 * u5 + c7 * u8
+    # The real part of conj(z) z is re(z)^2 + im(z)^2, bit for bit.
+    d0 = (c0 * u0).real + (c3 * u3).real + (c6 * u6).real - 1.0
+    d1 = (c1 * u1).real + (c4 * u4).real + (c7 * u7).real - 1.0
+    d2 = (c2 * u2).real + (c5 * u5).real + (c8 * u8).real - 1.0
+    # The diagonal sums every squared modulus, so a NaN or inf entry makes
+    # its sum NaN or inf; Python's max below skips a NaN that is not first.
+    trace = d0 + d1 + d2
+    if not math.isfinite(trace):
+        _check_drift(trace)
+    _check_drift(max(abs(d0), abs(d1), abs(d2), abs(g01), abs(g02), abs(g12)))
+    # (3 Id - u^H u) / 2, written over u^H u - Id.
+    f01, f02, f12 = -0.5 * g01, -0.5 * g02, -0.5 * g12
+    q0, q1, q2, q3, q4, q5, q6, q7, q8 = _product3(u, (
+        1.0 - 0.5 * d0, f01, f02,
+        f01.conjugate(), 1.0 - 0.5 * d1, f12,
+        f02.conjugate(), f12.conjugate(), 1.0 - 0.5 * d2,
+    ))
+    det = _det3(((q0, q1, q2), (q3, q4, q5), (q6, q7, q8)))
+    return (q0 / det, q1, q2, q3 / det, q4, q5, q6 / det, q7, q8)
 
 
 # Plane-major stacks: every stack that crosses a module boundary is an

@@ -4,8 +4,10 @@ the per-letter table draw that su3lab.mcg.random_word_indices replaced,
 the complex Schur eigenframe that the eigenvector QR in
 su3lab.su3.unitary_eigensystem replaced, the matmul and numpy-scalar
 formulation of the single-pair word path (apply_word, renormalize, the
-cofactor determinant and dagger) that the np.dot and Python-complex one in
-su3lab replaced, the four-mask gather-matmul-scatter word-stack engine
+cofactor determinant and dagger) that the entry kernels in su3lab.su3
+replaced, and plain nested loops over Python complex numbers that give
+those kernels' bits from independent code (apply_word, renormalize and
+the fiber residual on one pair), the four-mask gather-matmul-scatter word-stack engine
 that the planar su3lab.mcg.apply_word_stack replaced, the masked
 gather-matmul-scatter flow step and walk that the planar su3lab.flows
 engine replaced, the two-einsum
@@ -22,6 +24,9 @@ only for the tests to check the package against; nothing in the package
 imports them.  The single-pair word path is the exception: it keeps the
 package's branches, because the package must match it bit for bit.
 """
+
+import functools
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -161,6 +166,87 @@ def apply_word_matmul(letters, a: np.ndarray, b: np.ndarray):
             a = renormalize_matmul(a)
             b = renormalize_matmul(b)
     return a, b
+
+
+def add_left_to_right(terms):
+    """((t0 + t1) + t2) + ...: the builtin sum adds floats with
+    compensation from Python 3.12 on, so it is not used here."""
+    return functools.reduce(operator.add, terms)
+
+
+def entries_loop(m: np.ndarray) -> list[list[complex]]:
+    """One 3x3 matrix as nested lists of Python complex numbers."""
+    return [[complex(m[i, j]) for j in range(3)] for i in range(3)]
+
+
+def product_loop(x, y, conjugate_transpose: bool = False):
+    """x y, or x y^H, on nested lists: each entry sum_j x_ij y_jk added
+    left to right."""
+    if conjugate_transpose:
+        y = [[y[k][j].conjugate() for k in range(3)] for j in range(3)]
+    return [
+        [add_left_to_right([x[i][j] * y[j][k] for j in range(3)]) for k in range(3)]
+        for i in range(3)
+    ]
+
+
+def det_loop(m) -> complex:
+    """Cofactor expansion along the first row, each 2x2 minor the left
+    operand, the signed terms added left to right."""
+    det = None
+    for j in range(3):
+        k, l = [c for c in range(3) if c != j]
+        term = (m[1][k] * m[2][l] - m[1][l] * m[2][k]) * m[0][j]
+        det = term if det is None else det - term if j % 2 else det + term
+    return det
+
+
+def renormalize_loop(m):
+    """One Newton-Schulz step on nested lists, with u^H u - Id built as the
+    planar kernel builds it: the entries above the diagonal are summed,
+    those below are their conjugates, and the diagonal is the squared
+    column norms minus 1; then the determinant divided out of the first
+    column.  No drift guard."""
+    gram = [[0j] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            gram[i][j] = add_left_to_right([m[k][i].conjugate() * m[k][j] for k in range(3)])
+            gram[j][i] = gram[i][j].conjugate()
+        norms = [m[k][i].real * m[k][i].real + m[k][i].imag * m[k][i].imag for k in range(3)]
+        gram[i][i] = add_left_to_right(norms) - 1.0
+    factor = [
+        [1.0 - 0.5 * gram[i][j] if i == j else -0.5 * gram[i][j] for j in range(3)]
+        for i in range(3)
+    ]
+    q = product_loop(m, factor)
+    det = det_loop(q)
+    for i in range(3):
+        q[i][0] /= det
+    return q
+
+
+def apply_word_loop(letters, a: np.ndarray, b: np.ndarray):
+    """A word's letters applied to one pair on nested lists, renormalizing
+    with renormalize_loop every WORD_RENORM_CADENCE letters; returns (a, b)
+    as arrays."""
+    a, b = entries_loop(a), entries_loop(b)
+    for i, letter in enumerate(letters):
+        if letter in "aA":
+            b = product_loop(b, a, conjugate_transpose=letter == "A")
+        else:
+            a = product_loop(a, b, conjugate_transpose=letter == "B")
+        if (i + 1) % WORD_RENORM_CADENCE == 0:
+            a = renormalize_loop(a)
+            b = renormalize_loop(b)
+    return np.array(a), np.array(b)
+
+
+def fiber_residual_loop(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
+    """max |a b (b a)^H - c| for one pair: the products on nested lists,
+    the distance from c by numpy, as fiber_residual takes it."""
+    a, b = entries_loop(a), entries_loop(b)
+    comm = product_loop(product_loop(a, b), product_loop(b, a), conjugate_transpose=True)
+    return np.abs(np.array(comm) - c).max()
 
 
 def apply_word_stack_matmul(

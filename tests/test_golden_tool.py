@@ -1,6 +1,7 @@
 """tools/golden_digests.py, the byte-identity check between commits, still
-runs against the current API and prints every row its docstring lists, and
-the rows that no numpy or BLAS dispatch can move come out the same with
+runs against the current API and prints every row its docstring lists,
+its dispatch fingerprint line stays outside the table digest, and the
+rows that no numpy or BLAS dispatch can move come out the same with
 numpy's dispatch above its baseline masked and OpenBLAS on a lower
 kernel.
 
@@ -8,8 +9,10 @@ Run as a script, `python tests/test_golden_tool.py SEED` prints those rows
 as JSON; the dispatch test runs it so in a child process.
 """
 
-import ctypes
+import contextlib
+import hashlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -17,13 +20,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-
-try:
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-except ImportError:  # numpy 1.x
-    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-import numpy as np
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_digests.py"
 
@@ -74,17 +70,6 @@ DISPATCH_INDEPENDENT_CLI = ("sample_haar_empty", "sample_angles_empty")
 DISPATCH_INDEPENDENT_EXPERIMENTS = ("abelian_hyperbolic_test",)
 
 
-def openblas_core() -> str | None:
-    """The kernel that numpy's bundled scipy-openblas runs, or None when
-    numpy bundles no such library."""
-    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
-        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename().decode()
-    return None
-
-
 def load_tool():
     """A fresh copy of the tool module; it puts its src directory on sys.path."""
     spec = importlib.util.spec_from_file_location("golden_digests", TOOL)
@@ -93,10 +78,9 @@ def load_tool():
     return tool
 
 
-def dispatch_independent_rows(seed: int) -> dict[str, str]:
+def dispatch_independent_rows(tool, seed: int) -> dict[str, str]:
     """The six dispatch-independent rows, from the tool's own functions run
     on only those CLI runs and experiments."""
-    tool = load_tool()
     tool.CLI_RUNS = {name: tool.CLI_RUNS[name] for name in DISPATCH_INDEPENDENT_CLI}
     tool.EXPERIMENTS = {
         name: tool.EXPERIMENTS[name] for name in DISPATCH_INDEPENDENT_EXPERIMENTS
@@ -122,6 +106,27 @@ def test_golden_table_has_every_row(monkeypatch):
     assert names == ROW_NAMES
 
 
+def test_fingerprint_line_is_printed_outside_the_table_digest(monkeypatch):
+    """main prints the dispatch fingerprint first, then the rows, then the
+    SHA-256 of the rows alone: two machines with the same rows print the
+    same digest whatever their fingerprints."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = load_tool()
+    rows = ["seed7/a " + "0" * 64, "seed7/b " + "1" * 64]
+    monkeypatch.setattr(tool, "table", lambda seeds: rows)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert tool.main(["--seeds", "7"]) == 0
+    first, *body, last = out.getvalue().splitlines()
+    targets = ",".join(tool.dispatched_targets()) or "none"
+    assert first == tool.fingerprint()
+    assert first.startswith(f"dispatch numpy {tool.np.__version__} targets {targets} blas ")
+    assert first.endswith(f" core {tool.openblas_core() or 'unknown'}")
+    assert body == rows
+    text = "".join(row + "\n" for row in rows)
+    assert last == f"table {hashlib.sha256(text.encode()).hexdigest()}"
+
+
 def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
     """The six rows at seed 7, computed in a child whose numpy runs with
     every dispatched CPU feature of this machine masked, and whose bundled
@@ -130,10 +135,11 @@ def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
     kernel both runs are native.  No other row is compared: on another
     dispatch they are another sample of the same law."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    native = dispatch_independent_rows(7)
+    tool = load_tool()
+    native = dispatch_independent_rows(tool, 7)
     assert len(native) == 6
-    masked = [f for f in __cpu_dispatch__ if __cpu_features__[f]]
-    low_core = LOW_BLAS_CORE if openblas_core() is not None else None
+    masked = tool.dispatched_targets()
+    low_core = LOW_BLAS_CORE if tool.openblas_core() is not None else None
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(masked)}
     if low_core is not None:
         env["OPENBLAS_CORETYPE"] = low_core
@@ -152,12 +158,13 @@ def test_dispatch_independent_rows_hold_under_masked_dispatch(monkeypatch):
 
 
 if __name__ == "__main__":
+    child_tool = load_tool()
     print(
         json.dumps(
             {
-                "dispatched": [f for f in __cpu_dispatch__ if __cpu_features__[f]],
-                "blas_core": openblas_core(),
-                "rows": dispatch_independent_rows(int(sys.argv[1])),
+                "dispatched": child_tool.dispatched_targets(),
+                "blas_core": child_tool.openblas_core(),
+                "rows": dispatch_independent_rows(child_tool, int(sys.argv[1])),
             }
         )
     )

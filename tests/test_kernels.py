@@ -17,9 +17,10 @@ sides of RENORM_GUARD and on inputs with a singular value farther than
 2 RENORM_GUARD from 1, alone and inside a stack, and the CLI, experiment
 and twist-flow paths are checked to reach renormalize at most
 UNITARITY_TOL / 100 off the group.  The
-single-pair word path (apply_word, and renormalize, _det3 and dagger on
-one matrix) is checked bit for bit against its matmul and numpy-scalar
-form.  unitary_eigensystem is checked against the complex Schur frame:
+single-pair word path (apply_word, and renormalize, _det3 and the fiber
+residual on one matrix, all on Python complex entries) is checked bit for
+bit against plain nested loops, and against its former matmul and
+numpy-scalar form within 1e-13 on words of at most 16 letters.  unitary_eigensystem is checked against the complex Schur frame:
 angles bit for bit, the frame up to column phases, bit for bit on
 diagonal fiber labels, and on the fiber at repeated eigenvalues of
 non-normal input.  The rank-census layers are checked against the
@@ -58,16 +59,20 @@ from oracle_kernels import (
     adjoint_matrix_einsum,
     algebra_from_coords,
     angles_have_relation_grid,
+    apply_word_loop,
     apply_word_matmul,
     apply_word_stack_matmul,
     character_values_matmul,
     dagger_conjugate,
-    det3_numpy,
+    det_loop,
     exp_algebra_eigh,
+    entries_loop,
+    fiber_residual_loop,
     fiber_residual_matmul,
     flow_step_matmul,
     flow_walk_matmul,
     gram_defect_matmul,
+    renormalize_loop,
     renormalize_matmul,
     renormalize_svd,
     unitary_eigensystem_schur,
@@ -94,6 +99,7 @@ from su3lab.su3 import (
     exp_algebra,
     _det3,
     _gram_defect_planes,
+    _renormalize3,
     _planar_product,
     _plane_major,
     haar_random,
@@ -502,23 +508,42 @@ def bits(m) -> np.ndarray:
     return np.asarray(m, dtype=complex).reshape(-1).view(np.int64)
 
 
-def test_single_pair_word_path_is_bit_identical_to_matmul():
-    """apply_word, renormalize, _det3 and dagger on one pair give the bits of
-    the matmul and numpy-scalar formulation in oracle_kernels."""
+# Largest difference allowed between the entry path and the matmul one on
+# words of at most SHORT_WORD letters: the two round differently, and the
+# letters amplify a difference by about exp(0.115) each.
+SHORT_WORD = 16
+SHORT_WORD_TOL = 1e-13
+
+
+def test_single_pair_word_path_is_bit_identical_to_loops():
+    """apply_word and renormalize on one matrix give the bits of the plain
+    nested loops over Python complex numbers in oracle_kernels, and the
+    values of the matmul and numpy-scalar formulation within
+    SHORT_WORD_TOL on words of at most SHORT_WORD letters; _det3 on a
+    matrix's rows is the loop's cofactor expansion, bit for bit."""
     rng = make_rng(2027)
     for _ in range(32):
         p = base_point(haar_random(rng))
         word = mcg.random_word(200, rng)
         q = mcg.apply_word(word, p)
-        a, b = apply_word_matmul(word.letters, p.a, p.b)
+        a, b = apply_word_loop(word.letters, p.a, p.b)
         assert np.array_equal(bits(q.a), bits(a))
         assert np.array_equal(bits(q.b), bits(b))
+        for length in (1, 7, 8, 9, SHORT_WORD):
+            word = mcg.random_word(length, rng)
+            q = mcg.apply_word(word, p)
+            a, b = apply_word_matmul(word.letters, p.a, p.b)
+            assert np.abs(q.a - a).max() <= SHORT_WORD_TOL
+            assert np.abs(q.b - b).max() <= SHORT_WORD_TOL
     for defect in (1e-15, 5e-9):
         stack = drifted(rng, defect, 64)
         for u in stack:
             assert gram_defect(u) <= RENORM_GUARD
-            assert np.array_equal(bits(renormalize(u)), bits(renormalize_matmul(u)))
-            assert np.array_equal(bits(_det3(u.T.tolist())), bits(det3_numpy(u)))
+            got = renormalize(u)
+            assert np.array_equal(bits(got), bits(np.array(renormalize_loop(entries_loop(u)))))
+            assert np.abs(got - renormalize_matmul(u)).max() <= POLAR_TOL
+            rows = entries_loop(u)
+            assert np.array_equal(bits(_det3(rows)), bits(det_loop(rows)))
             assert np.array_equal(bits(dagger(u)), bits(dagger_conjugate(u)))
         assert dagger(stack).strides == dagger_conjugate(stack).strides
 
@@ -535,8 +560,14 @@ def test_product_paths_stay_far_inside_the_guard(monkeypatch, tmp_path):
         defects.append(gram_defect(u))
         return renormalize(u)
 
+    def recording_entries(u):
+        defects.append(gram_defect(np.array(u).reshape(3, 3)))
+        return _renormalize3(u)
+
     for module in (mcg, flows, fiber):
         monkeypatch.setattr(module, "renormalize", recording)
+    # apply_word renormalizes its pair's entries.
+    monkeypatch.setattr(mcg, "_renormalize3", recording_entries)
     counts = []
     label = ["--angles", "0.123,0.456", "--seed", "3"]
     out = ["--out", str(tmp_path / "rows.csv")]
@@ -593,8 +624,9 @@ def test_eigensystem_matches_schur_frame():
     """unitary_eigensystem (eig, then QR of the eigenvectors) against the
     complex Schur frame: the same angles bit for bit and the same frame up
     to column phases on Haar matrices, the same frame bit for bit on
-    diagonal labels, and a unitary frame whose base_point lands on the
-    fiber at repeated and nearly repeated eigenvalues of non-normal input."""
+    diagonal labels (a zero's sign aside), and a unitary frame whose
+    base_point lands on the fiber at repeated and nearly repeated
+    eigenvalues of non-normal input."""
     rng = make_rng(14)
     for u in haar_random(rng, 1000):
         angles, z = unitary_eigensystem(u)
@@ -605,7 +637,10 @@ def test_eigensystem_matches_schur_frame():
     for label in DIAGONAL_LABELS:
         c = matrix_from_c_spec(label)
         for got, ref in zip(unitary_eigensystem(c), unitary_eigensystem_schur(c)):
-            assert np.array_equal(bits(got), bits(ref))
+            # + 0.0 maps -0.0 to +0.0 and keeps every other value's bits:
+            # under OpenBLAS's Nehalem kernel the QR returns -0.0 where
+            # the Schur frame has +0.0.
+            assert np.array_equal(bits(got + 0.0), bits(ref + 0.0))
     for k in range(100):
         x = rng.random()
         for angles in (
@@ -1052,15 +1087,17 @@ def test_planar_characters_and_residual_broadcast():
 
 def test_planar_characters_and_residual_on_a_lone_pair():
     """A lone pair keeps its scalar-shaped results: nine values, and one
-    numpy float for the residual, with the bits of matmul there (np.dot
-    makes the same zgemm call)."""
+    numpy float for the residual, with the bits of the plain loops there
+    (the residual runs on the pair's entries) and the matmul value within
+    PLANAR_TOL."""
     a, b, c = stack_pairs(2)
     values = traces.character_values(a[1], b[1])
     assert values.shape == (9,)
     assert np.abs(values - character_values_matmul(a[1], b[1])).max() <= PLANAR_TOL
     r = fiber.fiber_residual(a[1], b[1], c)
     assert type(r) is np.float64
-    assert r == fiber_residual_matmul(a[1], b[1], c)
+    assert r == fiber_residual_loop(a[1], b[1], c)
+    assert abs(r - fiber_residual_matmul(a[1], b[1], c)) <= PLANAR_TOL
     assert fiber.fiber_residual(a[0], b[0], c) <= FIBER_TOL
 
 

@@ -226,9 +226,8 @@ def test_renormalize_refuses_non_finite_input(rng, bad):
     """A NaN or inf entry, in a lone matrix or in one row of a stack, raises
     the typed drift error rather than a LinAlgError.  In a pair wrapped as
     a RepPoint it raises InvalidGroupElementError, because from_pair checks
-    the pair before it forms the commutator.  A stack and a pair raise
-    without a RuntimeWarning first; on a lone matrix numpy's warning about
-    inf * 0 in the Gram product is left as it is."""
+    the pair before it forms the commutator.  A stack, a lone matrix and a
+    pair raise without a RuntimeWarning first."""
     u = haar_random(rng, size=4)
     u[2, 1, 0] = bad
     with warnings.catch_warnings():
@@ -237,7 +236,6 @@ def test_renormalize_refuses_non_finite_input(rng, bad):
             renormalize(u)
         with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
             RepPoint.from_pair(np.full((3, 3), bad), IDENTITY)
-    with np.errstate(invalid="ignore"):
         with pytest.raises(DriftExplosionError):
             renormalize(u[2])
 
@@ -266,6 +264,31 @@ def test_checks_refuse_non_finite_input(rng, bad):
             assert_algebra_element(args)
         with pytest.raises(InvalidAlgebraError):
             exp_algebra(args)
+
+
+@pytest.mark.parametrize("position", range(9))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lone_path_refuses_non_finite_entry_anywhere(bad, position, rng):
+    """A NaN or +inf at any of the nine entries of a lone Haar matrix is
+    refused by every check on the lone path: Python's max skips a NaN that
+    is not its first argument, so a NaN past the first entry must not be
+    left to it.  unitarity_defect reads NaN, renormalize raises the drift
+    error, and assert_special_unitary, RepPoint (the matrix as a, b or c)
+    and RepPoint.from_pair (as a or b) raise InvalidGroupElementError."""
+    u, v = haar_random(rng), haar_random(rng)
+    u.flat[position] = bad
+    c = commutator(v, v)
+    assert np.isnan(unitarity_defect(u))
+    with pytest.raises(DriftExplosionError):
+        renormalize(u)
+    with pytest.raises(InvalidGroupElementError):
+        assert_special_unitary(u)
+    for a, b, label in ((u, v, c), (v, u, c), (v, v, u)):
+        with pytest.raises(InvalidGroupElementError):
+            RepPoint(a=a, b=b, c=label)
+    for a, b in ((u, v), (v, u)):
+        with pytest.raises(InvalidGroupElementError):
+            RepPoint.from_pair(a, b)
 
 
 def _fits_when_reshaped(shape, rng, algebra):

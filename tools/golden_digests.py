@@ -2,9 +2,16 @@
 
     python3 tools/golden_digests.py --seeds 7,11,29
 
-Prints a sorted `name sha256` table, one line per output, and then the
-SHA-256 of that table.  Per seed it covers eight CLI runs (CSV bytes of
-`sample` on Haar pairs, `sample --angles 0.123,0.456`, `sample --trace
+Prints a dispatch fingerprint line, then a sorted `name sha256` table,
+one line per output, and then the SHA-256 of that table.  The fingerprint
+names what the seeded bytes depend on besides the seed and the version:
+the numpy version, the SIMD targets numpy dispatches to on this machine,
+the BLAS library and version, and the OpenBLAS kernel it runs (`unknown`
+when numpy's BLAS does not report one).  It is not part of the table, so
+the table digest does not cover it.
+
+Per seed the table covers eight CLI runs (CSV bytes of `sample` on Haar
+pairs, `sample --angles 0.123,0.456`, `sample --trace
 0.5,0.1 --walk-steps 200` and `orbit --angles 0.123,0.456`, CLI defaults
 otherwise, and the edge runs `sample --count 0` with and without
 `--angles`, `orbit --n 1 --word-length 0` and `orbit --n 3 --word-length
@@ -42,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -50,6 +58,11 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -119,6 +132,34 @@ RENORM_DRIFT = 1e-14
 EXP_ELEMENTS = 64
 EXP_SCALES = {"taylor": 1e-3, "closed": 1.0, "squaring": 12.0}
 RANK_PAIRS = 2000
+
+
+def dispatched_targets() -> list[str]:
+    """The SIMD targets above its baseline that numpy dispatches to here."""
+    return [f for f in __cpu_dispatch__ if __cpu_features__[f]]
+
+
+def openblas_core() -> str | None:
+    """The kernel that numpy's bundled scipy-openblas runs, or None when
+    numpy bundles no such library."""
+    for path in (Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"):
+        corename = getattr(ctypes.CDLL(str(path)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
+
+
+def fingerprint() -> str:
+    """The dispatch fingerprint line: numpy version, dispatched targets,
+    BLAS name and version, and OpenBLAS kernel."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (
+        f"dispatch numpy {np.__version__}"
+        f" targets {','.join(dispatched_targets()) or 'none'}"
+        f" blas {blas.get('name', 'unknown')} {blas.get('version', 'unknown')}"
+        f" core {openblas_core() or 'unknown'}"
+    )
 
 
 def _sha(data: bytes) -> str:
@@ -263,6 +304,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     rows = table([int(s) for s in args.seeds.split(",")])
     text = "".join(row + "\n" for row in rows)
+    print(fingerprint())
     sys.stdout.write(text)
     print(f"table {_sha(text.encode())}")
     return 0
