@@ -14,4 +14,4 @@ from .mcg import TwistWord, apply_word
 from .su3 import exp_algebra, haar_random
 from .traces import character_values
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"

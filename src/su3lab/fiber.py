@@ -65,20 +65,24 @@ _SHIFT.setflags(write=False)
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kappa(a, b) = a b a^-1 b^-1, renormalized; a and b share one shape.
-
-    Inverses are conjugate transposes, exact for unitary input.
+    """kappa(a, b) = a b a^-1 b^-1: renormalize of the raw product that
+    fiber_residual measures; a and b share one shape.  Inverses are
+    conjugate transposes, exact for unitary input.
     """
-    _check_layout(a, b)
-    # renormalize refuses the NaN of an inf entry; numpy need not warn first.
-    with np.errstate(invalid="ignore"):
-        return renormalize(a @ b @ dagger(b @ a))
+    return renormalize(_raw_commutator(a, b))
 
 
 def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Entrywise max distance of the raw product a b a^-1 b^-1 from c;
-    accepts two stacks of one shape, with labels c that broadcast against
-    them, and a single pair gives a numpy scalar.
+    """Entrywise max distance from c of the raw product a b a^-1 b^-1 that
+    commutator renormalizes; accepts two stacks of one shape, with labels
+    c that broadcast against them, and a single pair gives a numpy scalar.
+    """
+    _check_layout(c)
+    return np.abs(_raw_commutator(a, b) - c).max(axis=(-2, -1))
+
+
+def _raw_commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b (b a)^H for two stacks of one shape, as a new array of that shape.
 
     Stacks run on planes: three planar products, ab, ba and ab (ba)^H.  A
     lone pair runs the same three products on its entries as Python
@@ -86,17 +90,15 @@ def fiber_residual(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     and every RepPoint pays it once.
     """
     _check_layout(a, b)
-    _check_layout(c)
     if np.ndim(a) == 2:
         x, y = _entries(a), _entries(b)
-        comm = _matrix(_product3_dagger(_product3(x, y), _product3(y, x)))
-        return np.abs(comm - c).max(axis=(-2, -1))
+        return _matrix(_product3_dagger(_product3(x, y), _product3(y, x)))
     shape = np.shape(a)
     a, b = _plane_major(a), _plane_major(b)
-    ab = _planar_product(a, b)
-    ba = _planar_product(b, a)
-    comm = _planar_product(ab, dagger(ba))
-    return np.abs(comm.reshape(shape) - c).max(axis=(-2, -1))
+    # An overflowing or non-finite entry gives NaN or inf; numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        comm = _planar_product(_planar_product(a, b), dagger(_planar_product(b, a)))
+    return comm.reshape(shape)
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,8 @@ flow raises TrivialFlowError instead of silently doing nothing.
 One flow step runs under both twist_flow (a stack of one) and
 flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): both
 copy their pairs once on entry through su3's one pair check, which
-refuses anything but two (n, 3, 3) stacks of one shape without NaN or
-inf entries, and return new stacks, as the word engine does.  In a step,
+refuses anything but two (n, 3, 3) stacks of one shape on SU(3) within
+UNITARITY_TOL, and return new stacks, as the word engine does.  In a step,
 a b on the alpha_beta rows and a b^H on the alpha_beta_inv rows are one
 planar product over the whole stack, formed only when some row's curve
 needs it; each row's x, and then each row's new a and b, are picked with
@@ -159,8 +159,8 @@ def flow_walk_stack(
     Renormalizes both stacks every RENORM_CADENCE steps.  Copies its pairs
     once on entry and returns new plane-major stacks, as apply_word_stack
     does.  Inputs are not modified.  Raises InvalidGroupElementError unless
-    a and b are (n, 3, 3) stacks of one shape with no NaN or inf entry, at
-    any number of steps.
+    a and b are (n, 3, 3) stacks of one shape on SU(3) within
+    UNITARITY_TOL, NaN and inf entries refused, at any number of steps.
     """
     a, b = _pair_stacks(a, b)
     n = len(a)

@@ -172,8 +172,8 @@ def apply_word_stack(
 
     indices has shape (n, length), integer letter indices over the order
     "a", "A", "b", "B"; rows evolve independently.  Raises
-    InvalidGroupElementError unless a and b are (n, 3, 3) stacks with no
-    NaN or inf entry, and InvalidArgumentError unless indices is a 2-D
+    InvalidGroupElementError unless a and b are (n, 3, 3) stacks on SU(3)
+    within UNITARITY_TOL, and InvalidArgumentError unless indices is a 2-D
     integer array with entries in 0..3.
 
     Returns new plane-major stacks (see su3lab.su3).  The rows run in

@@ -2,7 +2,7 @@
 
 Conventions used throughout the package:
 
-- Group elements are 3x3 complex arrays U with U @ dagger(U) = Id and
+- Group elements are 3x3 complex arrays U with dagger(U) @ U = Id and
   det U = 1, both within UNITARITY_TOL.
 - Algebra elements are traceless anti-Hermitian 3x3 complex arrays.
 - The invariant pairing on the algebra is <X, Y> = Tr(X Y), which is real
@@ -43,9 +43,9 @@ RENORM_CADENCE = 64
 
 # renormalize refuses inputs whose Gram defect d = max |u^H u - Id| is
 # above this.  Products of exact starts reach it with d below 1e-12.  A
-# RepPoint may sit UNITARITY_TOL off SU(3): each factor then has singular
-# values with |s^2 - 1| <= (1 + sqrt 3) UNITARITY_TOL, and 8 letters
-# multiply at most F(10) = 55 factors, so d <= 1.5e-7 to first order.
+# RepPoint bounds d by UNITARITY_TOL (unitarity_defect): each factor then
+# has singular values with |s^2 - 1| <= (1 + sqrt 3) UNITARITY_TOL, and 8
+# letters multiply at most F(10) = 55 factors, so d <= 1.5e-7 to first order.
 RENORM_GUARD = 2e-7
 
 # Below this c1 = tr(Q^2)/2 exp_algebra sums its Taylor series: there the
@@ -87,28 +87,21 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Largest entrywise deviation of u dagger(u) from Id, plus the
-    determinant's distance from 1, maximized over any batch (0 when empty)."""
+    """Largest entrywise deviation of u^H u from Id, the Gram defect that
+    renormalize bounds, plus |det u - 1|, maximized over any batch (0 when
+    empty, NaN or inf for a non-finite or overflowing entry)."""
     u = np.asarray(u, dtype=complex)
     _check_layout(u)
     if u.ndim == 2:
         e = _entries(u)
-        g = _product3_dagger(e, e)
-        # The diagonal's real parts sum every squared modulus, so a NaN or
-        # inf entry makes their sum NaN or inf; Python's max skips a NaN
-        # that is not its first argument.
-        if not math.isfinite(g[0].real + g[4].real + g[8].real):
-            return math.nan
-        return max(
-            abs(g[0] - 1.0), abs(g[1]), abs(g[2]),
-            abs(g[3]), abs(g[4] - 1.0), abs(g[5]),
-            abs(g[6]), abs(g[7]), abs(g[8] - 1.0),
-            abs(_det3((e[:3], e[3:6], e[6:])) - 1.0),
-        )
-    # The callers refuse the NaN of a NaN or inf entry; numpy need not warn.
-    with np.errstate(invalid="ignore"):
-        gram = np.abs(u @ dagger(u) - IDENTITY).max(initial=0.0)
-        det = np.abs(np.linalg.det(u) - 1.0).max(initial=0.0)
+        # A NaN Gram defect is max's first argument, so it is kept.
+        return max(_gram_defect3(e)[1], abs(_det3((e[:3], e[3:6], e[6:])) - 1.0))
+    # The callers refuse the NaN or inf of a non-finite or overflowing
+    # entry; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _plane_major(u)
+        gram = np.abs(_gram_defect_planes(u)).max(initial=0.0)
+        det = np.abs(_det3(u.transpose(1, 2, 0)) - 1.0).max(initial=0.0)
     return float(max(gram, det))
 
 
@@ -206,9 +199,7 @@ def _exp_planes(x: np.ndarray) -> np.ndarray:
         out[i, i] += f0
     squaring = c1 > EXP_SQUARING_C1
     if squaring.any():
-        # x[squaring] is a C-ordered stack, as the planes' p[:, :, squaring]
-        # was, so the nested c0 sum keeps its order.
-        half = _exp_planes(x[squaring] / 2)
+        half = _exp_planes(_plane_major(x[squaring] / 2))
         out[:, :, squaring] = _planar_product(half, half).transpose(1, 2, 0)
     return out.transpose(2, 0, 1)
 
@@ -455,12 +446,12 @@ def _det3(rows):
 
 
 # Lone matrices: the single-pair paths (apply_word, and renormalize,
-# unitarity_defect and fiber_residual on one matrix) hold a 3x3 matrix as
-# its row-major 9-tuple of Python complex numbers.  Arithmetic on them
-# skips numpy's per-call dispatch, which costs about as much as the 27
-# complex products of a 3x3 product: on a shared 2-core x86_64 host a
-# _product3 took 1.6-1.9 us against 1.8-2.2 us for numpy's zgemm call,
-# and _renormalize3 4-6 us against 10-18 us on zgemm calls.
+# unitarity_defect, commutator and fiber_residual on one matrix or pair)
+# hold a 3x3 matrix as its row-major 9-tuple of Python complex numbers.
+# Arithmetic on them skips numpy's per-call dispatch, which costs about as
+# much as the 27 complex products of a 3x3 product: on a shared 2-core
+# x86_64 host a _product3 took 1.6-1.9 us against 1.8-2.2 us for numpy's
+# zgemm call, and _renormalize3 4-6 us against 10-18 us on zgemm calls.
 # Every sum over an index is added left to right, as on the planes.
 
 
@@ -511,12 +502,11 @@ def _product3_dagger(x, y) -> tuple:
     )
 
 
-def _renormalize3(u) -> tuple:
-    """renormalize on one matrix's entries, with _renormalize_planes'
-    formulas: the three upper Gram entries sum_k conj(u_ki) u_kj, the
-    squared column norms minus 1 on the diagonal, one Newton-Schulz step
-    and the first column divided by _det3.  Refuses, as _check_drift does,
-    a Gram defect above RENORM_GUARD, and a NaN or inf entry."""
+def _gram_defect3(u) -> tuple:
+    """u^H u - Id on one matrix's entries, with _gram_defect_planes'
+    formulas: its six entries (d0, d1, d2, g01, g02, g12) on and above the
+    diagonal, and their largest modulus, NaN for a non-finite or
+    overflowing entry."""
     u0, u1, u2, u3, u4, u5, u6, u7, u8 = u
     c0, c1, c2 = u0.conjugate(), u1.conjugate(), u2.conjugate()
     c3, c4, c5 = u3.conjugate(), u4.conjugate(), u5.conjugate()
@@ -528,12 +518,20 @@ def _renormalize3(u) -> tuple:
     d0 = (c0 * u0).real + (c3 * u3).real + (c6 * u6).real - 1.0
     d1 = (c1 * u1).real + (c4 * u4).real + (c7 * u7).real - 1.0
     d2 = (c2 * u2).real + (c5 * u5).real + (c8 * u8).real - 1.0
+    gram = (d0, d1, d2, g01, g02, g12)
     # The diagonal sums every squared modulus, so a NaN or inf entry makes
-    # its sum NaN or inf; Python's max below skips a NaN that is not first.
-    trace = d0 + d1 + d2
-    if not math.isfinite(trace):
-        _check_drift(trace)
-    _check_drift(max(abs(d0), abs(d1), abs(d2), abs(g01), abs(g02), abs(g12)))
+    # its sum NaN or inf; Python's max skips a NaN that is not first.
+    if not math.isfinite(d0 + d1 + d2):
+        return gram, math.nan
+    return gram, max(abs(d0), abs(d1), abs(d2), abs(g01), abs(g02), abs(g12))
+
+
+def _renormalize3(u) -> tuple:
+    """renormalize on one matrix's entries, with _renormalize_planes'
+    formulas: _gram_defect3 under _check_drift, one Newton-Schulz step and
+    the first column divided by _det3."""
+    (d0, d1, d2, g01, g02, g12), defect = _gram_defect3(u)
+    _check_drift(defect)
     # (3 Id - u^H u) / 2, written over u^H u - Id.
     f01, f02, f12 = -0.5 * g01, -0.5 * g02, -0.5 * g12
     q0, q1, q2, q3, q4, q5, q6, q7, q8 = _product3(u, (
@@ -560,12 +558,12 @@ def _renormalize3(u) -> tuple:
 def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Fresh plane-major copies of a and b, refused with
     InvalidGroupElementError unless they are two (n, 3, 3) stacks of one
-    shape with no NaN or inf entry.
+    shape that pass assert_special_unitary, as RepPoint's matrices must.
 
     This is the entry of both orbit engines and of twist_flow.  Past it,
     exp_algebra checks only each row's x and renormalize runs only on
-    cadence, so without this check a NaN could ride to the end of a short
-    walk or word.
+    cadence, so without this check a NaN, or a pair far off SU(3), could
+    ride to the end of a short walk or word.
     Always copies, so the engines never write the caller's memory: a
     C-ordered 1-row stack is plane-major already.
     """
@@ -575,8 +573,8 @@ def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.ndim != 3:
         raise InvalidGroupElementError(f"expected (n, 3, 3) stacks, got shape {a.shape}")
     a, b = (u.transpose(1, 2, 0).copy().transpose(2, 0, 1) for u in (a, b))
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise InvalidGroupElementError("stack has a NaN or inf entry")
+    assert_special_unitary(a)
+    assert_special_unitary(b)
     return a, b
 
 
@@ -626,9 +624,9 @@ def _renormalize_planes(u: np.ndarray) -> np.ndarray:
     Newton-Schulz step and first-column phase, with the cofactor
     determinant taken on the plane rows.  Returns a new stack; u is not
     written."""
-    # An inf entry makes inf * 0 in the Gram product; the guard refuses
-    # the result, so numpy need not warn about it first.
-    with np.errstate(invalid="ignore"):
+    # An inf entry makes inf * 0 in the Gram product and a huge one
+    # overflows; the guard refuses the result, so numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
         factor = _gram_defect_planes(u)
         defect = np.abs(factor).max(initial=0.0)
     _check_drift(defect)

@@ -43,7 +43,11 @@ values, fiber residual and Gram defect are checked against their matmul
 forms on 0, 1 and 1000 rows, on nested stacks, read-only broadcast views
 and a lone pair, the five pair kernels are checked to refuse two stacks
 of different shapes, and the Gram defect is checked to be exactly
-Hermitian.
+Hermitian.  commutator is checked to be, bit for bit, renormalize of the
+raw product whose distance fiber_residual measures, unitarity_defect to
+read u^H u - Id on a lone matrix and on stacks, exp_algebra's squaring
+branch to be the planar square of a top-level exp_algebra(x / 2), and
+both engines to refuse a finite pair off SU(3) on entry.
 """
 
 import warnings
@@ -72,6 +76,7 @@ from oracle_kernels import (
     flow_step_matmul,
     flow_walk_matmul,
     gram_defect_matmul,
+    product_loop,
     renormalize_loop,
     renormalize_matmul,
     renormalize_svd,
@@ -104,6 +109,7 @@ from su3lab.su3 import (
     _plane_major,
     haar_random,
     renormalize,
+    unitarity_defect,
     unitary_eigensystem,
 )
 from su3lab.traces import (
@@ -198,6 +204,16 @@ def test_exp_zero_is_identity_without_warnings():
         out = exp_algebra(mixed)
     assert np.array_equal(out[::2], np.broadcast_to(IDENTITY, (3, 3, 3)))
     assert_exp_exact(mixed)
+
+
+def test_exp_squaring_is_the_planar_square_of_the_half():
+    """Above EXP_SQUARING_C1, exp_algebra(x) is bit for bit the planar
+    square of a top-level exp_algebra(x / 2): the nested level gets its
+    elements plane-major, as the top level does, so its c0 sum runs in the
+    same order.  200 Gaussian elements at c1 = 100."""
+    x = algebra_from_coords(coords_with_c1(make_rng(32), 100.0, 200))
+    half = exp_algebra(x / 2)
+    assert np.array_equal(exp_algebra(x), _planar_product(half, half))
 
 
 def test_exp_keeps_batch_shape():
@@ -913,6 +929,23 @@ def test_engines_refuse_non_finite_input(bad, element):
         assert [m.shape for m in out] == [(0, 3, 3)] * 2
 
 
+@pytest.mark.parametrize("scale", [2.0, 1 + 1e-6])
+@pytest.mark.parametrize("element", [0, 1])
+def test_engines_refuse_pairs_off_the_group(scale, element):
+    """One finite row off SU(3), in a or in b, is refused on entry with the
+    error RepPoint raises, so a word shorter than WORD_RENORM_CADENCE and
+    a walk shorter than RENORM_CADENCE, which never reach the
+    renormalization guard, cannot return its drift grown."""
+    rng = make_rng(31)
+    pair = [haar_random(rng, size=4), haar_random(rng, size=4)]
+    pair[element][1] *= scale
+    indices = mcg.random_word_indices(4, mcg.WORD_RENORM_CADENCE - 1, rng)
+    with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
+        mcg.apply_word_stack(indices, *pair)
+    with pytest.raises(InvalidGroupElementError, match="away from the special unitary"):
+        flows.flow_walk_stack(*pair, flows.RENORM_CADENCE - 1, rng)
+
+
 def with_index(indices: np.ndarray, letter: int) -> np.ndarray:
     indices = indices.copy()
     indices[1, 2] = letter
@@ -1099,6 +1132,45 @@ def test_planar_characters_and_residual_on_a_lone_pair():
     assert r == fiber_residual_loop(a[1], b[1], c)
     assert abs(r - fiber_residual_matmul(a[1], b[1], c)) <= PLANAR_TOL
     assert fiber.fiber_residual(a[0], b[0], c) <= FIBER_TOL
+
+
+@pytest.mark.parametrize("rows", [0, 1, 40])
+def test_commutator_renormalizes_the_residual_product(rows):
+    """commutator is, bit for bit, renormalize of the raw product
+    a b (b a)^H whose distance fiber_residual measures: on a lone pair
+    against the nested loops, and on a stack against the planar products
+    and row by row against 1-row stacks; the residual from that product
+    is exactly 0 on both."""
+    a, b, _ = stack_pairs(rows)
+    for i in range(rows):
+        x, y = entries_loop(a[i]), entries_loop(b[i])
+        raw = product_loop(product_loop(x, y), product_loop(y, x), conjugate_transpose=True)
+        assert np.array_equal(fiber.commutator(a[i], b[i]), np.array(renormalize_loop(raw)))
+        assert fiber.fiber_residual(a[i], b[i], np.array(raw)) == 0.0
+    raw = _planar_product(_planar_product(a, b), dagger(_planar_product(b, a)))
+    comm = fiber.commutator(a, b)
+    assert np.array_equal(comm, renormalize(raw))
+    assert not fiber.fiber_residual(a, b, raw).any()
+    for i in range(rows):
+        assert np.array_equal(comm[i], fiber.commutator(a[i : i + 1], b[i : i + 1])[0])
+
+
+def test_unitarity_defect_reads_the_column_gram():
+    """unitarity_defect reads u^H u - Id, the Gram defect that renormalize
+    bounds, and not u u^H - Id: on u = V (Id + 1e-10 K), with Haar V and
+    K = e01 + e10, the columns are 2.0e-10 off orthonormal, the rows
+    1.44e-10 and the determinant 2.5e-16 off 1.  A lone matrix, a 1-row stack
+    and a stack that holds it all read the column defect."""
+    v = haar_random(make_rng(34))
+    k = np.zeros((3, 3))
+    k[0, 1] = k[1, 0] = 1.0
+    u = v @ (IDENTITY + 1e-10 * k)
+    want = np.abs(gram_defect_matmul(u)).max()
+    assert want == pytest.approx(2e-10, rel=1e-6)
+    assert np.abs(u @ dagger(u) - IDENTITY).max() < 1.5e-10
+    assert abs(np.linalg.det(u) - 1.0) < 1e-15
+    for m in (u, u[None], np.stack([v, u, v])):
+        assert abs(unitarity_defect(m) - want) <= 1e-15
 
 
 @pytest.mark.parametrize("rows", [0, 1, 1000])

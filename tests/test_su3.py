@@ -266,6 +266,26 @@ def test_checks_refuse_non_finite_input(rng, bad):
             exp_algebra(args)
 
 
+def test_checks_refuse_overflowing_entries_without_warnings(rng):
+    """Finite entries of 1e200 overflow the Gram and commutator products.
+    The callers refuse the inf or NaN with no numpy warning first, on a
+    lone matrix and on a stack: renormalize and commutator raise the drift
+    error, unitarity_defect and fiber_residual read NaN or inf, and
+    assert_special_unitary raises."""
+    u = haar_random(rng, size=3) * 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (u, u[0]):
+            with pytest.raises(DriftExplosionError):
+                renormalize(m)
+            with pytest.raises(DriftExplosionError):
+                commutator(m, m)
+            assert not np.isfinite(unitarity_defect(m))
+            assert not np.isfinite(fiber_residual(m, m, IDENTITY)).any()
+            with pytest.raises(InvalidGroupElementError):
+                assert_special_unitary(m)
+
+
 @pytest.mark.parametrize("position", range(9))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_lone_path_refuses_non_finite_entry_anywhere(bad, position, rng):
