@@ -22,10 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FiberMismatchError, InvalidGroupElementError
+from .errors import FiberMismatchError, InvalidArgumentError, InvalidGroupElementError
 from .su3 import (
     IDENTITY,
     OMEGA,
+    _check_finite,
     _check_layout,
     _entries,
     _matrix,
@@ -55,6 +56,11 @@ RANK_TOL = 1e-8
 # (~1e-14) and below the smallest nonzero singular value a regular element
 # can produce away from the regularity boundary.
 NULLSPACE_TOL = 1e-8
+
+# _full_rank_rows certifies full rank where the smaller Gram matrix less
+# this floor times max(1, |m|_F^2) is positive definite: s_min >= 1e-3
+# max(1, |m|_F), five decades above both rank thresholds.
+_FULL_RANK_FLOOR = 1e-6
 
 _EYE8 = np.eye(8)
 
@@ -160,31 +166,84 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def d_kappa_rank(m: np.ndarray) -> np.ndarray:
-    """Numerical rank of differential matrices by singular value threshold.
+    """Numerical rank of real differential matrices by singular value
+    threshold.
 
     The threshold is anchored at unit scale as well as at the largest
     singular value: the differential's blocks are built from orthogonal
     matrices, so a matrix that is all roundoff has rank 0, not the count
-    of its noise values.  Accepts stacks; a single matrix gives a numpy
-    integer.
+    of its noise values.  Each rank is the SVD's: a matrix that
+    _full_rank_rows certifies has s_min >= 1e-3 max(1, |m|_F), five
+    decades above RANK_TOL max(s_0, 1), so its SVD would count every
+    singular value, and only the other matrices run the SVD.  Accepts
+    stacks; a single matrix gives a numpy integer.  A NaN or inf entry is
+    refused with InvalidArgumentError.
     """
-    s = np.linalg.svd(m, compute_uv=False)
-    top = np.maximum(s[..., 0], 1.0)
-    return np.sum(s > RANK_TOL * top[..., None], axis=-1)
+    m = np.asarray(m, dtype=float)
+    _check_finite(m, error=InvalidArgumentError)
+    return _rank_rows(m, lambda s: s > RANK_TOL * np.maximum(s[..., :1], 1.0))
 
 
 def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dimension of the joint fixed space of Ad(a) and Ad(b).
 
-    Computed as the joint nullspace of the stacked 16x8 matrix; a and b
-    share one shape (an integer array results; a pair gives a numpy integer).
+    Computed as the joint nullspace of the stacked 16x8 matrix S, with
+    singular values above NULLSPACE_TOL counted as nonzero.  Each count is
+    the SVD's: a matrix that _full_rank_rows certifies has s_min >= 1e-3,
+    five decades above NULLSPACE_TOL, so its nullspace is 0 without an
+    SVD.  a and b share one shape (an integer array results; a pair gives
+    a numpy integer).
     """
     _check_layout(a, b)
     stacked = np.concatenate(
         [adjoint_matrix(a) - _EYE8, adjoint_matrix(b) - _EYE8], axis=-2
     )
-    s = np.linalg.svd(stacked, compute_uv=False)
-    return 8 - np.sum(s > NULLSPACE_TOL, axis=-1)
+    return 8 - _rank_rows(stacked, lambda s: s > NULLSPACE_TOL)
+
+
+def _rank_rows(m: np.ndarray, nonzero) -> np.ndarray:
+    """The count of singular values that nonzero(s) keeps, for each matrix
+    of m: min(p, q) for the (..., p, q) matrices _full_rank_rows
+    certifies, and the SVD's count, with nonzero read on the (rows, k)
+    singular values, for the others alone."""
+    flat = m.reshape((-1,) + m.shape[-2:])
+    rank = np.full(flat.shape[0], min(m.shape[-2:]), dtype=np.intp)
+    rest = ~_full_rank_rows(flat)
+    if rest.any():
+        s = np.linalg.svd(flat[rest], compute_uv=False)
+        rank[rest] = np.sum(nonzero(s), axis=-1)
+    return rank.reshape(m.shape[:-2])[()]
+
+
+def _full_rank_rows(m: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, p, q) stack, whether it certainly has full
+    rank k = min(p, q): True where it is finite and the k x k Gram matrix
+    G (m m^T or m^T m) less _FULL_RANK_FLOOR max(1, |m|_F^2) Id has a
+    Cholesky factor with every pivot > 0.
+
+    A Cholesky factorization that runs to completion proves its matrix
+    positive definite up to a backward error of a few ulps times |G|, so
+    a True row has s_min^2 above the floor, far above the roundoff of G and
+    of its factor.  The factor runs on the stack one pivot at a time, so
+    each row gets its own answer, where LAPACK's fails the whole stack; a
+    failed row computes on quietly and stays False (NaN > 0 is False), and
+    a row with a NaN or inf entry is False by the finiteness test.
+    """
+    p, q = m.shape[-2:]
+    k = min(p, q)
+    ok = np.isfinite(m).all(axis=(-2, -1))
+    diag = np.arange(k)
+    with np.errstate(all="ignore"):
+        mt = np.swapaxes(m, -1, -2)
+        gram = m @ mt if p <= q else mt @ m
+        scale = np.maximum(gram[:, diag, diag].sum(axis=-1), 1.0)
+        gram[:, diag, diag] -= _FULL_RANK_FLOOR * scale[:, None]
+        for j in range(k):
+            pivot = gram[:, j, j]
+            ok &= pivot > 0
+            col = gram[:, j + 1 :, j] / np.sqrt(pivot)[:, None]
+            gram[:, j + 1 :, j + 1 :] -= col[:, :, None] * col[:, None, :]
+    return ok
 
 
 def base_point(c: np.ndarray) -> RepPoint:

@@ -19,6 +19,7 @@ this to drive thousands of trajectories in lockstep.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -287,28 +288,45 @@ def _build_algebra_basis() -> np.ndarray:
 ALGEBRA_BASIS = _build_algebra_basis()
 ALGEBRA_BASIS.setflags(write=False)
 
-# L and R of adjoint_matrix's Kronecker form.
-_ADJ_LEFT = np.ascontiguousarray(ALGEBRA_BASIS.swapaxes(1, 2).reshape(8, 9))
-_ADJ_RIGHT = np.ascontiguousarray(ALGEBRA_BASIS.reshape(8, 9).T)
-_ADJ_LEFT.setflags(write=False)
-_ADJ_RIGHT.setflags(write=False)
+
+@functools.cache
+def _adjoint_gemm() -> np.ndarray:
+    """The read-only (162, 64) real matrix W of adjoint_matrix's one
+    product, built on first use: built at import, it raised the peak
+    memory of runs that never call adjoint_matrix by 0.1-0.2 MB.
+
+    Entry (j, k) of Ad(g) is -Re Tr(g E_k g^H E_j) = -Re sum C[r, c] K[r, c]
+    over the Kronecker product K = g (x) conj(g), K[3a + d, 3b + c] =
+    g[a, b] conj(g[d, c]), with C[3a + d, 3b + c] = E_j[d, a] E_k[b, c].
+    Read as reals, K's r, c entry is the pair (Re K, Im K), and -Re(C K) =
+    -Re C Re K + Im C Im K: so W's rows are -Re C and Im C interleaved, and
+    its column 8 j + k is entry (j, k).
+    """
+    coeff = np.einsum("jda,kbc->adbcjk", ALGEBRA_BASIS, ALGEBRA_BASIS).reshape(81, 64)
+    w = np.stack([-coeff.real, coeff.imag], axis=1).reshape(162, 64)
+    w.setflags(write=False)
+    return w
 
 
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS.
 
-    Entry (j, k) is -Re Tr(g E_k g^H E_j).  With the Kronecker product
-    K = g (x) conj(g), K[3a + d, 3b + c] = g[a, b] conj(g[d, c]), this is
-    -Re(L K R) for the fixed 8x9 matrix L[j, 3a + d] = E_j[d, a] and 9x8
-    matrix R[3b + c, k] = E_k[b, c]: two small matrix products per element.
+    Entry (j, k) is -Re Tr(g E_k g^H E_j), linear in the 81 entries of the
+    Kronecker product g (x) conj(g): so the stack's Kronecker products,
+    read as (n, 162) reals, times the fixed (162, 64) matrix
+    _adjoint_gemm() give all n matrices in one real matrix product.
     Orthogonal, because conjugation preserves the pairing.  Accepts stacks
-    (returns ...x8x8).
+    (returns ...x8x8); a NaN or inf entry is refused with
+    InvalidGroupElementError, before numpy can warn.
     """
     g = np.asarray(g, dtype=complex)
     _check_layout(g)
-    kron = g[..., :, None, :, None] * np.conjugate(g)[..., None, :, None, :]
-    kron = kron.reshape(g.shape[:-2] + (9, 9))
-    return -np.real(_ADJ_LEFT @ kron @ _ADJ_RIGHT)
+    _check_finite(g)
+    # Row-major whatever g's layout, so that its rows read as reals.
+    kron = np.empty(g.shape[:-2] + (3, 3, 3, 3), dtype=complex)
+    np.multiply(g[..., :, None, :, None], np.conjugate(g)[..., None, :, None, :], out=kron)
+    adj = kron.reshape(-1, 81).view(np.float64) @ _adjoint_gemm()
+    return adj.reshape(g.shape[:-2] + (8, 8))
 
 
 def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
@@ -340,9 +358,12 @@ def eigenvalue_angles(u: np.ndarray) -> np.ndarray:
     """Eigenvalue angles in turns, sorted ascending; accepts stacks.
 
     Uses the general eigenvalue solver (no eigenvectors), adequate whenever
-    only the spectrum is needed; use unitary_eigensystem for a frame.
+    only the spectrum is needed; use unitary_eigensystem for a frame.  A
+    NaN or inf entry is refused with InvalidGroupElementError.
     """
-    lam = np.linalg.eigvals(np.asarray(u, dtype=complex))
+    u = np.asarray(u, dtype=complex)
+    _check_finite(u)
+    lam = np.linalg.eigvals(u)
     return np.sort(np.mod(np.angle(lam) / (2 * np.pi), 1.0), axis=-1)
 
 
@@ -597,6 +618,14 @@ def _check_layout(*arrays, error: type[Exception] = InvalidGroupElementError) ->
     for u in arrays[1:]:
         if np.shape(u) != shape:
             raise error(f"expected stacks of one shape, got {shape} and {np.shape(u)}")
+
+
+def _check_finite(u: np.ndarray, error: type[Exception] = InvalidGroupElementError) -> None:
+    """Refuse, with `error`, an array with a NaN or inf entry: the kernels
+    that call it would otherwise warn in numpy, fail untyped inside LAPACK,
+    or return a number for it."""
+    if not np.isfinite(u).all():
+        raise error("expected finite entries, got NaN or inf")
 
 
 def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -12,8 +12,10 @@ that the planar su3lab.mcg.apply_word_stack replaced, the masked
 gather-matmul-scatter flow step and walk that the planar su3lab.flows
 engine replaced, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
-Kronecker su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
-su3lab.traces.angles_have_relation replaced, the matmul character values,
+one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
+su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
+the Gram-Cholesky full-rank check in su3lab.fiber.d_kappa_rank and
+su3lab.fiber.centralizer_intersection spares, the matmul character values,
 fiber residual and Gram defect that the planar ones in su3lab.traces,
 su3lab.fiber and su3lab.su3 replaced, with the stacked trace they took,
 real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS with a
@@ -31,6 +33,7 @@ import operator
 import numpy as np
 import scipy.linalg
 
+from su3lab.fiber import NULLSPACE_TOL, RANK_TOL
 from su3lab.flows import TWIST_TIME_BOUND
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
@@ -324,6 +327,26 @@ def adjoint_matrix_einsum(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
     return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
+
+
+def d_kappa_rank_svd(m: np.ndarray) -> np.ndarray:
+    """Singular values above RANK_TOL max(s_0, 1), counted by one SVD of
+    every matrix; accepts stacks."""
+    s = np.linalg.svd(m, compute_uv=False)
+    top = np.maximum(s[..., 0], 1.0)
+    return np.sum(s > RANK_TOL * top[..., None], axis=-1)
+
+
+def centralizer_intersection_svd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """8 less the singular values above NULLSPACE_TOL of the stacked
+    [Ad(a) - Id; Ad(b) - Id], from the einsum adjoint and one SVD of every
+    matrix; accepts stacks."""
+    eye = np.eye(8)
+    stacked = np.concatenate(
+        [adjoint_matrix_einsum(a) - eye, adjoint_matrix_einsum(b) - eye], axis=-2
+    )
+    s = np.linalg.svd(stacked, compute_uv=False)
+    return 8 - np.sum(s > NULLSPACE_TOL, axis=-1)
 
 
 def angles_have_relation_grid(angles: np.ndarray) -> np.ndarray:

@@ -24,13 +24,16 @@ numpy-scalar form within 1e-13 on words of at most 16 letters.  unitary_eigensys
 angles bit for bit, the frame up to column phases, bit for bit on
 diagonal fiber labels, and on the fiber at repeated eigenvalues of
 non-normal input.  The rank-census layers are checked against the
-two-einsum adjoint matrix and the full-grid relation search: the relation
-verdicts on Haar angles and on planted relations at every height, the
-adjoint matrix to roundoff, and the ranks, intersections and genericity
-flags they feed.  The last tests run both orbit engines against their
-reference forms: the planar flow step against the masked matmul step
-with the spectral exponential on every curve and trace part, the planar
-flow walk against the matmul walk with SVD renormalization on 0, 1 and
+two-einsum adjoint matrix, an SVD of every matrix and the full-grid
+relation search: the relation verdicts on Haar angles and on planted
+relations at every height, the adjoint matrix to roundoff, and the
+ranks, intersections and genericity flags they feed.  The full-rank
+check is checked on planted spectra on both sides of its floor and of
+both rank thresholds, on near-commuting pairs, to send only the rows it
+cannot settle to the SVD, and to send non-finite rows there.  The last
+tests run both orbit engines against their reference forms: the planar
+flow step against the masked matmul step with the spectral exponential
+on every curve and trace part, the planar flow walk against the matmul walk with SVD renormalization on 0, 1 and
 1000 rows, and the planar word-stack engine against the four-mask matmul
 one.  They also check that a word stack applied in pieces cut at
 multiples of the renormalization cadence gives the bits of one call, that
@@ -66,7 +69,9 @@ from oracle_kernels import (
     apply_word_loop,
     apply_word_matmul,
     apply_word_stack_matmul,
+    centralizer_intersection_svd,
     character_values_matmul,
+    d_kappa_rank_svd,
     dagger_conjugate,
     det_loop,
     exp_algebra_eigh,
@@ -77,6 +82,7 @@ from oracle_kernels import (
     flow_walk_matmul,
     gram_defect_matmul,
     product_loop,
+    random_algebra,
     renormalize_loop,
     renormalize_matmul,
     renormalize_svd,
@@ -86,8 +92,12 @@ from su3lab import cli, fiber, flows, mcg, traces
 from su3lab.errors import DriftExplosionError, InvalidGroupElementError
 from su3lab.experiments import matrix_from_c_spec
 from su3lab.fiber import (
+    _FULL_RANK_FLOOR,
     FIBER_TOL,
+    NULLSPACE_TOL,
+    RANK_TOL,
     RepPoint,
+    _full_rank_rows,
     base_point,
     centralizer_intersection,
     d_kappa_matrix,
@@ -762,10 +772,8 @@ def test_adjoint_matrix_matches_einsum_form():
     assert np.abs(adjoint_matrix(nested) - adjoint_matrix_einsum(nested)).max() <= 1e-15
 
 
-def test_rank_layers_match_reference_kernels(monkeypatch):
-    """Ranks, centralizer intersections and genericity flags from the
-    Kronecker adjoint and the half-grid search equal those from the einsum
-    adjoint and the full grid, on Haar pairs and on commuting pairs whose
+def mixed_rank_pairs():
+    """2000 pairs: rows 0..1499 Haar, and rows 1500 on commuting pairs whose
     second element carries a planted relation."""
     rng = make_rng(3333)
     a = haar_random(rng, 2000)
@@ -780,17 +788,29 @@ def test_rank_layers_match_reference_kernels(monkeypatch):
     b_diag = np.exp(2j * np.pi * planted_relations(rng, m))
     a[1500:] = (v * a_diag[:, None, :]) @ dagger(v)
     b[1500:] = (v * b_diag[:, None, :]) @ dagger(v)
+    return a, b
+
+
+def test_rank_layers_match_reference_kernels(monkeypatch):
+    """Ranks, centralizer intersections and genericity flags from the
+    one-GEMM adjoint, the full-rank check and the half-grid search equal
+    those from the einsum adjoint, an SVD of every matrix and the full
+    grid, on Haar pairs and on commuting pairs whose second element
+    carries a planted relation."""
+    a, b = mixed_rank_pairs()
 
     def layers():
         return (
-            d_kappa_rank(d_kappa_matrix(a, b)),
-            centralizer_intersection(a, b),
+            fiber.d_kappa_rank(d_kappa_matrix(a, b)),
+            fiber.centralizer_intersection(a, b),
             is_generic(a),
             is_generic(b),
         )
 
     fast = layers()
     monkeypatch.setattr(fiber, "adjoint_matrix", adjoint_matrix_einsum)
+    monkeypatch.setattr(fiber, "d_kappa_rank", d_kappa_rank_svd)
+    monkeypatch.setattr(fiber, "centralizer_intersection", centralizer_intersection_svd)
     monkeypatch.setattr(traces, "angles_have_relation", angles_have_relation_grid)
     slow = layers()
     for x, y in zip(fast, slow):
@@ -800,6 +820,167 @@ def test_rank_layers_match_reference_kernels(monkeypatch):
     assert (ranks[:1500] == 8).all() and (ranks[1500:] < 8).all()
     assert (inters[1500:] > 0).all()
     assert not generic_b[1500:].any()
+
+
+def planted_spectra(rng: np.random.Generator, s: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Real p x q matrices U diag(s) V^T, one per row of the (n, min(p, q))
+    singular values s, with Haar-like orthonormal U and V."""
+    k = min(p, q)
+    u, _ = np.linalg.qr(rng.standard_normal((len(s), p, k)))
+    v, _ = np.linalg.qr(rng.standard_normal((len(s), q, k)))
+    return (u * s[:, None, :]) @ np.swapaxes(v, -1, -2)
+
+
+def spectra_across_the_thresholds() -> np.ndarray:
+    """Rows of 8 singular values whose smallest sits at half and at twice
+    the full-rank floor's edge, sqrt(_FULL_RANK_FLOOR max(1, |s|^2)), of
+    RANK_TOL max(s_0, 1) and of NULLSPACE_TOL, with the top one below,
+    at and above unit scale, and one or two values that small."""
+    rows = []
+    for top in (1e-2, 1.0, 3.0, 1e3):
+        big = top * np.geomspace(1.0, 0.5, 8)
+        edge = np.sqrt(_FULL_RANK_FLOOR * max(1.0, np.sum(big[:-1] ** 2)))
+        for small in (edge, RANK_TOL * max(top, 1.0), NULLSPACE_TOL):
+            for factor in (0.5, 2.0):
+                for count in (1, 2):
+                    s = big.copy()
+                    s[-count:] = factor * small * np.geomspace(1.0, 0.9, count)
+                    rows.append(s)
+    return np.array(rows)
+
+
+def test_full_rank_check_certifies_exactly_above_its_floor(monkeypatch):
+    """On planted spectra, of 8x16 and of 16x8 matrices, _full_rank_rows is
+    True where the smallest singular value is twice the floor's edge and
+    False where it is half of it.  d_kappa_rank, with its threshold
+    anchored at the top singular value, and centralizer_intersection, fed
+    the 16x8 matrices as its two adjoint blocks, equal one SVD of every
+    matrix row by row, on both sides of the floor, of RANK_TOL max(s_0, 1)
+    and of NULLSPACE_TOL."""
+    s = spectra_across_the_thresholds()
+    top = np.maximum(s.max(axis=1), 1.0)
+    low = s.min(axis=1)
+    above_floor = low**2 > 2 * _FULL_RANK_FLOOR * np.maximum(1.0, np.sum(s**2, axis=1))
+    assert above_floor.any() and not above_floor.all()
+    for p, q in ((8, 16), (16, 8)):
+        m = planted_spectra(make_rng(41), s, p, q)
+        assert np.array_equal(_full_rank_rows(m), above_floor)
+        ranks = d_kappa_rank(m)
+        assert np.array_equal(ranks, d_kappa_rank_svd(m))
+        assert np.array_equal(ranks < 8, low < RANK_TOL * top)
+        assert {6, 7, 8} <= set(ranks.tolist())
+    tall = planted_spectra(make_rng(41), s, 16, 8)
+    eye = np.eye(8)
+    blocks = iter([tall[:, :8] + eye, tall[:, 8:] + eye])
+    monkeypatch.setattr(fiber, "adjoint_matrix", lambda g: next(blocks))
+    stacked = np.concatenate([tall[:, :8] + eye - eye, tall[:, 8:] + eye - eye], axis=-2)
+    want = 8 - np.sum(np.linalg.svd(stacked, compute_uv=False) > NULLSPACE_TOL, axis=-1)
+    # Any pair of the stack's shape: the blocks stand in for its adjoints.
+    placeholder = np.zeros((len(s), 3, 3), dtype=complex)
+    inters = centralizer_intersection(placeholder, placeholder)
+    assert np.array_equal(inters, want)
+    assert np.array_equal(inters > 0, low < NULLSPACE_TOL)
+    assert {0, 1, 2} <= set(inters.tolist())
+
+
+def test_centralizer_intersection_equals_the_svd_across_its_thresholds():
+    """Pairs (a, b) with b = t exp(eps X), t in the maximal torus of a, have
+    a joint fixed space that opens as eps goes to 0.  Over eps from 1e-12
+    to 1, the stacked [Ad(a) - Id; Ad(b) - Id] has its smallest singular
+    value on both sides of NULLSPACE_TOL and of the full-rank floor, and
+    centralizer_intersection, and d_kappa_rank of the differential, equal
+    one SVD of every matrix row by row."""
+    rng = make_rng(43)
+    n = 1200
+    eps = np.geomspace(1e-12, 1.0, n)
+    frame = haar_random(rng, n)
+    angles = np.exp(2j * np.pi * rng.random((n, 2, 2)))
+    diag = np.concatenate([angles, 1 / angles.prod(axis=-1, keepdims=True)], axis=-1)
+    a = (frame * diag[:, 0, None, :]) @ dagger(frame)
+    t = (frame * diag[:, 1, None, :]) @ dagger(frame)
+    x = random_algebra(rng, n)
+    x /= np.linalg.norm(x, axis=(-2, -1), keepdims=True)
+    b = renormalize(t @ exp_algebra(eps[:, None, None] * x))
+    eye = np.eye(8)
+    stacked = np.concatenate([adjoint_matrix(a) - eye, adjoint_matrix(b) - eye], axis=-2)
+    s = np.linalg.svd(stacked, compute_uv=False)
+    for cut in (NULLSPACE_TOL, np.sqrt(_FULL_RANK_FLOOR * (s**2).sum(axis=-1))):
+        assert (s[:, -1] < cut / 2).any() and (s[:, -1] > 2 * cut).any()
+    inters = centralizer_intersection(a, b)
+    assert np.array_equal(inters, centralizer_intersection_svd(a, b))
+    assert {0, 2} <= set(inters.tolist())
+    m = d_kappa_matrix(a, b)
+    assert np.array_equal(d_kappa_rank(m), d_kappa_rank_svd(m))
+
+
+def test_only_rows_the_full_rank_check_cannot_settle_reach_the_svd(monkeypatch):
+    """No SVD runs for 2000 Haar pairs; on the mixed pairs, the SVD sees
+    exactly the 500 commuting rows, once in each rank layer: the check
+    answers each row and does not fall back on the whole stack."""
+    a, b = mixed_rank_pairs()
+    m = d_kappa_matrix(a, b)
+    eye = np.eye(8)
+    stacked = np.concatenate([adjoint_matrix(a) - eye, adjoint_matrix(b) - eye], axis=-2)
+    rng = make_rng(44)
+    haar_a, haar_b = haar_random(rng, 2000), haar_random(rng, 2000)
+    haar_m = d_kappa_matrix(haar_a, haar_b)
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert (d_kappa_rank(haar_m) == 8).all()
+    assert (centralizer_intersection(haar_a, haar_b) == 0).all()
+    assert seen == []
+    d_kappa_rank(m)
+    centralizer_intersection(a, b)
+    assert [x.shape for x in seen] == [(500, 8, 16), (500, 16, 8)]
+    assert np.array_equal(seen[0], m[1500:])
+    assert np.array_equal(seen[1], stacked[1500:])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_full_rank_check_sends_non_finite_rows_to_the_svd(bad):
+    """A NaN or inf entry, off or on the diagonal, makes its row False and
+    leaves the other rows True, without a numpy warning; an empty stack
+    gives an empty answer."""
+    m = d_kappa_matrix(*stack_pairs(6)[:2])
+    for i, j in ((0, 0), (3, 3), (7, 15), (5, 1)):
+        x = m.copy()
+        x[2, i, j] = bad
+        for stack in (x, np.swapaxes(x, -1, -2)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                ok = _full_rank_rows(stack)
+            assert ok.tolist() == [True, True, False, True, True, True]
+    assert _full_rank_rows(m[:0]).shape == (0,)
+
+
+def test_rank_layers_keep_their_shapes():
+    """A lone matrix or pair gives a numpy integer, through the check and
+    through the SVD; empty and nested stacks keep their leading axes."""
+    a, b, _ = stack_pairs(8)
+    m = d_kappa_matrix(a, b)
+    for rank in (
+        d_kappa_rank(m[0]),
+        d_kappa_rank(d_kappa_matrix(IDENTITY, IDENTITY)),
+        centralizer_intersection(a[0], b[0]),
+        centralizer_intersection(a[0], a[0]),
+    ):
+        assert type(rank) is np.int64
+    assert d_kappa_rank(d_kappa_matrix(IDENTITY, IDENTITY)) == 0
+    assert centralizer_intersection(a[0], a[0]) == 2
+    for got, want in (
+        (d_kappa_rank(m[:0]), d_kappa_rank_svd(m[:0])),
+        (centralizer_intersection(a[:0], b[:0]), np.zeros(0, dtype=np.intp)),
+        (d_kappa_rank(m.reshape(2, 4, 8, 16)), np.full((2, 4), 8)),
+        (centralizer_intersection(a.reshape(2, 4, 3, 3), b.reshape(2, 4, 3, 3)), np.zeros((2, 4))),
+    ):
+        assert got.dtype == np.intp and got.shape == want.shape
+        assert np.array_equal(got, want)
 
 
 # The engines are compared only over short horizons.  The two kernel pairs

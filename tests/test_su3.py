@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from su3lab.errors import (
     DriftExplosionError,
     InvalidAlgebraError,
+    InvalidArgumentError,
     InvalidGroupElementError,
     NonRegularElementError,
 )
@@ -20,6 +21,7 @@ from su3lab.fiber import (
     centralizer_intersection,
     commutator,
     d_kappa_matrix,
+    d_kappa_rank,
     fiber_residual,
     is_central,
 )
@@ -284,6 +286,42 @@ def test_checks_refuse_overflowing_entries_without_warnings(rng):
             assert not np.isfinite(fiber_residual(m, m, IDENTITY)).any()
             with pytest.raises(InvalidGroupElementError):
                 assert_special_unitary(m)
+
+
+@pytest.mark.parametrize("position", [(0, 0, 0), (2, 1, 2), (3, 2, 1)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.inf)])
+def test_rank_layers_refuse_non_finite_entries(bad, position, rng):
+    """A NaN or inf entry, in its real or imaginary part, in any row of a
+    stack or in a lone element, is refused by the rank layers with a typed
+    error and no numpy warning first: adjoint_matrix, d_kappa_matrix,
+    centralizer_intersection (the element as a or as b), eigenvalue_angles
+    and is_generic raise InvalidGroupElementError, as for a malformed
+    shape, and d_kappa_rank, on a differential with the value in its left
+    or right block, raises InvalidArgumentError.  Before, d_kappa_rank gave
+    an inf row rank 0 and the others failed inside LAPACK or warned."""
+    u, v = haar_random(rng, size=4), haar_random(rng, size=4)
+    row, i, j = position
+    u[row, i, j] = bad
+    m = d_kappa_matrix(v, haar_random(rng, size=4))
+    m[row, 3 * i + j, 8 * (row % 2) + 3 * i + j] = np.real(bad) + np.imag(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in (u, u[row]):
+            h = v if g.ndim == 3 else v[row]
+            for kernel in (
+                adjoint_matrix,
+                lambda x: d_kappa_matrix(x, h),
+                lambda x: d_kappa_matrix(h, x),
+                lambda x: centralizer_intersection(x, h),
+                lambda x: centralizer_intersection(h, x),
+                eigenvalue_angles,
+                is_generic,
+            ):
+                with pytest.raises(InvalidGroupElementError, match="finite"):
+                    kernel(g)
+        for x in (m, m[row]):
+            with pytest.raises(InvalidArgumentError, match="finite"):
+                d_kappa_rank(x)
 
 
 @pytest.mark.parametrize("position", range(9))
