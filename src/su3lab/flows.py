@@ -20,10 +20,13 @@ The boundary curve's trace is constant on every fiber, so requesting its
 flow raises TrivialFlowError instead of silently doing nothing.
 
 One flow step runs under both twist_flow (a stack of one) and
-flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3): both
-copy their pairs once on entry through su3's one pair check, which
-refuses anything but two (n, 3, 3) stacks of one shape on SU(3) within
-UNITARITY_TOL, and return new stacks, as the word engine does.  In a step,
+flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3), and
+both return new stacks, as the word engine does.  flow_walk_stack copies
+its pairs once on entry through su3's one pair check, which refuses
+anything but two (n, 3, 3) stacks of one shape on SU(3) within
+UNITARITY_TOL.  twist_flow takes a RepPoint, whose construction made
+that check, and hands the step its matrices as 1-row stacks without a
+second one; the step writes neither input.  In a step,
 a b on the alpha_beta rows and a b^H on the alpha_beta_inv rows are one
 planar product over the whole stack, formed only when some row's curve
 needs it; each row's x, and then each row's new a and b, are picked with
@@ -99,7 +102,8 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             " every point"
         )
     a, b = _flow_step(
-        *_pair_stacks(np.asarray(p.a)[None], np.asarray(p.b)[None]),
+        np.ascontiguousarray(p.a, dtype=complex)[None],
+        np.ascontiguousarray(p.b, dtype=complex)[None],
         np.array([CURVES.index(curve)]),
         np.array([part == "im"]),
         np.array([t], dtype=float),

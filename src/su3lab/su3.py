@@ -581,10 +581,11 @@ def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     InvalidGroupElementError unless they are two (n, 3, 3) stacks of one
     shape that pass assert_special_unitary, as RepPoint's matrices must.
 
-    This is the entry of both orbit engines and of twist_flow.  Past it,
-    exp_algebra checks only each row's x and renormalize runs only on
-    cadence, so without this check a NaN, or a pair far off SU(3), could
-    ride to the end of a short walk or word.
+    This is the entry of both orbit engines.  twist_flow does not pass
+    through it: it takes a RepPoint, whose construction makes the same
+    check.  Past it, exp_algebra checks only each row's x and renormalize
+    runs only on cadence, so without this check a NaN, or a pair far off
+    SU(3), could ride to the end of a short walk or word.
     Always copies, so the engines never write the caller's memory: a
     C-ordered 1-row stack is plane-major already.
     """

@@ -133,6 +133,33 @@ def test_flow_commutes_with_conjugation(rng):
     assert np.abs(qc.b - g @ q.b @ dagger(g)).max() < 1e-11
 
 
+def test_twist_flow_trusts_its_rep_point(rng, monkeypatch):
+    """twist_flow hands the flow step its point's matrices as 1-row stacks
+    without the engines' pair check, which the RepPoint's construction
+    made already, and returns the step's bits on all eight curve/part
+    pairs; a point may hold a real identity, which the step reads as
+    complex."""
+
+    def refuse(a, b):
+        raise AssertionError("twist_flow checked its RepPoint's pair again")
+
+    monkeypatch.setattr("su3lab.flows._pair_stacks", refuse)
+    identity = np.eye(3)
+    points = [haar_point(rng), RepPoint(a=identity, b=haar_random(rng), c=identity)]
+    for p in points:
+        for (k, curve), part in itertools.product(enumerate(CURVES), ("re", "im")):
+            q = twist_flow(p, curve, part, 0.7)
+            a, b = _flow_step(
+                p.a.astype(complex)[None],
+                p.b.astype(complex)[None],
+                np.array([k]),
+                np.array([part == "im"]),
+                np.array([0.7]),
+            )
+            assert q.a.tobytes() == a[0].tobytes()
+            assert q.b.tobytes() == b[0].tobytes()
+
+
 def test_one_row_flow_walk_stays_on_fiber(rng):
     c = commutator(haar_random(rng), haar_random(rng))
     p = base_point(c)

@@ -1,9 +1,10 @@
 """tools/golden_digests.py, the byte-identity check between commits, still
 runs against the current API and prints every row its docstring lists,
-its dispatch fingerprint line stays outside the table digest, and the
-rows that no numpy or BLAS dispatch can move come out the same with
-numpy's dispatch above its baseline masked and OpenBLAS on a lower
-kernel.
+its dispatch fingerprint line stays outside the table digest, the last
+row of the README's golden ledger names this version and, under its
+fingerprint, this seed-7 table, and the rows that no numpy or BLAS
+dispatch can move come out the same with numpy's dispatch above its
+baseline masked and OpenBLAS on a lower kernel.
 
 Run as a script, `python tests/test_golden_tool.py SEED` prints those rows
 as JSON; the dispatch test runs it so in a child process.
@@ -21,7 +22,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "golden_digests.py"
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "golden_digests.py"
+
+# A full SHA-256 digest, not part of a longer hex string.
+FULL_DIGEST = re.compile(r"(?<![0-9a-f])[0-9a-f]{64}(?![0-9a-f])")
 
 # An x86-64 OpenBLAS kernel without AVX, below every machine that runs
 # numpy 2's SSE4.2 baseline; OPENBLAS_CORETYPE selects it in a build with
@@ -94,9 +101,30 @@ def dispatch_independent_rows(tool, seed: int) -> dict[str, str]:
         }
 
 
-def test_golden_table_has_every_row(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    rows = load_tool().table([7])
+@pytest.fixture(scope="module")
+def seed7_table():
+    """The tool and its seed-7 table, made once for the tests that read it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))
+        tool = load_tool()
+        return tool, tool.table([7])
+
+
+def golden_ledger(text: str) -> tuple[range, list[list[str]]]:
+    """The span of the table under the README's Versions heading, and its
+    rows below the header and rule, as cells without their backticks."""
+    section = re.search(r"^## Versions\n.*?(?=^## |\Z)", text, re.M | re.S)
+    table = re.search(r"(?:^\|.*\n?)+", section.group(), re.M)
+    start = section.start() + table.start()
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in table.group().splitlines()[2:]
+    ]
+    return range(start, start + len(table.group())), rows
+
+
+def test_golden_table_has_every_row(seed7_table):
+    _, rows = seed7_table
     assert len(rows) == len(ROW_NAMES) == 28
     names = set()
     for row in rows:
@@ -104,6 +132,31 @@ def test_golden_table_has_every_row(monkeypatch):
         assert match, row
         names.add(match.group(1))
     assert names == ROW_NAMES
+
+
+def test_golden_ledger_names_this_version_and_table(seed7_table):
+    """The README's golden ledger ends with this version, and under its
+    fingerprint with this seed-7 table, so a change that moves a byte
+    fails here until it adds a row; every full digest in the README
+    stands once, inside the ledger."""
+    tool, rows = seed7_table
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    span, ledger = golden_ledger(text)
+    version, _, table_digest, seed7_digest, fingerprint, _ = ledger[-1]
+    # The version the manifests carry, of the su3lab the tool digested.
+    assert version == tool.cli.__version__
+    assert FULL_DIGEST.fullmatch(table_digest)
+    assert FULL_DIGEST.fullmatch(seed7_digest)
+    quoted = [(m.group(), m.start()) for m in FULL_DIGEST.finditer(text)]
+    assert len({digest for digest, _ in quoted}) == len(quoted)
+    assert all(at in span for _, at in quoted)
+    here = tool.fingerprint()
+    if here != fingerprint:
+        pytest.skip(
+            f"seed-7 digest not compared: the ledger's row was made under"
+            f" {fingerprint!r}, this machine prints {here!r}"
+        )
+    assert tool._sha("".join(row + "\n" for row in rows).encode()) == seed7_digest
 
 
 def test_fingerprint_line_is_printed_outside_the_table_digest(monkeypatch):
