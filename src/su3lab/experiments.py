@@ -44,9 +44,10 @@ from .errors import (
 from .fiber import (
     FIBER_TOL,
     RepPoint,
+    _d_kappa_from_adjoints,
+    _intersection_from_adjoints,
     base_point,
     central_fiber_point,
-    centralizer_intersection,
     d_kappa_matrix,
     d_kappa_rank,
     fiber_residual,
@@ -61,7 +62,14 @@ from .mcg import (
     is_hyperbolic,
     random_word_indices,
 )
-from .su3 import IDENTITY, circle_distance, dagger, haar_random, torus_frame
+from .su3 import (
+    IDENTITY,
+    adjoint_matrix,
+    circle_distance,
+    dagger,
+    haar_random,
+    torus_frame,
+)
 from .traces import (
     GENERICITY_HEIGHT,
     GENERICITY_TOL,
@@ -518,8 +526,10 @@ def submersion_census(
     p0 = base_point(c)
     a, b = walk_from(p0, samples, CENSUS_WALK_STEPS, rng)
     residuals = fiber_residual(a, b, c)
-    ranks = d_kappa_rank(d_kappa_matrix(a, b))
-    inters = centralizer_intersection(a, b)
+    # One adjoint stack per element, for both rank layers.
+    ad_a, ad_b = adjoint_matrix(a), adjoint_matrix(b)
+    ranks = d_kappa_rank(_d_kappa_from_adjoints(ad_a, ad_b))
+    inters = _intersection_from_adjoints(ad_a, ad_b)
     base_rank = int(d_kappa_rank(d_kappa_matrix(p0.a, p0.b)))
 
     stats = {

@@ -157,8 +157,11 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     the transpose.  Accepts two stacks of one shape.
     """
     _check_layout(a, b)
-    ad_a = adjoint_matrix(a)
-    ad_b = adjoint_matrix(b)
+    return _d_kappa_from_adjoints(adjoint_matrix(a), adjoint_matrix(b))
+
+
+def _d_kappa_from_adjoints(ad_a: np.ndarray, ad_b: np.ndarray) -> np.ndarray:
+    """d_kappa_matrix from the adjoint stacks Ad(a) and Ad(b)."""
     ad_ba = ad_b @ ad_a
     block_x = ad_ba @ (np.swapaxes(ad_b, -1, -2) - _EYE8)
     block_y = ad_ba @ (_EYE8 - np.swapaxes(ad_a, -1, -2))
@@ -195,9 +198,12 @@ def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a numpy integer).
     """
     _check_layout(a, b)
-    stacked = np.concatenate(
-        [adjoint_matrix(a) - _EYE8, adjoint_matrix(b) - _EYE8], axis=-2
-    )
+    return _intersection_from_adjoints(adjoint_matrix(a), adjoint_matrix(b))
+
+
+def _intersection_from_adjoints(ad_a: np.ndarray, ad_b: np.ndarray) -> np.ndarray:
+    """centralizer_intersection from the adjoint stacks Ad(a) and Ad(b)."""
+    stacked = np.concatenate([ad_a - _EYE8, ad_b - _EYE8], axis=-2)
     return 8 - _rank_rows(stacked, lambda s: s > NULLSPACE_TOL)
 
 

@@ -608,6 +608,22 @@ def _plane_major(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(planes).transpose(2, 0, 1)
 
 
+def _char_poly_planes(u: np.ndarray) -> tuple:
+    """The characteristic polynomial lambda^3 - s lambda^2 + e lambda - d of
+    each matrix of an (n, 3, 3) stack, run on its planes: the trace s, the
+    sum e of the principal 2x2 minors and the determinant d (_det3), with
+    the squared Frobenius norm beside them, as four (n,) arrays."""
+    p = _plane_major(u).transpose(1, 2, 0)
+    s = p[0, 0] + p[1, 1] + p[2, 2]
+    e = (
+        (p[0, 0] * p[1, 1] - p[0, 1] * p[1, 0])
+        + (p[0, 0] * p[2, 2] - p[0, 2] * p[2, 0])
+        + (p[1, 1] * p[2, 2] - p[1, 2] * p[2, 1])
+    )
+    norm2 = (np.square(p.real) + np.square(p.imag)).sum(axis=(0, 1))
+    return s, e, _det3(p), norm2
+
+
 def _check_layout(*arrays, error: type[Exception] = InvalidGroupElementError) -> None:
     """Refuse, with `error`, an array whose last two axes are not (3, 3), and
     further arrays of another shape: the kernels call it before they read

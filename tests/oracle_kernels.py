@@ -15,7 +15,9 @@ adjoint matrix and the full-grid integer-relation search that the
 one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
 su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
 the Gram-Cholesky full-rank check in su3lab.fiber.d_kappa_rank and
-su3lab.fiber.centralizer_intersection spares, the matmul character values,
+su3lab.fiber.centralizer_intersection spares, the LAPACK angles and full
+grid on every element that the closed-form screen in
+su3lab.traces.is_generic spares, the matmul character values,
 fiber residual and Gram defect that the planar ones in su3lab.traces,
 su3lab.fiber and su3lab.su3 replaced, with the stacked trace they took,
 real coordinates on the algebra in su3lab.su3.ALGEBRA_BASIS with a
@@ -40,10 +42,13 @@ from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
 from su3lab.su3 import (
     ALGEBRA_BASIS,
     IDENTITY,
+    REGULARITY_GAP,
     RENORM_CADENCE,
     RENORM_GUARD,
+    angle_gap,
     assert_algebra_element,
     dagger,
+    eigenvalue_angles,
 )
 
 
@@ -365,6 +370,13 @@ def angles_have_relation_grid(angles: np.ndarray) -> np.ndarray:
     hit = (np.abs(combo + m0) <= GENERICITY_TOL) & (np.abs(m0) <= GENERICITY_HEIGHT)
     hit &= ~((m1 == 0) & (m2 == 0) & (m0 == 0))
     return hit.any(axis=-1)
+
+
+def is_generic_lapack(u: np.ndarray) -> np.ndarray:
+    """is_generic from eigenvalue_angles (LAPACK eigvals), angle_gap and the
+    full-grid relation search on every element; accepts stacks."""
+    angles = eigenvalue_angles(u)
+    return (angle_gap(angles) >= REGULARITY_GAP) & ~angles_have_relation_grid(angles)
 
 
 def trace(m: np.ndarray) -> np.ndarray:

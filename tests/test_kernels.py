@@ -81,6 +81,7 @@ from oracle_kernels import (
     flow_step_matmul,
     flow_walk_matmul,
     gram_defect_matmul,
+    is_generic_lapack,
     product_loop,
     random_algebra,
     renormalize_loop,
@@ -106,6 +107,8 @@ from su3lab.fiber import (
 from su3lab.su3 import (
     EXP_TAYLOR_C1,
     IDENTITY,
+    OMEGA,
+    REGULARITY_GAP,
     RENORM_GUARD,
     UNITARITY_TOL,
     adjoint_matrix,
@@ -793,26 +796,26 @@ def mixed_rank_pairs():
 
 def test_rank_layers_match_reference_kernels(monkeypatch):
     """Ranks, centralizer intersections and genericity flags from the
-    one-GEMM adjoint, the full-rank check and the half-grid search equal
-    those from the einsum adjoint, an SVD of every matrix and the full
-    grid, on Haar pairs and on commuting pairs whose second element
-    carries a planted relation."""
+    one-GEMM adjoint, the full-rank check and the closed-form genericity
+    screen before the half-grid search equal those from the einsum
+    adjoint, an SVD of every matrix, and LAPACK angles with the full grid
+    on every element, on Haar pairs and on commuting pairs whose second
+    element carries a planted relation."""
     a, b = mixed_rank_pairs()
 
-    def layers():
+    def layers(generic):
         return (
             fiber.d_kappa_rank(d_kappa_matrix(a, b)),
             fiber.centralizer_intersection(a, b),
-            is_generic(a),
-            is_generic(b),
+            generic(a),
+            generic(b),
         )
 
-    fast = layers()
+    fast = layers(is_generic)
     monkeypatch.setattr(fiber, "adjoint_matrix", adjoint_matrix_einsum)
     monkeypatch.setattr(fiber, "d_kappa_rank", d_kappa_rank_svd)
     monkeypatch.setattr(fiber, "centralizer_intersection", centralizer_intersection_svd)
-    monkeypatch.setattr(traces, "angles_have_relation", angles_have_relation_grid)
-    slow = layers()
+    slow = layers(is_generic_lapack)
     for x, y in zip(fast, slow):
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
@@ -820,6 +823,101 @@ def test_rank_layers_match_reference_kernels(monkeypatch):
     assert (ranks[:1500] == 8).all() and (ranks[1500:] < 8).all()
     assert (inters[1500:] > 0).all()
     assert not generic_b[1500:].any()
+
+
+def test_only_rows_the_genericity_screen_cannot_settle_reach_lapack(monkeypatch):
+    """No np.linalg.eigvals call runs for 2000 Haar elements; on the mixed
+    pairs' second elements, eigvals sees exactly the 500 rows with a
+    planted relation, once, and the flags are the reference's."""
+    haar = haar_random(make_rng(45), 2000)
+    _, b = mixed_rank_pairs()
+    want = is_generic_lapack(b)
+    seen = []
+    eigvals = np.linalg.eigvals
+
+    def spy(x, *args, **kwargs):
+        seen.append(np.array(x))
+        return eigvals(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    assert is_generic(haar).all()
+    assert seen == []
+    assert np.array_equal(is_generic(b), want)
+    assert [x.shape for x in seen] == [(500, 3, 3)]
+    assert np.array_equal(seen[0], b[1500:])
+
+
+def conjugated_spectra(rng: np.random.Generator, angles: np.ndarray) -> np.ndarray:
+    """Unitary matrices with the given (n, 3) eigenvalue angles, in Haar
+    frames: special unitary where each row sums to an integer."""
+    v = haar_random(rng, len(angles))
+    return (v * np.exp(2j * np.pi * angles)[:, None, :]) @ dagger(v)
+
+
+def genericity_cases() -> dict:
+    """Named stacks on both sides of every test is_generic makes: planted
+    relations at and around GENERICITY_TOL, gaps around REGULARITY_GAP, a
+    repeated root, the central elements, and multiples and perturbations
+    of Haar elements."""
+    rng = make_rng(46)
+    cases = {}
+    # Heights up to 10, so that the relation read on sorted angles, up to
+    # twice as high, stays within GENERICITY_HEIGHT.
+    m = np.concatenate([relation_vectors(rng, h) for h in (1, 2, 3, 5, 10)])
+    exact = planted_relations(rng, m)
+    coeff = np.where(m[:, 2] != 0, m[:, 2], m[:, 1]).astype(float)
+    col = np.where(m[:, 2] != 0, 1, 0)
+    for factor in (0.0, 0.5, 1 - 1e-6, 1 + 1e-6, 2.0):
+        shifted = exact.copy()
+        shifted[np.arange(len(m)), col] += factor * GENERICITY_TOL / coeff
+        shifted[:, 2] = -shifted[:, 0] - shifted[:, 1]
+        cases[f"relation_tol_x{factor}"] = conjugated_spectra(rng, shifted)
+    t = rng.random(400)
+    for factor in (0.5, 1 - 1e-3, 1 + 1e-3, 2.0):
+        gap = factor * REGULARITY_GAP
+        angles = np.stack([t, t + gap, -2 * t - gap], axis=-1)
+        cases[f"gap_x{factor}"] = conjugated_spectra(rng, angles)
+    # th1 + 2 th2 = 0 makes th3 = th2: a double root.
+    cases["double_root"] = conjugated_spectra(
+        rng, planted_relations(rng, np.tile([0, 1, 2], (400, 1)))
+    )
+    cases["central"] = np.stack([IDENTITY, OMEGA * IDENTITY, OMEGA**2 * IDENTITY])
+    # Determinant off 1 and an eigenvalue 1, whose angle rounds to either
+    # side of 0 mod 1: sorted first or last.
+    angles = np.zeros((400, 3))
+    angles[:, :2] = rng.random((400, 2))
+    cases["eigenvalue_one"] = conjugated_spectra(rng, angles)
+    haar = haar_random(rng, 2000)
+    cases["twice_haar"] = 2 * haar
+    for scale in (1e-6, 1e-3):
+        noise = rng.standard_normal((2000, 3, 3, 2)) @ np.array([1, 1j])
+        cases[f"haar_noise_{scale}"] = haar + scale * noise
+    return cases
+
+
+@pytest.mark.parametrize("name", list(genericity_cases()))
+def test_is_generic_equals_the_lapack_reference(name):
+    """On every case, is_generic gives the reference's flags without a
+    numpy warning, whichever rows its closed-form screen settles."""
+    u = genericity_cases()[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = is_generic(u)
+    assert got.dtype == bool and got.shape == u.shape[:-2]
+    assert np.array_equal(got, is_generic_lapack(u))
+
+
+def test_is_generic_keeps_its_shapes():
+    """A lone element gives a numpy bool, on the screen's path and on the
+    exact path; an empty stack gives an empty array, and a nested stack
+    keeps its leading axes."""
+    haar = haar_random(make_rng(47), 8)
+    for u, want in ((haar[0], True), (IDENTITY, False), (OMEGA * IDENTITY, False)):
+        flag = is_generic(u)
+        assert type(flag) is np.bool_ and flag == want
+    assert is_generic(haar[:0]).shape == (0,)
+    nested = is_generic(haar.reshape(2, 4, 3, 3))
+    assert nested.shape == (2, 4) and nested.all()
 
 
 def planted_spectra(rng: np.random.Generator, s: np.ndarray, p: int, q: int) -> np.ndarray:
