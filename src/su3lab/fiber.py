@@ -28,6 +28,7 @@ from .su3 import (
     OMEGA,
     _check_finite,
     _check_layout,
+    _cholesky_planes,
     _entries,
     _matrix,
     _planar_product,
@@ -161,11 +162,12 @@ def d_kappa_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _d_kappa_from_adjoints(ad_a: np.ndarray, ad_b: np.ndarray) -> np.ndarray:
-    """d_kappa_matrix from the adjoint stacks Ad(a) and Ad(b)."""
-    ad_ba = ad_b @ ad_a
-    block_x = ad_ba @ (np.swapaxes(ad_b, -1, -2) - _EYE8)
-    block_y = ad_ba @ (_EYE8 - np.swapaxes(ad_a, -1, -2))
-    return np.concatenate([block_x, block_y], axis=-1)
+    """d_kappa_matrix from the adjoint stacks Ad(a) and Ad(b), as the one
+    product Ad(ba) [Ad(b)^T - I | I - Ad(a)^T]."""
+    blocks = np.empty(ad_a.shape[:-1] + (16,))
+    blocks[..., :8] = np.swapaxes(ad_b - _EYE8, -1, -2)
+    blocks[..., 8:] = np.swapaxes(_EYE8 - ad_a, -1, -2)
+    return ad_b @ ad_a @ blocks
 
 
 def d_kappa_rank(m: np.ndarray) -> np.ndarray:
@@ -203,7 +205,9 @@ def centralizer_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _intersection_from_adjoints(ad_a: np.ndarray, ad_b: np.ndarray) -> np.ndarray:
     """centralizer_intersection from the adjoint stacks Ad(a) and Ad(b)."""
-    stacked = np.concatenate([ad_a - _EYE8, ad_b - _EYE8], axis=-2)
+    stacked = np.empty(ad_a.shape[:-2] + (16, 8))
+    np.subtract(ad_a, _EYE8, out=stacked[..., :8, :])
+    np.subtract(ad_b, _EYE8, out=stacked[..., 8:, :])
     return 8 - _rank_rows(stacked, lambda s: s > NULLSPACE_TOL)
 
 
@@ -223,33 +227,24 @@ def _rank_rows(m: np.ndarray, nonzero) -> np.ndarray:
 
 def _full_rank_rows(m: np.ndarray) -> np.ndarray:
     """Per matrix of an (n, p, q) stack, whether it certainly has full
-    rank k = min(p, q): True where it is finite and the k x k Gram matrix
-    G (m m^T or m^T m) less _FULL_RANK_FLOOR max(1, |m|_F^2) Id has a
-    Cholesky factor with every pivot > 0.
+    rank k = min(p, q): True where the k x k Gram matrix G (m m^T or
+    m^T m) less _FULL_RANK_FLOOR max(1, |m|_F^2) Id has a Cholesky factor
+    with every pivot > 0 (su3._cholesky_planes).
 
     A Cholesky factorization that runs to completion proves its matrix
     positive definite up to a backward error of a few ulps times |G|, so
     a True row has s_min^2 above the floor, far above the roundoff of G and
-    of its factor.  The factor runs on the stack one pivot at a time, so
-    each row gets its own answer, where LAPACK's fails the whole stack; a
-    failed row computes on quietly and stays False (NaN > 0 is False), and
-    a row with a NaN or inf entry is False by the finiteness test.
+    of its factor.  The factor answers each row alone.  A NaN or inf entry
+    makes a diagonal entry of G, so |m|_F^2 and the floor, NaN or inf, and
+    so the first pivot NaN or -inf: its row is False.
     """
     p, q = m.shape[-2:]
-    k = min(p, q)
-    ok = np.isfinite(m).all(axis=(-2, -1))
-    diag = np.arange(k)
+    diag = np.arange(min(p, q))
     with np.errstate(all="ignore"):
         mt = np.swapaxes(m, -1, -2)
         gram = m @ mt if p <= q else mt @ m
         scale = np.maximum(gram[:, diag, diag].sum(axis=-1), 1.0)
-        gram[:, diag, diag] -= _FULL_RANK_FLOOR * scale[:, None]
-        for j in range(k):
-            pivot = gram[:, j, j]
-            ok &= pivot > 0
-            col = gram[:, j + 1 :, j] / np.sqrt(pivot)[:, None]
-            gram[:, j + 1 :, j + 1 :] -= col[:, :, None] * col[:, None, :]
-    return ok
+        return _cholesky_planes(gram, _FULL_RANK_FLOOR * scale)
 
 
 def base_point(c: np.ndarray) -> RepPoint:

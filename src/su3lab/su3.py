@@ -295,14 +295,15 @@ def _adjoint_gemm() -> np.ndarray:
     product, built on first use: built at import, it raised the peak
     memory of runs that never call adjoint_matrix by 0.1-0.2 MB.
 
-    Entry (j, k) of Ad(g) is -Re Tr(g E_k g^H E_j) = -Re sum C[r, c] K[r, c]
-    over the Kronecker product K = g (x) conj(g), K[3a + d, 3b + c] =
-    g[a, b] conj(g[d, c]), with C[3a + d, 3b + c] = E_j[d, a] E_k[b, c].
-    Read as reals, K's r, c entry is the pair (Re K, Im K), and -Re(C K) =
-    -Re C Re K + Im C Im K: so W's rows are -Re C and Im C interleaved, and
-    its column 8 j + k is entry (j, k).
+    Entry (j, k) of Ad(g) is -Re Tr(g E_k g^H E_j) = -Re sum C[r] K[r] over
+    the 81 products K[27a + 9b + 3d + c] = g[a, b] conj(g[d, c]), the outer
+    product of g's row-major entries with their conjugates, with
+    C[27a + 9b + 3d + c] = E_j[d, a] E_k[b, c].  Read as reals, K's entry
+    r is the pair (Re K, Im K), and -Re(C K) = -Re C Re K + Im C Im K: so
+    W's rows are -Re C and Im C interleaved, and its column 8 j + k is
+    entry (j, k).
     """
-    coeff = np.einsum("jda,kbc->adbcjk", ALGEBRA_BASIS, ALGEBRA_BASIS).reshape(81, 64)
+    coeff = np.einsum("jda,kbc->abdcjk", ALGEBRA_BASIS, ALGEBRA_BASIS).reshape(81, 64)
     w = np.stack([-coeff.real, coeff.imag], axis=1).reshape(162, 64)
     w.setflags(write=False)
     return w
@@ -311,20 +312,24 @@ def _adjoint_gemm() -> np.ndarray:
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS.
 
-    Entry (j, k) is -Re Tr(g E_k g^H E_j), linear in the 81 entries of the
-    Kronecker product g (x) conj(g): so the stack's Kronecker products,
-    read as (n, 162) reals, times the fixed (162, 64) matrix
-    _adjoint_gemm() give all n matrices in one real matrix product.
-    Orthogonal, because conjugation preserves the pairing.  Accepts stacks
-    (returns ...x8x8); a NaN or inf entry is refused with
-    InvalidGroupElementError, before numpy can warn.
+    Entry (j, k) is -Re Tr(g E_k g^H E_j), linear in the 81 products
+    g[a, b] conj(g[d, c]): so the stack's (n, 9, 9) outer products of its
+    nine row-major entries with their conjugates, written into one
+    row-major buffer and read as (n, 162) reals, times the fixed
+    (162, 64) matrix _adjoint_gemm() give all n matrices in one real
+    matrix product.  Orthogonal, because conjugation preserves the
+    pairing.  Accepts stacks of any layout (returns ...x8x8, C-ordered);
+    a NaN or inf entry is refused with InvalidGroupElementError, before
+    numpy can warn.
     """
     g = np.asarray(g, dtype=complex)
     _check_layout(g)
     _check_finite(g)
-    # Row-major whatever g's layout, so that its rows read as reals.
-    kron = np.empty(g.shape[:-2] + (3, 3, 3, 3), dtype=complex)
-    np.multiply(g[..., :, None, :, None], np.conjugate(g)[..., None, :, None, :], out=kron)
+    # A copy unless g's matrices are row-major already; the products are
+    # written row-major whatever g's layout, so that their rows read as reals.
+    flat = g.reshape(-1, 9)
+    kron = np.empty((len(flat), 9, 9), dtype=complex)
+    np.multiply(flat[:, :, None], np.conjugate(flat)[:, None, :], out=kron)
     adj = kron.reshape(-1, 81).view(np.float64) @ _adjoint_gemm()
     return adj.reshape(g.shape[:-2] + (8, 8))
 
@@ -363,8 +368,20 @@ def eigenvalue_angles(u: np.ndarray) -> np.ndarray:
     """
     u = np.asarray(u, dtype=complex)
     _check_finite(u)
-    lam = np.linalg.eigvals(u)
-    return np.sort(np.mod(np.angle(lam) / (2 * np.pi), 1.0), axis=-1)
+    return np.sort(_turns(np.linalg.eigvals(u)), axis=-1)
+
+
+def _turns(z: np.ndarray) -> np.ndarray:
+    """The angles of complex numbers in turns, in [0, 1).
+
+    np.mod(x, 1.0) rounds an x in [-1.7e-16, 0) up to 1.0 or to 1 - 2^-53,
+    the two doubles above 1 - eps: of the 6000 eigenvalue angles of 2000
+    near-identity matrices v v^H (v Haar), 2452 read 1.0.  Such an angle,
+    below the solvers' own error, reads 0.0, so that an eigenvalue 1 sorts
+    first whichever way its angle rounds.  A NaN stays NaN.
+    """
+    t = np.mod(np.angle(z) / (2 * np.pi), 1.0)
+    return np.where(t > 1.0 - np.finfo(float).eps, 0.0, t)
 
 
 def angle_gap(angles: np.ndarray) -> np.ndarray:
@@ -392,7 +409,7 @@ def unitary_eigensystem(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise InvalidGroupElementError("unitary_eigensystem takes a single 3x3 matrix")
     lam, v = np.linalg.eig(u)
     z, _ = np.linalg.qr(v)
-    angles = np.mod(np.angle(lam) / (2 * np.pi), 1.0)
+    angles = _turns(lam)
     order = np.argsort(angles, kind="stable")
     return angles[order], z[:, order]
 
@@ -713,3 +730,34 @@ def _gram_defect_planes(u: np.ndarray) -> np.ndarray:
     for i in range(3):
         gram[i, i] = norms[0, i] + norms[1, i] + norms[2, i] - 1.0
     return gram.transpose(2, 0, 1)
+
+
+def _cholesky_planes(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, k, k) stack of symmetric matrices, whether
+    gram - shift Id, with one shift per matrix, has a Cholesky factor with
+    every pivot > 0.
+
+    The factor is right-looking and runs on a (k, k, n) planes copy, each
+    step one vector operation over all n rows, and reads only the lower
+    triangle: the diagonal planes lose the shift, pivot j is plane (j, j),
+    the column below it is divided by the pivot's square root, and entry
+    (r, c) of the trailing triangle loses col[r] col[c].  Each row gets its
+    own answer, where LAPACK's Cholesky fails the whole stack; a failed row
+    computes on quietly and stays False (NaN > 0 is False).  gram is not
+    written.
+    """
+    p = gram.transpose(1, 2, 0).copy()
+    k, n = p.shape[1:]
+    ok = np.ones(n, dtype=bool)
+    t = np.empty((k, n))
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            p[j, j] -= shift
+        for j in range(k):
+            pivot = p[j, j]
+            ok &= pivot > 0
+            col = p[j + 1 :, j] / np.sqrt(pivot)
+            for i in range(k - j - 1):
+                np.multiply(col[i], col[: i + 1], out=t[: i + 1])
+                p[j + 1 + i, j + 1 : j + 2 + i] -= t[: i + 1]
+    return ok

@@ -27,6 +27,7 @@ from .su3 import (
     _check_layout,
     _planar_product,
     _plane_major,
+    _turns,
     angle_gap,
     eigenvalue_angles,
 )
@@ -91,7 +92,7 @@ def char_poly_roots(z: complex) -> np.ndarray:
         raise TraceDomainError(
             f"characteristic roots of {z!r} left the unit circle"
         )
-    return np.sort(np.mod(np.angle(roots / moduli) / (2 * np.pi), 1.0))
+    return np.sort(_turns(roots / moduli))
 
 
 # The genericity policy: an integer relation of height at most

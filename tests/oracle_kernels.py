@@ -15,7 +15,8 @@ adjoint matrix and the full-grid integer-relation search that the
 one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
 su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
 the Gram-Cholesky full-rank check in su3lab.fiber.d_kappa_rank and
-su3lab.fiber.centralizer_intersection spares, the LAPACK angles and full
+su3lab.fiber.centralizer_intersection spares, that check as LAPACK's
+Cholesky on one floored Gram matrix at a time, the LAPACK angles and full
 grid on every element that the closed-form screen in
 su3lab.traces.is_generic spares, the matmul character values,
 fiber residual and Gram defect that the planar ones in su3lab.traces,
@@ -35,7 +36,7 @@ import operator
 import numpy as np
 import scipy.linalg
 
-from su3lab.fiber import NULLSPACE_TOL, RANK_TOL
+from su3lab.fiber import _FULL_RANK_FLOOR, NULLSPACE_TOL, RANK_TOL
 from su3lab.flows import TWIST_TIME_BOUND
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
@@ -332,6 +333,26 @@ def adjoint_matrix_einsum(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
     return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
+
+
+def full_rank_cholesky(m: np.ndarray) -> np.ndarray:
+    """Per matrix of an (n, p, q) stack, whether it is finite and LAPACK's
+    Cholesky factors its smaller Gram matrix less _FULL_RANK_FLOOR
+    max(1, |m|_F^2) Id, one np.linalg.cholesky call per matrix."""
+    flags = []
+    for x in m:
+        if not np.isfinite(x).all():
+            flags.append(False)
+            continue
+        gram = x @ x.T if x.shape[0] <= x.shape[1] else x.T @ x
+        floor = _FULL_RANK_FLOOR * max(np.trace(gram), 1.0)
+        try:
+            np.linalg.cholesky(gram - floor * np.eye(len(gram)))
+        except np.linalg.LinAlgError:
+            flags.append(False)
+        else:
+            flags.append(True)
+    return np.array(flags, dtype=bool)
 
 
 def d_kappa_rank_svd(m: np.ndarray) -> np.ndarray:

@@ -26,11 +26,14 @@ diagonal fiber labels, and on the fiber at repeated eigenvalues of
 non-normal input.  The rank-census layers are checked against the
 two-einsum adjoint matrix, an SVD of every matrix and the full-grid
 relation search: the relation verdicts on Haar angles and on planted
-relations at every height, the adjoint matrix to roundoff, and the
-ranks, intersections and genericity flags they feed.  The full-rank
-check is checked on planted spectra on both sides of its floor and of
-both rank thresholds, on near-commuting pairs, to send only the rows it
-cannot settle to the SVD, and to send non-finite rows there.  The last
+relations at every height, the adjoint matrix to roundoff on every
+layout it takes, and the ranks, intersections and genericity flags they
+feed; an eigenvalue 1 is checked to read angle 0, never 1.0.  The
+full-rank check is checked on planted spectra on both sides of its floor
+and of both rank thresholds, against LAPACK's Cholesky one matrix at a
+time, to answer each row alone in stacks of 1, 7 and 2000 rows of either
+layout, on near-commuting pairs, to send only the rows it cannot settle
+to the SVD, and to send non-finite rows there.  The last
 tests run both orbit engines against their reference forms: the planar
 flow step against the masked matmul step with the spectral exponential
 on every curve and trace part, the planar flow walk against the matmul walk with SVD renormalization on 0, 1 and
@@ -80,6 +83,7 @@ from oracle_kernels import (
     fiber_residual_matmul,
     flow_step_matmul,
     flow_walk_matmul,
+    full_rank_cholesky,
     gram_defect_matmul,
     is_generic_lapack,
     product_loop,
@@ -129,6 +133,7 @@ from su3lab.traces import (
     GENERICITY_HEIGHT,
     GENERICITY_TOL,
     angles_have_relation,
+    char_poly_roots,
     is_generic,
 )
 
@@ -766,13 +771,19 @@ def test_relation_search_matches_full_grid():
 
 
 def test_adjoint_matrix_matches_einsum_form():
-    rng = make_rng(2222)
-    g = haar_random(rng, 2000)
-    assert np.abs(adjoint_matrix(g) - adjoint_matrix_einsum(g)).max() <= 1e-15
-    assert np.abs(adjoint_matrix(g[0]) - adjoint_matrix_einsum(g[0])).max() <= 1e-15
-    nested = g[:8].reshape(2, 4, 3, 3)
-    assert adjoint_matrix(nested).shape == (2, 4, 8, 8)
-    assert np.abs(adjoint_matrix(nested) - adjoint_matrix_einsum(nested)).max() <= 1e-15
+    """On every layout adjoint_matrix takes (2000 Haar elements
+    C-ordered, as a plane-major stack as the engines return it, a strided
+    slice, a lone matrix and a nested stack) the adjoint stack keeps the
+    leading axes, is C-ordered and matches the two-einsum form within
+    1e-15; the plane-major stack gives the bits of the C-ordered one."""
+    g = haar_random(make_rng(2222), 2000)
+    planes = _plane_major(g)
+    assert is_plane_major(planes) and not planes.flags.c_contiguous
+    for u in (g, planes, g[::2], g[0], g[:8].reshape(2, 4, 3, 3)):
+        got = adjoint_matrix(u)
+        assert got.shape == u.shape[:-2] + (8, 8) and got.flags.c_contiguous
+        assert np.abs(got - adjoint_matrix_einsum(u)).max() <= 1e-15
+    assert np.array_equal(adjoint_matrix(planes), adjoint_matrix(g))
 
 
 def mixed_rank_pairs():
@@ -920,6 +931,26 @@ def test_is_generic_keeps_its_shapes():
     assert nested.shape == (2, 4) and nested.all()
 
 
+def test_angles_of_an_eigenvalue_one_stay_below_one():
+    """np.mod rounds a tiny negative angle up to 1.0, outside [0, 1): 2452
+    of the 6000 angles of 2000 near-identity matrices v v^H (v Haar) did.
+    eigenvalue_angles and unitary_eigensystem read every one of them below
+    1e-15, and char_poly_roots keeps in [0, 1) the eigenvalue 1 of 500
+    traces 1 + 2 cos(2 pi t).  So the eigenvalue 1 of the eigenvalue_one
+    case sorts first in every row, and is_generic calls none of them
+    generic, whichever way LAPACK rounds its angle."""
+    v = haar_random(make_rng(49), 2000)
+    u = v @ dagger(v)
+    angles = [eigenvalue_angles(u)] + [unitary_eigensystem(x)[0] for x in u]
+    assert all(((a >= 0) & (a < 1e-15)).all() for a in angles)
+    z = 1 + 2 * np.cos(2 * np.pi * np.linspace(0.01, 0.49, 500))
+    roots = np.array([char_poly_roots(complex(x)) for x in z])
+    assert ((roots >= 0) & (roots < 1)).all()
+    case = genericity_cases()["eigenvalue_one"]
+    assert (eigenvalue_angles(case)[:, 0] < 1e-15).all()
+    assert not is_generic(case).any()
+
+
 def planted_spectra(rng: np.random.Generator, s: np.ndarray, p: int, q: int) -> np.ndarray:
     """Real p x q matrices U diag(s) V^T, one per row of the (n, min(p, q))
     singular values s, with Haar-like orthonormal U and V."""
@@ -1055,6 +1086,69 @@ def test_full_rank_check_sends_non_finite_rows_to_the_svd(bad):
                 ok = _full_rank_rows(stack)
             assert ok.tolist() == [True, True, False, True, True, True]
     assert _full_rank_rows(m[:0]).shape == (0,)
+
+
+def certificate_stacks():
+    """2000 rows of the planted spectra of
+    spectra_across_the_thresholds(), each in its own random frames, as
+    8x16 differentials and as 16x8 stacked adjoint blocks, and the 8x16
+    stack again with a NaN, an inf or a -inf entry on every 50th row."""
+    s = spectra_across_the_thresholds()
+    s = np.tile(s, (-(-2000 // len(s)), 1))[:2000]
+    rng = make_rng(48)
+    wide, tall = planted_spectra(rng, s, 8, 16), planted_spectra(rng, s, 16, 8)
+    bad = wide.copy()
+    rows = np.arange(0, 2000, 50)
+    bad[rows, rows % 8, rows % 16] = np.resize([np.nan, np.inf, -np.inf], len(rows))
+    return wide, tall, bad
+
+
+def plane_major(m: np.ndarray) -> np.ndarray:
+    """An (n, p, q) stack whose memory holds its (p, q, n) planes."""
+    return np.ascontiguousarray(m.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def row_by_row(layer, size: int, *stacks: np.ndarray) -> np.ndarray:
+    """layer on the row slices [i:i + size] of the stacks in turn,
+    concatenated."""
+    n = len(stacks[0])
+    return np.concatenate([layer(*(m[i : i + size] for m in stacks)) for i in range(0, n, size)])
+
+
+def test_full_rank_check_answers_each_row_alone():
+    """Row i gets the same _full_rank_rows flag, d_kappa_rank and
+    centralizer intersection in stacks of 1, 7 and 2000 rows, C-ordered
+    and plane-major, on planted spectra on both sides of the floor and of
+    both rank thresholds; each flag is LAPACK's Cholesky on that matrix's
+    own floored Gram matrix, NaN and inf rows included, and each rank and
+    intersection is its SVD's."""
+    wide, tall, bad = certificate_stacks()
+    eye = np.eye(8)
+    ad_a, ad_b = tall[:, :8] + eye, tall[:, 8:] + eye
+    stacked = np.concatenate([ad_a - eye, ad_b - eye], axis=-2)
+    want = {
+        "flags": np.concatenate([full_rank_cholesky(m) for m in (wide, tall, bad)]),
+        "ranks": d_kappa_rank_svd(wide),
+        "inters": 8 - np.sum(np.linalg.svd(stacked, compute_uv=False) > NULLSPACE_TOL, -1),
+    }
+    assert want["flags"][:2000].any() and not want["flags"][:2000].all()
+    assert not want["flags"][4000:][::50].any()
+    assert {6, 7, 8} <= set(want["ranks"].tolist())
+    assert {0, 1, 2} <= set(want["inters"].tolist())
+    for layout in (lambda m: m, plane_major):
+        for size in (1, 7, 2000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                flags = [row_by_row(_full_rank_rows, size, layout(m)) for m in (wide, tall, bad)]
+            got = {
+                "flags": np.concatenate(flags),
+                "ranks": row_by_row(d_kappa_rank, size, layout(wide)),
+                "inters": row_by_row(
+                    fiber._intersection_from_adjoints, size, layout(ad_a), layout(ad_b)
+                ),
+            }
+            for name in want:
+                assert np.array_equal(got[name], want[name]), (name, size)
 
 
 def test_rank_layers_keep_their_shapes():
