@@ -19,18 +19,19 @@ The four flowable curves and the holonomy they centralize:
 The boundary curve's trace is constant on every fiber, so requesting its
 flow raises TrivialFlowError instead of silently doing nothing.
 
-One flow step runs under both twist_flow (a stack of one) and
-flow_walk_stack, on plane-major (n, 3, 3) stacks (see su3lab.su3), and
+One flow engine, _flow_steps, runs twist_flow (one row, one step) and
+flow_walk_stack on plane-major (n, 3, 3) stacks (see su3lab.su3), and
 both return new stacks, as the word engine does.  flow_walk_stack copies
 its pairs once on entry through su3's one pair check, which refuses
 anything but two (n, 3, 3) stacks of one shape on SU(3) within
 UNITARITY_TOL.  twist_flow takes a RepPoint, whose construction made
-that check, and hands the step its matrices as 1-row stacks without a
-second one; the step writes neither input.  In a step,
-a b on the alpha_beta rows and a b^H on the alpha_beta_inv rows are one
-planar product over the whole stack, formed only when some row's curve
-needs it; each row's x, and then each row's new a and b, are picked with
-np.where from whole-stack products.
+that check, and hands the engine its matrices as 1-row stacks without a
+second one; the engine writes neither input.  Each step sorts its rows
+by curve and keeps them in that order: one row gather per stack, and each
+curve's group forms only its own products, written into row slices of
+work stacks allocated once per call: no step selects rows from
+whole-stack products, and only exp_algebra's check and its x^3 terms
+allocate a stack in a step.
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ from .fiber import RepPoint
 from .su3 import (
     RENORM_CADENCE,
     _check_layout,
+    _gather_rows,
     _pair_stacks,
     _planar_product,
     _plane_major,
-    dagger,
+    _work_stacks,
     exp_algebra,
     renormalize,
 )
@@ -66,20 +68,25 @@ def variation(x: np.ndarray) -> np.ndarray:
     representing the directional derivative of the trace observable against
     the invariant pairing.  The gradient of Im Tr at x is variation(-1j * x).
     Commutes with x when x is unitary, so exp(t variation(x)) does too.
-    Accepts stacks, and returns a new plane-major stack; the flow step's
-    plane-major x is read in place.
+    Accepts stacks, and returns a new plane-major stack.
     """
     x = np.asarray(x, dtype=complex)
     _check_layout(x)
     p = _plane_major(x)
-    f = np.empty_like(p)
-    np.conjugate(p.swapaxes(1, 2), out=f)
-    np.subtract(p, f, out=f)
+    return _variation(p, np.empty_like(p)).reshape(x.shape)
+
+
+def _variation(x: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """variation on an (n, 3, 3) stack x, written into the stack f and
+    returned.  f = (x - x^H) / 2 is exactly anti-Hermitian, because IEEE
+    subtraction is: entry (k, i) is -(entry (i, k)) bit for bit."""
+    np.conjugate(x.swapaxes(1, 2), out=f)
+    np.subtract(x, f, out=f)
     f *= 0.5
     mean = (f[:, 0, 0] + f[:, 1, 1] + f[:, 2, 2]) / 3
     for i in range(3):
         f[:, i, i] -= mean
-    return f.reshape(x.shape)
+    return f
 
 
 def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
@@ -101,53 +108,85 @@ def twist_flow(p: RepPoint, curve: str, part: str, t: float) -> RepPoint:
             "the boundary trace is constant on each fiber; its flow fixes"
             " every point"
         )
-    a, b = _flow_step(
-        np.ascontiguousarray(p.a, dtype=complex)[None],
-        np.ascontiguousarray(p.b, dtype=complex)[None],
-        np.array([CURVES.index(curve)]),
-        np.array([part == "im"]),
-        np.array([t], dtype=float),
+    draw = (np.array([CURVES.index(curve)]), np.array([part == "im"]), np.array([t], dtype=float))
+    a, b = _flow_steps(
+        np.asarray(p.a, dtype=complex)[None], np.asarray(p.b, dtype=complex)[None], [draw]
     )
     return RepPoint(a=a[0], b=b[0], c=p.c)
 
 
-def _flow_step(
-    a: np.ndarray,
-    b: np.ndarray,
-    curve: np.ndarray,
-    part_im: np.ndarray,
-    t: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flow each row of the plane-major stacks a and b along its observable.
+# A step runs its rows grouped by curve, in this order: then a z (beta and
+# alpha_beta_inv rows), u (alpha_beta_inv and alpha_beta) and b z (all but
+# beta) each run on one contiguous row slice.  _GROUP_RANK[k] is the place
+# of CURVES[k] in it.
+_GROUP_ORDER = (1, 3, 2, 0)
+_GROUP_RANK = np.argsort(_GROUP_ORDER).astype(np.int8)
 
-    curve holds indices into CURVES, part_im selects the imaginary trace
-    part, t the flow time; all three have one entry per row.  Returns new
-    stacks (a, b); a and b are not written.
+
+def _flow_steps(a: np.ndarray, b: np.ndarray, draws) -> tuple[np.ndarray, np.ndarray]:
+    """Flow the (n, 3, 3) stacks a and b through each step of draws.
+
+    A step is (curve, part_im, t) with one entry per row: indices into
+    CURVES, whether to flow the imaginary trace part, and the flow time.
+    Renormalizes both stacks every RENORM_CADENCE steps.  Returns new
+    plane-major stacks; a and b are not written.
+
+    The walk holds its rows in slots, each step's rows sorted by the
+    group of their curve (_GROUP_ORDER), and `slot` names the row in each
+    slot.  A step gathers the pair into that order once, and each group
+    forms only its own products, written straight into row slices of work
+    stacks allocated once per call: x^2 on every row, u on half of them,
+    b z on three quarters, a z on half and u (b z)^H on a quarter.  Each
+    row sees the arithmetic of the one-row step, so its bits do not depend
+    on the order; the rows go back to theirs at the end.
     """
-    curve, part_im, t = (v[:, None, None] for v in (curve, part_im, t))
-    x = np.where(curve == 0, a, b)
-    on_product = curve >= 2
-    if on_product.any():
-        # u = a b on alpha_beta rows and a b^H on alpha_beta_inv rows: one
-        # planar product for both.
-        u = _planar_product(a, np.where(curve == 3, dagger(b), b))
-        x = np.where(on_product, u, x)
-    # Im Tr x = Re Tr(-i x); x is this step's own array.
-    x *= np.where(part_im, -1j, 1.0)
-    f = variation(x)
-    f *= t
-    z = exp_algebra(f)
+    n = len(a)
+    new_a, new_b, pair_a, pair_b = _work_stacks(4, n)
+    u, f, z = _work_stacks(3, n)
+    slot = np.arange(n)
+    steps = 0
+    for curve, part_im, t in draws:
+        order = np.argsort(_GROUP_RANK[curve[slot]], kind="stable")
+        slot = slot[order]
+        _gather_rows(a, order, pair_a)
+        _gather_rows(b, order, pair_b)
+        beta, inv, prod = np.cumsum(np.bincount(curve, minlength=4)[list(_GROUP_ORDER[:3])])
+        # Im Tr x = Re Tr(-i x).
+        scale = np.where(part_im[slot], -1j, 1.0)[:, None, None]
+        # new_a holds x until the exponential is formed.
+        x = new_a
+        # u = a b^H on alpha_beta_inv rows and a b on alpha_beta rows: one
+        # planar product over both, its right factors gathered in f.
+        np.conjugate(pair_b[beta:inv].swapaxes(1, 2), out=f[beta:inv])
+        f[inv:prod] = pair_b[inv:prod]
+        _planar_product(pair_a[beta:prod], f[beta:prod], u[beta:prod])
+        np.multiply(pair_b[:beta], scale[:beta], out=x[:beta])
+        np.multiply(u[beta:prod], scale[beta:prod], out=x[beta:prod])
+        np.multiply(pair_a[prod:], scale[prod:], out=x[prod:])
+        _variation(x, f)
+        f *= t[slot][:, None, None]
+        exp_algebra(f, out=z)
 
-    # The table in the module docstring.  On alpha_beta rows a = u v^-1
-    # with u = a b and v = b z, so a reads the pre-step b through bz.
-    bz = _planar_product(b, z)
-    az = _planar_product(a, z)
-    new_a = np.where((curve == 1) | (curve == 3), az, a)
-    m_ab = curve == 2
-    if m_ab.any():
-        a_ab = _planar_product(u, dagger(bz))
-        new_a = np.where(m_ab, a_ab, new_a)
-    return new_a, np.where(curve != 1, bz, b)
+        # The table in the module docstring.  On alpha_beta rows a = u v^-1
+        # with u = a b and v = b z, so a reads the pre-step b through b z.
+        _planar_product(pair_a[:inv], z[:inv], new_a[:inv])
+        _planar_product(pair_b[beta:], z[beta:], new_b[beta:])
+        new_a[prod:] = pair_a[prod:]
+        new_b[:beta] = pair_b[:beta]
+        np.conjugate(new_b[inv:prod], out=z[inv:prod])
+        _planar_product(u[inv:prod], z[inv:prod].swapaxes(1, 2), new_a[inv:prod])
+        a, b = new_a, new_b
+        steps += 1
+        if steps % RENORM_CADENCE == 0:
+            # Into the gather stacks, which then swap with the pair's.
+            renormalize(new_a, out=pair_a)
+            renormalize(new_b, out=pair_b)
+            new_a, new_b, pair_a, pair_b = pair_a, pair_b, new_a, new_b
+            a, b = new_a, new_b
+    del u, f, z
+    back = np.empty(n, dtype=np.intp)
+    back[slot] = np.arange(n)
+    return tuple(_gather_rows(m, back, np.empty_like(pair_a)) for m in (a, b))
 
 
 def flow_walk_stack(
@@ -168,15 +207,14 @@ def flow_walk_stack(
     """
     a, b = _pair_stacks(a, b)
     n = len(a)
-    for step in range(int(steps)):
-        curve = rng.integers(4, size=n)
-        part_im = rng.integers(2, size=n).astype(bool)
-        t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
-        a, b = _flow_step(a, b, curve, part_im, t)
-        if (step + 1) % RENORM_CADENCE == 0:
-            a = renormalize(a)
-            b = renormalize(b)
-    return a, b
+
+    def draws():
+        for _ in range(int(steps)):
+            curve = rng.integers(4, size=n)
+            part_im = rng.integers(2, size=n).astype(bool)
+            yield curve, part_im, rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
+
+    return _flow_steps(a, b, draws())
 
 
 def walk_from(

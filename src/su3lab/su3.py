@@ -124,7 +124,9 @@ def algebra_defect(x: np.ndarray) -> float:
     # An inf entry makes inf - inf; the NaN is refused by the callers, so
     # numpy need not warn about it first.
     with np.errstate(invalid="ignore"):
-        herm = np.abs(x + dagger(x)).max(initial=0.0)
+        herm = dagger(x)
+        herm += x
+        herm = np.abs(herm).max(initial=0.0)
         tr = np.abs(x[..., 0, 0] + x[..., 1, 1] + x[..., 2, 2]).max(initial=0.0)
     return float(max(herm, tr))
 
@@ -139,7 +141,7 @@ def assert_algebra_element(x: np.ndarray) -> None:
         )
 
 
-def exp_algebra(x: np.ndarray) -> np.ndarray:
+def exp_algebra(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exponential of a traceless anti-Hermitian matrix, landing in SU(3).
 
     Closed form by the Cayley-Hamilton theorem (Morningstar and Peardon,
@@ -164,27 +166,39 @@ def exp_algebra(x: np.ndarray) -> np.ndarray:
     NaN and inf entries included, for inputs whose last two axes are not
     (3, 3), and for c1 above EXP_MAX_C1, where the squarings would carry
     the result off the group.  Accepts stacks, and returns a new
-    plane-major stack (a lone matrix runs as a stack of one).
+    plane-major stack (a lone matrix runs as a stack of one), or writes an
+    (n, 3, 3) stack's exponentials into out, an (n, 3, 3) stack that
+    shares no memory with x, and returns out.
     """
     x = np.asarray(x, dtype=complex)
     assert_algebra_element(x)
+    if out is not None:
+        _check_stack_out(x, out, InvalidAlgebraError)
+        return _exp_planes(_plane_major(x), out)
     return _exp_planes(_plane_major(x)).reshape(x.shape)
 
 
-def _exp_planes(x: np.ndarray) -> np.ndarray:
+def _exp_planes(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """exp_algebra on an (n, 3, 3) stack, run on its planes: x^2 is one
     planar product, c1 and c0 come from the diagonals of x^2 and x^3, and
-    the f_j multiply the planes row by row.  Returns a new stack laid out
-    like x; x is not written."""
+    the f_j multiply the planes row by row.  Writes the result into out, a
+    new stack laid out like x when None, and returns it; x is not written.
+    Does not check that x lies in the algebra: exp_algebra does."""
     p = x.transpose(1, 2, 0)
+    if out is None:
+        out = np.empty_like(x)
+    planes = out.transpose(1, 2, 0)
     # An element too large for the c1 refusal below overflows x^2 into inf
     # and c0 into NaN; the refusal covers both, so numpy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _planar_product(x, x).transpose(1, 2, 0)
+        _planar_product(x, x, out)
         # With Q = -i x: c1 = tr(Q^2)/2 = -tr(x^2)/2 and c0 = det Q =
-        # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji.
-        c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
-        c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
+        # tr(Q^3)/3 = i tr(x^3)/3, where tr(x^3) = sum_ij x_ij (x^2)_ji,
+        # summed by numpy over C-contiguous (3, 3, n) planes.
+        terms = np.empty(p.shape, dtype=complex)
+        np.multiply(p, planes.transpose(1, 0, 2), out=terms)
+        c1 = (planes[0, 0].real + planes[1, 1].real + planes[2, 2].real) * -0.5
+        c0 = terms.sum(axis=(0, 1)).imag / -3.0
     # Written as `not <=` so that a NaN c1 is refused too.
     if not (c1 <= EXP_MAX_C1).all():
         raise InvalidAlgebraError(
@@ -193,16 +207,16 @@ def _exp_planes(x: np.ndarray) -> np.ndarray:
     f0, f1, f2 = _exp_coefficients(c0, c1)
     # exp(x) = f0 Id + f1 Q + f2 Q^2 with Q = -i x and Q^2 = -x^2, formed
     # over x^2.
-    out *= -f2
+    planes *= -f2
     i_f1 = 1j * f1
     for i in range(3):
-        out[i] -= p[i] * i_f1
-        out[i, i] += f0
+        planes[i] -= p[i] * i_f1
+        planes[i, i] += f0
     squaring = c1 > EXP_SQUARING_C1
     if squaring.any():
         half = _exp_planes(_plane_major(x[squaring] / 2))
-        out[:, :, squaring] = _planar_product(half, half).transpose(1, 2, 0)
-    return out.transpose(2, 0, 1)
+        planes[:, :, squaring] = _planar_product(half, half).transpose(1, 2, 0)
+    return out
 
 
 def _exp_coefficients(c0: np.ndarray, c1: np.ndarray):
@@ -435,7 +449,7 @@ def torus_frame(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return angles, vectors
 
 
-def renormalize(u: np.ndarray) -> np.ndarray:
+def renormalize(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Project near-unitary matrices back onto SU(3); accepts stacks.
 
     The unitary factor of the polar decomposition, then the determinant
@@ -449,12 +463,16 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     InvalidGroupElementError when the last two axes are not (3, 3).
 
     A stack runs on planes, as in exp_algebra, and returns a new
-    plane-major stack.  A lone matrix runs on its entries as Python complex
-    numbers (_renormalize3), with the same formulas, and returns a new
-    3x3 array.
+    plane-major stack, or writes an (n, 3, 3) stack's result into out, an
+    (n, 3, 3) stack that shares no memory with u, and returns out.  A lone
+    matrix runs on its entries as Python complex numbers (_renormalize3),
+    with the same formulas, and returns a new 3x3 array.
     """
     u = np.asarray(u, dtype=complex)
     _check_layout(u)
+    if out is not None:
+        _check_stack_out(u, out, InvalidGroupElementError)
+        return _renormalize_planes(_plane_major(u), out)
     if u.ndim > 2:
         return _renormalize_planes(_plane_major(u)).reshape(u.shape)
     return _matrix(_renormalize3(_entries(u)))
@@ -586,11 +604,15 @@ def _renormalize3(u) -> tuple:
 # entry (i, k) of every matrix is one contiguous length-n row.  Only the
 # kernels below form the planes view x.transpose(1, 2, 0): on it a stacked
 # product is 15 vector operations over (3, n) rows, where matmul makes one
-# small BLAS call per matrix.  Every planar kernel allocates its own output
-# and work rows and returns a new stack.  Both orbit engines copy their
-# pairs once on entry (_pair_stacks) and hand exp_algebra and renormalize
-# their stacks as they are.  A .copy() of such a stack is C-ordered: the
-# same values in the slow layout.
+# small BLAS call per matrix.  A row slice x[lo:hi] of such a stack is one
+# too.  Every planar kernel allocates its own work rows, and writes its
+# result into a new stack or, for _planar_product, _exp_planes and
+# _renormalize_planes, into a given one: the flow engine hands them (the
+# last two through exp_algebra and renormalize) row slices of the work
+# stacks it allocates once per walk (_work_stacks), and keeps its rows in
+# an order of its own (_gather_rows).  Both orbit engines
+# copy their pairs once on entry (_pair_stacks).  A .copy() of such a
+# stack is C-ordered: the same values in the slow layout.
 
 
 def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -615,6 +637,20 @@ def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     assert_special_unitary(a)
     assert_special_unitary(b)
     return a, b
+
+
+def _work_stacks(count: int, n: int) -> list[np.ndarray]:
+    """count plane-major (n, 3, 3) work stacks, with C-contiguous planes,
+    carved from one allocation; their values are undefined."""
+    return [p.transpose(2, 0, 1) for p in np.empty((count, 3, 3, n), dtype=complex)]
+
+
+def _gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[k] = x[rows[k]] for (n, 3, 3) stacks, written into out, a
+    plane-major stack with C-contiguous planes, one take along the planes'
+    rows; rows must index x (it is clipped, not checked)."""
+    np.take(x.transpose(1, 2, 0), rows, axis=2, out=out.transpose(1, 2, 0), mode="clip")
+    return out
 
 
 def _plane_major(x: np.ndarray) -> np.ndarray:
@@ -654,6 +690,19 @@ def _check_layout(*arrays, error: type[Exception] = InvalidGroupElementError) ->
             raise error(f"expected stacks of one shape, got {shape} and {np.shape(u)}")
 
 
+def _check_stack_out(x: np.ndarray, out: np.ndarray, error: type[Exception]) -> None:
+    """Refuse, with `error`, an out argument that is not an (n, 3, 3)
+    complex stack of x's shape apart from x's memory."""
+    if not (
+        x.ndim == 3
+        and isinstance(out, np.ndarray)
+        and out.shape == x.shape
+        and out.dtype == complex
+        and not np.may_share_memory(out, x)
+    ):
+        raise error("out must be an (n, 3, 3) complex stack of the input's shape apart from it")
+
+
 def _check_finite(u: np.ndarray, error: type[Exception] = InvalidGroupElementError) -> None:
     """Refuse, with `error`, an array with a NaN or inf entry: the kernels
     that call it would otherwise warn in numpy, fail untyped inside LAPACK,
@@ -662,31 +711,45 @@ def _check_finite(u: np.ndarray, error: type[Exception] = InvalidGroupElementErr
         raise error("expected finite entries, got NaN or inf")
 
 
-def _planar_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x y for (n, 3, 3) stacks, run on their planes, as a new stack laid
-    out like x.
+def _planar_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x y for (n, 3, 3) stacks, run on their planes, written into out, a
+    new stack laid out like x when None, and returned.
 
     Row i of the product's planes is sum_j x[i, j] y[j], added left to
-    right: 15 vector operations over (3, n) rows.  x and y may be strided.
+    right: 15 vector operations over (3, n) rows.  x and y may be strided;
+    a factor y^H is read as y = w.swapaxes(1, 2) for w = conj(y), the
+    planes of w in transposed order.  out must share no memory with x or y.
     """
-    stack = np.empty_like(x)
-    out = stack.transpose(1, 2, 0)
-    t = np.empty(out.shape[1:], dtype=complex)
+    if out is None:
+        out = np.empty_like(x)
+    planes = out.transpose(1, 2, 0)
+    t = _row_like(planes[0])
     y0, y1, y2 = y.transpose(1, 2, 0)
-    for (x0, x1, x2), out_i in zip(x.transpose(1, 2, 0), out):
+    for (x0, x1, x2), out_i in zip(x.transpose(1, 2, 0), planes):
         np.multiply(x0, y0, out=out_i)
         np.multiply(x1, y1, out=t)
         out_i += t
         np.multiply(x2, y2, out=t)
         out_i += t
-    return stack
+    return out
 
 
-def _renormalize_planes(u: np.ndarray) -> np.ndarray:
+def _row_like(row: np.ndarray) -> np.ndarray:
+    """A work array for the (3, m) row of planes `row`, with its row stride
+    when its entries run contiguously: on a row slice of wider planes,
+    numpy added a (3, m) work row into it at half the speed when the work
+    row was packed, as np.empty((3, m)) is."""
+    pitch = row.strides[0] // row.itemsize
+    if row.strides[1] == row.itemsize and pitch >= row.shape[1]:
+        return np.empty((3, pitch), dtype=complex)[:, : row.shape[1]]
+    return np.empty(row.shape, dtype=complex)
+
+
+def _renormalize_planes(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """renormalize on an (n, 3, 3) stack, run on its planes: the same guard,
     Newton-Schulz step and first-column phase, with the cofactor
-    determinant taken on the plane rows.  Returns a new stack; u is not
-    written."""
+    determinant taken on the plane rows.  Writes the result into out, a
+    new stack when None, and returns it; u is not written."""
     # An inf entry makes inf * 0 in the Gram product and a huge one
     # overflows; the guard refuses the result, so numpy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -697,9 +760,10 @@ def _renormalize_planes(u: np.ndarray) -> np.ndarray:
     factor *= -0.5
     for i in range(3):
         factor[:, i, i] += 1.0
-    q = _planar_product(u, factor).transpose(1, 2, 0)
+    out = _planar_product(u, factor, out)
+    q = out.transpose(1, 2, 0)
     q[:, 0] /= _det3(q)
-    return q.transpose(2, 0, 1)
+    return out
 
 
 def _gram_defect_planes(u: np.ndarray) -> np.ndarray:
@@ -715,21 +779,24 @@ def _gram_defect_planes(u: np.ndarray) -> np.ndarray:
     complex multiply is not bitwise conjugate symmetric (conj(z) z has an
     imaginary part in the last bits).
     """
+    out = np.empty_like(u)
     p = u.transpose(1, 2, 0)
-    gram = np.empty_like(p)
+    gram = out.transpose(1, 2, 0)
     conj = np.conjugate(p[:, :2])
     t = np.empty(p.shape[2:], dtype=complex)
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        out = gram[i, j]
-        np.multiply(conj[0, i], p[0, j], out=out)
+        entry = gram[i, j]
+        np.multiply(conj[0, i], p[0, j], out=entry)
         for k in (1, 2):
             np.multiply(conj[k, i], p[k, j], out=t)
-            out += t
-        np.conjugate(out, out=gram[j, i])
-    norms = np.square(p.real) + np.square(p.imag)
+            entry += t
+        np.conjugate(entry, out=gram[j, i])
+    del conj
+    norms = np.square(p.real)
+    norms += np.square(p.imag)
     for i in range(3):
         gram[i, i] = norms[0, i] + norms[1, i] + norms[2, i] - 1.0
-    return gram.transpose(2, 0, 1)
+    return out
 
 
 def _cholesky_planes(gram: np.ndarray, shift: np.ndarray) -> np.ndarray:

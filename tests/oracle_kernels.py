@@ -10,7 +10,8 @@ those kernels' bits from independent code (apply_word, renormalize and
 the fiber residual on one pair), the four-mask gather-matmul-scatter word-stack engine
 that the planar su3lab.mcg.apply_word_stack replaced, the masked
 gather-matmul-scatter flow step and walk that the planar su3lab.flows
-engine replaced, the two-einsum
+engine replaced, the whole-stack select-based planar flow step and walk
+that its curve-sorted workspace engine replaced, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
 one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
 su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
@@ -37,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from su3lab.fiber import _FULL_RANK_FLOOR, NULLSPACE_TOL, RANK_TOL
-from su3lab.flows import TWIST_TIME_BOUND
+from su3lab.flows import TWIST_TIME_BOUND, variation
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
 from su3lab.su3 import (
@@ -46,10 +47,14 @@ from su3lab.su3 import (
     REGULARITY_GAP,
     RENORM_CADENCE,
     RENORM_GUARD,
+    _pair_stacks,
+    _planar_product,
     angle_gap,
     assert_algebra_element,
     dagger,
     eigenvalue_angles,
+    exp_algebra,
+    renormalize,
 )
 
 
@@ -324,6 +329,59 @@ def flow_walk_matmul(
         if (step + 1) % RENORM_CADENCE == 0:
             a = renormalize_svd(a)
             b = renormalize_svd(b)
+    return a, b
+
+
+def flow_step_select(
+    a: np.ndarray,
+    b: np.ndarray,
+    curve: np.ndarray,
+    part_im: np.ndarray,
+    t: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flow each row of the plane-major stacks a and b along its observable.
+
+    curve holds indices into CURVES, part_im selects the imaginary trace
+    part, t the flow time; all three have one entry per row.  Returns new
+    stacks (a, b); a and b are not written.
+    """
+    curve, part_im, t = (v[:, None, None] for v in (curve, part_im, t))
+    x = np.where(curve == 0, a, b)
+    on_product = curve >= 2
+    if on_product.any():
+        # u = a b on alpha_beta rows and a b^H on alpha_beta_inv rows: one
+        # planar product for both.
+        u = _planar_product(a, np.where(curve == 3, dagger(b), b))
+        x = np.where(on_product, u, x)
+    # Im Tr x = Re Tr(-i x); x is this step's own array.
+    x *= np.where(part_im, -1j, 1.0)
+    f = variation(x)
+    f *= t
+    z = exp_algebra(f)
+
+    # The table in the module docstring.  On alpha_beta rows a = u v^-1
+    # with u = a b and v = b z, so a reads the pre-step b through bz.
+    bz = _planar_product(b, z)
+    az = _planar_product(a, z)
+    new_a = np.where((curve == 1) | (curve == 3), az, a)
+    m_ab = curve == 2
+    if m_ab.any():
+        a_ab = _planar_product(u, dagger(bz))
+        new_a = np.where(m_ab, a_ab, new_a)
+    return new_a, np.where(curve != 1, bz, b)
+
+
+def flow_walk_select(a: np.ndarray, b: np.ndarray, draws):
+    """flow_step_select through each (curve, part_im, t) of draws, with
+    the package's renormalize on both stacks every RENORM_CADENCE steps,
+    as the select-based flow_walk_stack ran them; a and b are taken
+    through _pair_stacks, as that walk did.  Returns (a, b)."""
+    a, b = _pair_stacks(a, b)
+    for step, (curve, part_im, t) in enumerate(draws):
+        a, b = flow_step_select(a, b, curve, part_im, t)
+        if (step + 1) % RENORM_CADENCE == 0:
+            a = renormalize(a)
+            b = renormalize(b)
     return a, b
 
 

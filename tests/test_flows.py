@@ -3,19 +3,21 @@ the bridge to the word engine: each letter is a time-(s1, s2) map of its
 curve's two flows, on the lone paths and row by row on stacks."""
 
 import itertools
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_rng
-from oracle_kernels import curve_holonomy, random_algebra
-from su3lab.errors import InvalidGroupElementError, TrivialFlowError
+from oracle_kernels import curve_holonomy, flow_step_select, flow_walk_select, random_algebra
+from su3lab.errors import InvalidAlgebraError, InvalidGroupElementError, TrivialFlowError
 from su3lab.fiber import RepPoint, base_point, commutator, fiber_residual
 from su3lab.flows import (
     BOUNDARY,
     CURVES,
     TWIST_TIME_BOUND,
-    _flow_step,
+    _flow_steps,
     flow_walk_stack,
     twist_flow,
     variation,
@@ -23,6 +25,7 @@ from su3lab.flows import (
 )
 from su3lab.mcg import LETTERS, TwistWord, apply_word, apply_word_stack
 from su3lab.su3 import (
+    ALGEBRA_TOL,
     EXP_SQUARING_C1,
     _plane_major,
     algebra_defect,
@@ -149,12 +152,10 @@ def test_twist_flow_trusts_its_rep_point(rng, monkeypatch):
     for p in points:
         for (k, curve), part in itertools.product(enumerate(CURVES), ("re", "im")):
             q = twist_flow(p, curve, part, 0.7)
-            a, b = _flow_step(
+            a, b = _flow_steps(
                 p.a.astype(complex)[None],
                 p.b.astype(complex)[None],
-                np.array([k]),
-                np.array([part == "im"]),
-                np.array([0.7]),
+                [(np.array([k]), np.array([part == "im"]), np.array([0.7]))],
             )
             assert q.a.tobytes() == a[0].tobytes()
             assert q.b.tobytes() == b[0].tobytes()
@@ -321,8 +322,8 @@ def test_letters_are_time_s_maps_of_their_curves_flows(points):
 @pytest.mark.parametrize("points", ["haar", "near_degenerate"])
 def test_word_engine_letters_are_stacked_flow_steps(points):
     """The bridge on stacks: a one-letter apply_word_stack call equals two
-    stacked _flow_step calls, each row's curve's Re flow for its time s1
-    and then its Im flow for s2, row by row within BRIDGE_TOL, for all four
+    stacked one-step _flow_steps calls, each row's curve's Re flow for its
+    time s1 and then its Im flow for s2, row by row within BRIDGE_TOL, for all four
     letters.  The times are bridge_times' smallest, and on Haar stacks
     also its largest up to BRIDGE_MAX_TIME, so that some rows take
     exp_algebra's squaring branch.  The bits need not agree: the planar
@@ -351,8 +352,168 @@ def test_word_engine_letters_are_stacked_flow_steps(points):
         rows = np.full(n, CURVES.index(curve))
         for s in tried:
             s = sign * s
-            got = _flow_step(a, b, rows, np.zeros(n, dtype=bool), s[:, 0])
-            got = _flow_step(*got, rows, np.ones(n, dtype=bool), s[:, 1])
+            got = _flow_steps(a, b, [(rows, np.zeros(n, dtype=bool), s[:, 0])])
+            got = _flow_steps(*got, [(rows, np.ones(n, dtype=bool), s[:, 1])])
             for x, y in zip(got, want):
                 worst = max(worst, np.abs(x - y).max())
     assert worst <= BRIDGE_TOL
+
+
+def recorded_draws(seed: int, n: int, steps: int) -> list:
+    """flow_walk_stack's draws for n rows from make_rng(seed), step by step."""
+    rng = make_rng(seed)
+    return [
+        (
+            rng.integers(4, size=n),
+            rng.integers(2, size=n).astype(bool),
+            rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n),
+        )
+        for _ in range(steps)
+    ]
+
+
+# 130 steps cross two renormalizations.
+ORACLE_STEPS = 130
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 7, 16, 1000])
+@pytest.mark.parametrize("layout", ["c_ordered", "plane_major"])
+def test_flow_walk_gives_the_bits_of_the_select_step_walk(rows, layout):
+    """The curve-sorted walk against the whole-stack select step it
+    replaced (oracle_kernels.flow_step_select), with the same draws: every
+    output bit equal, and the generator left in the same state."""
+    rng = make_rng(44)
+    a, b = haar_random(rng, size=rows), haar_random(rng, size=rows)
+    if layout == "plane_major":
+        a, b = _plane_major(a), _plane_major(b)
+    mine = make_rng(45)
+    got = flow_walk_stack(a, b, ORACLE_STEPS, mine)
+    want = flow_walk_select(a, b, recorded_draws(45, rows, ORACLE_STEPS))
+    for x, y in zip(got, want):
+        assert x.shape == (rows, 3, 3)
+        assert x.tobytes() == y.tobytes()
+    assert mine.bit_generator.state == recorded_state(45, rows, ORACLE_STEPS)
+
+
+def recorded_state(seed: int, n: int, steps: int) -> dict:
+    """The generator state after recorded_draws(seed, n, steps)."""
+    rng = make_rng(seed)
+    for _ in range(steps):
+        rng.integers(4, size=n)
+        rng.integers(2, size=n)
+        rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, size=n)
+    return rng.bit_generator.state
+
+
+def test_walk_from_gives_the_bits_of_the_select_step_walk():
+    """The broadcast copies of walk_from walk as the select steps do."""
+    rng = make_rng(46)
+    p = base_point(commutator(haar_random(rng), haar_random(rng)))
+    got = walk_from(p, 16, ORACLE_STEPS, make_rng(47))
+    broadcast = (np.broadcast_to(m, (16, 3, 3)) for m in (p.a, p.b))
+    want = flow_walk_select(*broadcast, recorded_draws(47, 16, ORACLE_STEPS))
+    for x, y in zip(got, want):
+        assert x.tobytes() == y.tobytes()
+
+
+def near_identity_point(rng) -> RepPoint:
+    """A pair within 1e-3 of the identity, through the flows' exponential."""
+    a, b = (exp_algebra(1e-3 * random_algebra(rng)) for _ in range(2))
+    return RepPoint.from_pair(a, b)
+
+
+def test_twist_flow_gives_the_bits_of_the_select_step():
+    """twist_flow against one select step on the point's 1-row stacks, for
+    all eight curve/part pairs, on Haar, near-identity and real-identity
+    points."""
+    rng = make_rng(48)
+    identity = np.eye(3)
+    points = [
+        haar_point(rng),
+        near_identity_point(rng),
+        RepPoint(a=identity, b=haar_random(rng), c=identity),
+        RepPoint(a=identity, b=identity, c=identity),
+    ]
+    for p in points:
+        for (k, curve), part in itertools.product(enumerate(CURVES), ("re", "im")):
+            q = twist_flow(p, curve, part, 0.9)
+            a, b = flow_step_select(
+                p.a.astype(complex)[None],
+                p.b.astype(complex)[None],
+                np.array([k]),
+                np.array([part == "im"]),
+                np.array([0.9]),
+            )
+            assert q.a.tobytes() == a[0].tobytes()
+            assert q.b.tobytes() == b[0].tobytes()
+
+
+@pytest.mark.parametrize("points", ["haar", "near_identity", "identity", "near_degenerate"])
+def test_flow_step_exponent_is_exactly_anti_hermitian(monkeypatch, points):
+    """The exponent a step hands exp_algebra, variation(x) t, satisfies
+    f + f^H == 0 exactly on both trace parts, because IEEE subtraction is
+    antisymmetric, and its trace is at roundoff, far under ALGEBRA_TOL."""
+    seen = []
+
+    def spy(f, **out):
+        seen.append(f.copy())
+        return exp_algebra(f, **out)
+
+    monkeypatch.setattr("su3lab.flows.exp_algebra", spy)
+    rng = make_rng(49)
+    n = 64
+    if points == "haar":
+        a, b = haar_random(rng, size=n), haar_random(rng, size=n)
+    elif points == "near_identity":
+        a, b = (exp_algebra(1e-6 * random_algebra(rng, size=n)) for _ in range(2))
+    elif points == "identity":
+        a = b = np.broadcast_to(np.eye(3, dtype=complex), (n, 3, 3))
+    else:
+        gaps = 10.0 ** rng.uniform(-9, -3, size=(2, n))
+        a, b = (np.stack([near_degenerate(rng, g) for g in row]) for row in gaps)
+    for part in (False, True):
+        curve = np.arange(n) % len(CURVES)
+        t = rng.uniform(-TWIST_TIME_BOUND, TWIST_TIME_BOUND, n)
+        _flow_steps(a, b, [(curve, np.full(n, part), t)])
+    assert len(seen) == 2
+    for f in seen:
+        assert np.array_equal(f + np.conjugate(f.swapaxes(1, 2)), np.zeros_like(f))
+        assert np.abs(f[:, 0, 0] + f[:, 1, 1] + f[:, 2, 2]).max() <= 1e-3 * ALGEBRA_TOL
+
+
+def test_nan_exponent_is_refused_without_a_warning():
+    """A NaN in the step's exponent, from a pair that skipped the walk's
+    entry check, is refused as off the algebra, and numpy does not warn
+    first."""
+    rng = make_rng(50)
+    a, b = haar_random(rng, size=4), haar_random(rng, size=4)
+    a[2, 1, 0] = np.nan
+    curve = np.zeros(4, dtype=int)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidAlgebraError):
+            _flow_steps(a, b, [(curve, np.zeros(4, dtype=bool), np.full(4, 0.5))])
+        f = variation(a) * 0.5
+        with pytest.raises(InvalidAlgebraError):
+            exp_algebra(f, out=np.empty_like(f))
+
+
+# The tracemalloc peak of a 1000-row, 256-step flow_walk_stack at the
+# select-step engine, in stacks of 9 * 16 * n bytes: 1712.6 KB on a
+# shared 2-core x86_64 host with numpy 2.4.
+SELECT_WALK_PEAK_STACKS = 12.18
+
+
+def test_flow_walk_peaks_no_higher_than_the_select_step_walk():
+    """The work stacks are allocated once per call; with them the walk's
+    traced peak stays at or below the select-step engine's."""
+    rng = make_rng(51)
+    n = 1000
+    a, b = haar_random(rng, size=n), haar_random(rng, size=n)
+    tracemalloc.start()
+    try:
+        flow_walk_stack(a, b, 256, make_rng(52))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SELECT_WALK_PEAK_STACKS * 9 * 16 * n

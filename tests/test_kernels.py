@@ -590,9 +590,9 @@ def test_product_paths_stay_far_inside_the_guard(monkeypatch, tmp_path):
     roundoff there, more than four decades inside its guard."""
     defects = []
 
-    def recording(u):
+    def recording(u, **out):
         defects.append(gram_defect(u))
-        return renormalize(u)
+        return renormalize(u, **out)
 
     def recording_entries(u):
         defects.append(gram_defect(np.array(u).reshape(3, 3)))
@@ -1206,7 +1206,7 @@ def test_flow_step_matches_reference_step(haar_pairs, curve, part_im):
     parts = np.full(n, part_im)
     t = make_rng(15).uniform(-flows.TWIST_TIME_BOUND, flows.TWIST_TIME_BOUND, n)
     pa, pb = _plane_major(a), _plane_major(b)
-    fast = flows._flow_step(pa, pb, curves, parts, t)
+    fast = flows._flow_steps(pa, pb, [(curves, parts, t)])
     assert np.array_equal(pa, a) and np.array_equal(pb, b)
     slow = a.copy(), b.copy()
     flow_step_matmul(*slow, curves, parts, t)
@@ -1404,10 +1404,10 @@ def test_engines_hand_their_own_stacks_to_exp_and_renormalize(monkeypatch):
     seen = []
 
     def plane_major_only(kernel):
-        def checked(x):
+        def checked(x, **out):
             assert is_plane_major(x)
             seen.append(kernel.__name__)
-            return kernel(x)
+            return kernel(x, **out)
 
         return checked
 
