@@ -144,13 +144,13 @@ def _flow_steps(a: np.ndarray, b: np.ndarray, draws) -> tuple[np.ndarray, np.nda
     new_a, new_b, pair_a, pair_b = _work_stacks(4, n)
     u, f, z = _work_stacks(3, n)
     slot = np.arange(n)
-    steps = 0
-    for curve, part_im, t in draws:
-        order = np.argsort(_GROUP_RANK[curve[slot]], kind="stable")
+    for step, (curve, part_im, t) in enumerate(draws, 1):
+        rank = _GROUP_RANK[curve[slot]]
+        order = np.argsort(rank, kind="stable")
         slot = slot[order]
         _gather_rows(a, order, pair_a)
         _gather_rows(b, order, pair_b)
-        beta, inv, prod = np.cumsum(np.bincount(curve, minlength=4)[list(_GROUP_ORDER[:3])])
+        beta, inv, prod = np.cumsum(np.bincount(rank, minlength=4))[:3]
         # Im Tr x = Re Tr(-i x).
         scale = np.where(part_im[slot], -1j, 1.0)[:, None, None]
         # new_a holds x until the exponential is formed.
@@ -176,8 +176,7 @@ def _flow_steps(a: np.ndarray, b: np.ndarray, draws) -> tuple[np.ndarray, np.nda
         np.conjugate(new_b[inv:prod], out=z[inv:prod])
         _planar_product(u[inv:prod], z[inv:prod].swapaxes(1, 2), new_a[inv:prod])
         a, b = new_a, new_b
-        steps += 1
-        if steps % RENORM_CADENCE == 0:
+        if step % RENORM_CADENCE == 0:
             # Into the gather stacks, which then swap with the pair's.
             renormalize(new_a, out=pair_a)
             renormalize(new_b, out=pair_b)

@@ -601,18 +601,16 @@ def _renormalize3(u) -> tuple:
 
 # Plane-major stacks: every stack that crosses a module boundary is an
 # ordinary (n, 3, 3) array whose memory holds (3, 3, n) planes, so that
-# entry (i, k) of every matrix is one contiguous length-n row.  Only the
-# kernels below form the planes view x.transpose(1, 2, 0): on it a stacked
-# product is 15 vector operations over (3, n) rows, where matmul makes one
-# small BLAS call per matrix.  A row slice x[lo:hi] of such a stack is one
-# too.  Every planar kernel allocates its own work rows, and writes its
-# result into a new stack or, for _planar_product, _exp_planes and
-# _renormalize_planes, into a given one: the flow engine hands them (the
-# last two through exp_algebra and renormalize) row slices of the work
-# stacks it allocates once per walk (_work_stacks), and keeps its rows in
-# an order of its own (_gather_rows).  Both orbit engines
-# copy their pairs once on entry (_pair_stacks).  A .copy() of such a
-# stack is C-ordered: the same values in the slow layout.
+# entry (i, k) of every matrix is one contiguous length-n row, as it is
+# on a row slice x[lo:hi].  Only the kernels below form the planes view
+# x.transpose(1, 2, 0): on it a stacked product is 15 vector operations
+# over (3, n) rows, where matmul makes one small BLAS call per matrix.
+# Each planar kernel allocates its own work rows and writes a new stack,
+# or a given one (_planar_product, _exp_planes, _renormalize_planes): the
+# flow engine hands them row slices of work stacks it allocates once per
+# walk (_work_stacks).  Both orbit engines copy their pairs once on entry
+# (_pair_stacks).  A .copy() of such a stack is C-ordered: the same
+# values in the slow layout.
 
 
 def _pair_stacks(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -719,9 +717,12 @@ def _planar_product(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None)
     right: 15 vector operations over (3, n) rows.  x and y may be strided;
     a factor y^H is read as y = w.swapaxes(1, 2) for w = conj(y), the
     planes of w in transposed order.  out must share no memory with x or y.
+    An empty stack returns at once.
     """
     if out is None:
         out = np.empty_like(x)
+    if not len(out):
+        return out
     planes = out.transpose(1, 2, 0)
     t = _row_like(planes[0])
     y0, y1, y2 = y.transpose(1, 2, 0)

@@ -11,7 +11,8 @@ the fiber residual on one pair), the four-mask gather-matmul-scatter word-stack 
 that the planar su3lab.mcg.apply_word_stack replaced, the masked
 gather-matmul-scatter flow step and walk that the planar su3lab.flows
 engine replaced, the whole-stack select-based planar flow step and walk
-that its curve-sorted workspace engine replaced, the two-einsum
+that its curve-sorted workspace engine replaced, with the planar
+exponential as that step ran it, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
 one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
 su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
@@ -41,19 +42,23 @@ from su3lab.fiber import _FULL_RANK_FLOOR, NULLSPACE_TOL, RANK_TOL
 from su3lab.flows import TWIST_TIME_BOUND, variation
 from su3lab.mcg import WORD_RENORM_CADENCE
 from su3lab.traces import GENERICITY_HEIGHT, GENERICITY_TOL
+from su3lab.errors import InvalidAlgebraError
 from su3lab.su3 import (
     ALGEBRA_BASIS,
+    EXP_MAX_C1,
+    EXP_SQUARING_C1,
     IDENTITY,
     REGULARITY_GAP,
     RENORM_CADENCE,
     RENORM_GUARD,
+    _exp_coefficients,
     _pair_stacks,
     _planar_product,
+    _plane_major,
     angle_gap,
     assert_algebra_element,
     dagger,
     eigenvalue_angles,
-    exp_algebra,
     renormalize,
 )
 
@@ -332,6 +337,37 @@ def flow_walk_matmul(
     return a, b
 
 
+def exp_algebra_select(x: np.ndarray) -> np.ndarray:
+    """exp_algebra as the select step called it, each stack's result in a
+    new stack and c0 summed by numpy over the fresh product planes of
+    x_ij (x^2)_ji; the package's check and coefficients."""
+    x = np.asarray(x, dtype=complex)
+    assert_algebra_element(x)
+    return exp_planes_select(_plane_major(x)).reshape(x.shape)
+
+
+def exp_planes_select(x: np.ndarray) -> np.ndarray:
+    """exp_algebra_select on an (n, 3, 3) plane-major stack."""
+    p = x.transpose(1, 2, 0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _planar_product(x, x).transpose(1, 2, 0)
+        c1 = (out[0, 0].real + out[1, 1].real + out[2, 2].real) * -0.5
+        c0 = (p * out.transpose(1, 0, 2)).sum(axis=(0, 1)).imag / -3.0
+    if not (c1 <= EXP_MAX_C1).all():
+        raise InvalidAlgebraError(f"c1 above {EXP_MAX_C1:.0e}")
+    f0, f1, f2 = _exp_coefficients(c0, c1)
+    out *= -f2
+    i_f1 = 1j * f1
+    for i in range(3):
+        out[i] -= p[i] * i_f1
+        out[i, i] += f0
+    squaring = c1 > EXP_SQUARING_C1
+    if squaring.any():
+        half = exp_planes_select(_plane_major(x[squaring] / 2))
+        out[:, :, squaring] = _planar_product(half, half).transpose(1, 2, 0)
+    return out.transpose(2, 0, 1)
+
+
 def flow_step_select(
     a: np.ndarray,
     b: np.ndarray,
@@ -343,7 +379,8 @@ def flow_step_select(
 
     curve holds indices into CURVES, part_im selects the imaginary trace
     part, t the flow time; all three have one entry per row.  Returns new
-    stacks (a, b); a and b are not written.
+    stacks (a, b); a and b are not written.  The select step verbatim,
+    with its exponential frozen as exp_algebra_select.
     """
     curve, part_im, t = (v[:, None, None] for v in (curve, part_im, t))
     x = np.where(curve == 0, a, b)
@@ -357,7 +394,7 @@ def flow_step_select(
     x *= np.where(part_im, -1j, 1.0)
     f = variation(x)
     f *= t
-    z = exp_algebra(f)
+    z = exp_algebra_select(f)
 
     # The table in the module docstring.  On alpha_beta rows a = u v^-1
     # with u = a b and v = b z, so a reads the pre-step b through bz.
