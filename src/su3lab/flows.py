@@ -175,13 +175,13 @@ def _flow_steps(a: np.ndarray, b: np.ndarray, draws) -> tuple[np.ndarray, np.nda
         new_b[:beta] = pair_b[:beta]
         np.conjugate(new_b[inv:prod], out=z[inv:prod])
         _planar_product(u[inv:prod], z[inv:prod].swapaxes(1, 2), new_a[inv:prod])
-        a, b = new_a, new_b
         if step % RENORM_CADENCE == 0:
             # Into the gather stacks, which then swap with the pair's.
             renormalize(new_a, out=pair_a)
             renormalize(new_b, out=pair_b)
             new_a, new_b, pair_a, pair_b = pair_a, pair_b, new_a, new_b
-            a, b = new_a, new_b
+        a, b = new_a, new_b
+    # Freed before the two output stacks are allocated.
     del u, f, z
     back = np.empty(n, dtype=np.intp)
     back[slot] = np.arange(n)

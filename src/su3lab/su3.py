@@ -646,7 +646,8 @@ def _work_stacks(count: int, n: int) -> list[np.ndarray]:
 def _gather_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     """out[k] = x[rows[k]] for (n, 3, 3) stacks, written into out, a
     plane-major stack with C-contiguous planes, one take along the planes'
-    rows; rows must index x (it is clipped, not checked)."""
+    rows; rows must index x: they are clipped, not checked, because take
+    buffers its output under mode="raise"."""
     np.take(x.transpose(1, 2, 0), rows, axis=2, out=out.transpose(1, 2, 0), mode="clip")
     return out
 
