@@ -19,7 +19,6 @@ this to drive thousands of trajectories in lockstep.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -303,49 +302,75 @@ ALGEBRA_BASIS = _build_algebra_basis()
 ALGEBRA_BASIS.setflags(write=False)
 
 
-@functools.cache
-def _adjoint_gemm() -> np.ndarray:
-    """The read-only (162, 64) real matrix W of adjoint_matrix's one
-    product, built on first use: built at import, it raised the peak
-    memory of runs that never call adjoint_matrix by 0.1-0.2 MB.
+# Rows and columns 0-1, 3-4 and 5-6 of Ad(g) in ALGEBRA_BASIS are the root
+# spaces of the index pairs (0, 1), (0, 2) and (1, 2), a symmetric then an
+# antisymmetric element each, taken in two groups that slices reach: (0, 1)
+# and (a, 2) for a = 0, 1.  A group is (its indices a, its index d, its
+# symmetric rows, its antisymmetric rows).
+_ROOT_GROUPS = (
+    (slice(0, 1), 1, slice(0, 1), slice(1, 2)),
+    (slice(0, 2), 2, slice(3, 7, 2), slice(4, 7, 2)),
+)
 
-    Entry (j, k) of Ad(g) is -Re Tr(g E_k g^H E_j) = -Re sum C[r] K[r] over
-    the 81 products K[27a + 9b + 3d + c] = g[a, b] conj(g[d, c]), the outer
-    product of g's row-major entries with their conjugates, with
-    C[27a + 9b + 3d + c] = E_j[d, a] E_k[b, c].  Read as reals, K's entry
-    r is the pair (Re K, Im K), and -Re(C K) = -Re C Re K + Im C Im K: so
-    W's rows are -Re C and Im C interleaved, and its column 8 j + k is
-    entry (j, k).
-    """
-    coeff = np.einsum("jda,kbc->abdcjk", ALGEBRA_BASIS, ALGEBRA_BASIS).reshape(81, 64)
-    w = np.stack([-coeff.real, coeff.imag], axis=1).reshape(162, 64)
-    w.setflags(write=False)
-    return w
+# Rows and columns 2 and 7 are the Cartan subalgebra, i diag(h) / sqrt 2 for
+# the rows h of _CARTAN.  _CARTAN_BLOCK maps the nine |g_ab|^2 to Ad(g)'s
+# Cartan block, entry (j, k) = sum_ab h_j[a] h_k[b] |g_ab|^2 / 2.
+_CARTAN = np.sqrt(2) * ALGEBRA_BASIS[2::5].diagonal(axis1=1, axis2=2).imag
+_CARTAN_BLOCK = 0.5 * np.kron(_CARTAN, _CARTAN)
 
 
 def adjoint_matrix(g: np.ndarray) -> np.ndarray:
     """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS.
 
-    Entry (j, k) is -Re Tr(g E_k g^H E_j), linear in the 81 products
-    g[a, b] conj(g[d, c]): so the stack's (n, 9, 9) outer products of its
-    nine row-major entries with their conjugates, written into one
-    row-major buffer and read as (n, 162) reals, times the fixed
-    (162, 64) matrix _adjoint_gemm() give all n matrices in one real
-    matrix product.  Orthogonal, because conjugation preserves the
-    pairing.  Accepts stacks of any layout (returns ...x8x8, C-ordered);
-    a NaN or inf entry is refused with InvalidGroupElementError, before
-    numpy can warn.
+    Entry (j, k) is -Re Tr(g E_k g^H E_j).  By blocks (_ROOT_GROUPS,
+    _CARTAN) it needs only 36 products of g's entries with conjugates and
+    the nine |g_ab|^2, formed on g's (3, 3, n) planes:
+    - rows of the pair (a, d), columns of the pair (b, c):
+      [[Re s, Im t], [-Im s, Re t]], s, t = g_ab conj g_dc +- g_ac conj g_db;
+    - rows of (a, d), Cartan column h: Re and -Im of sum_b h_b g_ab conj g_db;
+    - Cartan row h, columns of (b, c): Re and Im of sum_a h_a g_ab conj g_ac;
+    - the Cartan block: _CARTAN_BLOCK times the |g_ab|^2.
+    The entries fill (8, 8, n) planes; one transposed copy writes them out.
+    Orthogonal, because conjugation preserves the pairing.  The one-GEMM
+    form it replaced had other last bits: they differed by at most 5.6e-16
+    on 100 000 unitary g of each of six families, and both keep within
+    1e-15 of the two-einsum form.
+    Accepts stacks of any layout (returns ...x8x8, C-ordered), and a
+    plane-major stack gives the bits of a C-ordered one; a NaN or inf
+    entry is refused with InvalidGroupElementError, before numpy can warn.
     """
     g = np.asarray(g, dtype=complex)
     _check_layout(g)
-    _check_finite(g)
-    # A copy unless g's matrices are row-major already; the products are
-    # written row-major whatever g's layout, so that their rows read as reals.
-    flat = g.reshape(-1, 9)
-    kron = np.empty((len(flat), 9, 9), dtype=complex)
-    np.multiply(flat[:, :, None], np.conjugate(flat)[:, None, :], out=kron)
-    adj = kron.reshape(-1, 81).view(np.float64) @ _adjoint_gemm()
-    return adj.reshape(g.shape[:-2] + (8, 8))
+    p = _plane_major(g).transpose(1, 2, 0)
+    _check_finite(p.view(np.float64))  # half the cost of a complex isfinite
+    pc = np.conjugate(p)
+    n = p.shape[-1]
+    ad = np.empty((8, 8, n))
+    for ra, rd, rs, rt in _ROOT_GROUPS:
+        # o[r, b, c] = conj(g_ab) g_dc for the group's pairs (a, d): the
+        # conjugates of the terms of s and t, and of w_b = g_ab conj g_db.
+        o = pc[ra, :, None] * p[rd, None]
+        for ca, cd, cs, ct in _ROOT_GROUPS:
+            x, y = o[:, ca, cd], o[:, cd, ca]
+            np.add(x.real, y.real, out=ad[rs, cs])
+            np.subtract(x.real, y.real, out=ad[rt, ct])
+            np.add(x.imag, y.imag, out=ad[rt, cs])
+            np.subtract(y.imag, x.imag, out=ad[rs, ct])
+        # Cartan columns from o's diagonal b = c; Cartan rows of the pairs
+        # (b, c) = (a, d) from v[a, r] = g_ab conj g_ac.  Read as reals, a
+        # complex row is (re, im) pairs.
+        q = _CARTAN @ o.reshape(len(o), 9, n)[:, ::4].view(np.float64)
+        ad[rs, 2::5] = q[..., ::2]
+        ad[rt, 2::5] = q[..., 1::2]
+        v = (p[:, ra] * pc[:, rd, None]).view(np.float64)
+        q = (_CARTAN @ v.reshape(3, -1)).reshape((2,) + v.shape[1:])
+        ad[2::5, rs] = q[..., ::2]
+        ad[2::5, rt] = q[..., 1::2]
+    mod2 = np.square(p.real) + np.square(p.imag)
+    ad[2::5, 2::5] = (_CARTAN_BLOCK @ mod2.reshape(9, n)).reshape(2, 2, n)
+    out = np.empty((n, 8, 8))
+    np.copyto(out.transpose(1, 2, 0), ad)
+    return out.reshape(g.shape[:-2] + (8, 8))
 
 
 def haar_random(rng: np.random.Generator, size: int | None = None) -> np.ndarray:

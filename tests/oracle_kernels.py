@@ -15,7 +15,8 @@ that its curve-sorted workspace engine replaced, with the planar
 exponential as that step ran it, the two-einsum
 adjoint matrix and the full-grid integer-relation search that the
 one-GEMM su3lab.su3.adjoint_matrix and the half-grid, one-block-per-m1
-su3lab.traces.angles_have_relation replaced, the SVD on every matrix that
+su3lab.traces.angles_have_relation replaced, that one-GEMM adjoint
+matrix, which the root-block su3lab.su3.adjoint_matrix replaced, the SVD on every matrix that
 the Gram-Cholesky full-rank check in su3lab.fiber.d_kappa_rank and
 su3lab.fiber.centralizer_intersection spares, that check as LAPACK's
 Cholesky on one floored Gram matrix at a time, the LAPACK angles and full
@@ -51,6 +52,8 @@ from su3lab.su3 import (
     REGULARITY_GAP,
     RENORM_CADENCE,
     RENORM_GUARD,
+    _check_finite,
+    _check_layout,
     _exp_coefficients,
     _pair_stacks,
     _planar_product,
@@ -428,6 +431,52 @@ def adjoint_matrix_einsum(g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     conj = np.einsum("...ab,kbc,...dc->...kad", g, ALGEBRA_BASIS, np.conjugate(g))
     return -np.real(np.einsum("...kab,jba->...jk", conj, ALGEBRA_BASIS))
+
+
+@functools.cache
+def _adjoint_gemm() -> np.ndarray:
+    """The read-only (162, 64) real matrix W of adjoint_matrix_gemm's one
+    product, built on first use: built at import, it raised the peak
+    memory of runs that never call adjoint_matrix by 0.1-0.2 MB.
+
+    Entry (j, k) of Ad(g) is -Re Tr(g E_k g^H E_j) = -Re sum C[r] K[r] over
+    the 81 products K[27a + 9b + 3d + c] = g[a, b] conj(g[d, c]), the outer
+    product of g's row-major entries with their conjugates, with
+    C[27a + 9b + 3d + c] = E_j[d, a] E_k[b, c].  Read as reals, K's entry
+    r is the pair (Re K, Im K), and -Re(C K) = -Re C Re K + Im C Im K: so
+    W's rows are -Re C and Im C interleaved, and its column 8 j + k is
+    entry (j, k).
+    """
+    coeff = np.einsum("jda,kbc->abdcjk", ALGEBRA_BASIS, ALGEBRA_BASIS).reshape(81, 64)
+    w = np.stack([-coeff.real, coeff.imag], axis=1).reshape(162, 64)
+    w.setflags(write=False)
+    return w
+
+
+def adjoint_matrix_gemm(g: np.ndarray) -> np.ndarray:
+    """The 8x8 real matrix of conjugation by g in ALGEBRA_BASIS, as the
+    one-GEMM su3lab.su3.adjoint_matrix of 0.8.0 computed it, bit for bit.
+
+    Entry (j, k) is -Re Tr(g E_k g^H E_j), linear in the 81 products
+    g[a, b] conj(g[d, c]): so the stack's (n, 9, 9) outer products of its
+    nine row-major entries with their conjugates, written into one
+    row-major buffer and read as (n, 162) reals, times the fixed
+    (162, 64) matrix _adjoint_gemm() give all n matrices in one real
+    matrix product.  Orthogonal, because conjugation preserves the
+    pairing.  Accepts stacks of any layout (returns ...x8x8, C-ordered);
+    a NaN or inf entry is refused with InvalidGroupElementError, before
+    numpy can warn.
+    """
+    g = np.asarray(g, dtype=complex)
+    _check_layout(g)
+    _check_finite(g)
+    # A copy unless g's matrices are row-major already; the products are
+    # written row-major whatever g's layout, so that their rows read as reals.
+    flat = g.reshape(-1, 9)
+    kron = np.empty((len(flat), 9, 9), dtype=complex)
+    np.multiply(flat[:, :, None], np.conjugate(flat)[:, None, :], out=kron)
+    adj = kron.reshape(-1, 81).view(np.float64) @ _adjoint_gemm()
+    return adj.reshape(g.shape[:-2] + (8, 8))
 
 
 def full_rank_cholesky(m: np.ndarray) -> np.ndarray:

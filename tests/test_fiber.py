@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracle_kernels import algebra_coords, algebra_from_coords
+from conftest import make_rng, torus_phases
+from oracle_kernels import adjoint_matrix_gemm, algebra_coords, algebra_from_coords
 from su3lab.errors import FiberMismatchError
 from su3lab import fiber
 from su3lab.experiments import matrix_from_c_spec
@@ -22,6 +23,7 @@ from su3lab.su3 import (
     IDENTITY,
     OMEGA,
     REGULARITY_GAP,
+    adjoint_matrix,
     angle_gap,
     dagger,
     eigenvalue_angles,
@@ -164,6 +166,71 @@ def test_d_kappa_rank_iff_trivial_intersection(rng):
     # plus a degenerate pair to exercise the other branch
     assert centralizer_intersection(a[0], a[0]) > 0
     assert d_kappa_rank(d_kappa_matrix(a[0], a[0])) < 8
+
+
+def unitary2(rng, n):
+    """n Haar-random 2x2 unitary matrices, from the QR of Gaussian ones."""
+    q, r = np.linalg.qr(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def rank_strata(rng, n):
+    """(name, a, b, rank of d kappa, dim z(a, b)) for n pairs of five
+    strata: Haar pairs, conjugates of pairs in S(U(2) x U(1)) and in
+    SU(2), pairs (a, a^2), and commuting pairs of one torus, each stratum
+    conjugated by one Haar frame per row."""
+    v = haar_random(rng, n)
+
+    def framed(m):
+        return v @ m @ dagger(v)
+
+    def blocks(u, corner):
+        m = np.zeros((n, 3, 3), dtype=complex)
+        m[:, :2, :2] = u
+        m[:, 2, 2] = corner
+        return framed(m)
+
+    a, b = haar_random(rng, n), haar_random(rng, n)
+    yield "haar", a, b, 8, 0
+    ua, ub = unitary2(rng, n), unitary2(rng, n)
+    yield "reducible", blocks(ua, 1 / np.linalg.det(ua)), blocks(ub, 1 / np.linalg.det(ub)), 7, 1
+    sa, sb = (u / np.sqrt(np.linalg.det(u))[:, None, None] for u in (ua, ub))
+    yield "su2", blocks(sa, 1), blocks(sb, 1), 7, 1
+    yield "square", a, a @ a, 6, 2
+    da, db = (framed(np.eye(3) * torus_phases(rng, n)[:, None, :]) for _ in range(2))
+    yield "torus", da, db, 6, 2
+
+
+def test_d_kappa_rank_and_intersection_sum_to_8_pointwise(monkeypatch):
+    """rank d kappa + dim z(a, b) = 8 on every row of five strata, 500 rows
+    each, because the image of d kappa is the orthogonal complement of
+    z(a, b).  All but the Haar rows fall to the SVD, where the adjoint's
+    last bits meet RANK_TOL and NULLSPACE_TOL; with the frozen one-GEMM
+    adjoint in its place the integer arrays are the same."""
+    for name, a, b, rank, dim in rank_strata(make_rng(3636), 500):
+        ranks = d_kappa_rank(d_kappa_matrix(a, b))
+        inters = centralizer_intersection(a, b)
+        assert np.all(ranks + inters == 8), name
+        assert np.all(ranks == rank) and np.all(inters == dim), name
+        with monkeypatch.context() as m:
+            m.setattr(fiber, "adjoint_matrix", adjoint_matrix_gemm)
+            assert np.array_equal(d_kappa_rank(d_kappa_matrix(a, b)), ranks), name
+            assert np.array_equal(centralizer_intersection(a, b), inters), name
+
+
+def test_d_kappa_blocks_match_the_transposed_differences(rng):
+    """_d_kappa_from_adjoints writes its blocks in place with the bits of
+    the transposes of Ad(b) - I and I - Ad(a), on a stack and a lone pair."""
+    a, b = haar_random(rng, size=64), haar_random(rng, size=64)
+    ad_a, ad_b = adjoint_matrix(a), adjoint_matrix(b)
+    eye = np.eye(8)
+    blocks = np.concatenate(
+        [np.swapaxes(ad_b - eye, -1, -2), np.swapaxes(eye - ad_a, -1, -2)], axis=-1
+    )
+    assert np.array_equal(fiber._d_kappa_from_adjoints(ad_a, ad_b), ad_b @ ad_a @ blocks)
+    lone = fiber._d_kappa_from_adjoints(ad_a[0], ad_b[0])
+    assert np.array_equal(lone, ad_b[0] @ ad_a[0] @ blocks[0])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -28,7 +28,11 @@ two-einsum adjoint matrix, an SVD of every matrix and the full-grid
 relation search: the relation verdicts on Haar angles and on planted
 relations at every height, the adjoint matrix to roundoff on every
 layout it takes, and the ranks, intersections and genericity flags they
-feed; an eigenvalue 1 is checked to read angle 0, never 1.0.  The
+feed.  The adjoint matrix is also checked within 1e-15 of the one-GEMM
+form it replaced, on six families of elements (Haar, near the identity,
+tori in Haar frames, real SO(3), monomial, exponentials of large algebra
+elements) and stacks of 0 to 20 000 rows; an eigenvalue 1 is checked to
+read angle 0, never 1.0.  The
 full-rank check is checked on planted spectra on both sides of its floor
 and of both rank thresholds, against LAPACK's Cholesky one matrix at a
 time, to answer each row alone in stacks of 1, 7 and 2000 rows of either
@@ -64,9 +68,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from conftest import make_rng
+from conftest import make_rng, torus_phases
 from oracle_kernels import (
     adjoint_matrix_einsum,
+    adjoint_matrix_gemm,
     algebra_from_coords,
     angles_have_relation_grid,
     apply_word_loop,
@@ -784,6 +789,50 @@ def test_adjoint_matrix_matches_einsum_form():
         assert got.shape == u.shape[:-2] + (8, 8) and got.flags.c_contiguous
         assert np.abs(got - adjoint_matrix_einsum(u)).max() <= 1e-15
     assert np.array_equal(adjoint_matrix(planes), adjoint_matrix(g))
+
+
+def adjoint_family(name, rng, n):
+    """n special unitary matrices of one family adjoint_matrix must take."""
+    if name == "haar":
+        return haar_random(rng, n)
+    if name == "near_identity":
+        return exp_algebra(1e-8 * random_algebra(rng, n))
+    if name == "torus_frame":
+        v = haar_random(rng, n)
+        return (v * torus_phases(rng, n)[:, None, :]) @ dagger(v)
+    if name == "real_so3":
+        q, r = np.linalg.qr(rng.standard_normal((n, 3, 3)))
+        q = q * np.sign(np.diagonal(r, axis1=1, axis2=2))[:, None, :]
+        q[:, :, 0] *= np.linalg.det(q)[:, None]
+        return q.astype(complex)
+    if name == "monomial":
+        return np.roll(np.eye(3), 1, axis=0) * torus_phases(rng, n)[:, None, :]
+    assert name == "large_exp"
+    return exp_algebra(30 * random_algebra(rng, n))
+
+
+@pytest.mark.parametrize(
+    "family", ["haar", "near_identity", "torus_frame", "real_so3", "monomial", "large_exp"]
+)
+def test_adjoint_matrix_matches_gemm_and_einsum_forms(family):
+    """The root-block adjoint stays within 1e-15 of the two-einsum form and
+    of the frozen one-GEMM form it replaced, on stacks of 0, 1, 7 and
+    20 000 rows, C-ordered and plane-major, on strided slices of both, on
+    a lone matrix and on a nested stack; plane-major stacks give the bits
+    of C-ordered ones."""
+    g = adjoint_family(family, make_rng(3636), 20000)
+    assert unitarity_defect(g) < 1e-12
+    stacks = []
+    for n in (0, 1, 7, 20000):
+        planes = _plane_major(g[:n])
+        assert np.array_equal(adjoint_matrix(planes), adjoint_matrix(g[:n]))
+        stacks += [g[:n], planes]
+    stacks += [g[::2], _plane_major(g)[::2], g[0], g[:8].reshape(2, 4, 3, 3)]
+    for u in stacks:
+        got = adjoint_matrix(u)
+        assert got.shape == u.shape[:-2] + (8, 8) and got.flags.c_contiguous
+        assert np.abs(got - adjoint_matrix_einsum(u)).max(initial=0.0) <= 1e-15
+        assert np.abs(got - adjoint_matrix_gemm(u)).max(initial=0.0) <= 1e-15
 
 
 def mixed_rank_pairs():
